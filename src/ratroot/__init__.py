@@ -23,7 +23,6 @@ from .engine import (
     PowerBasisCoeffs,
     apply_power,
     companion_matrix,
-    cyclic_matrix,
     fib_power_chain,
     mat_pow,
     power_basis_coeffs,
@@ -71,7 +70,6 @@ __all__ = [
     "PowerBasisCoeffs",
     "apply_power",
     "companion_matrix",
-    "cyclic_matrix",
     "fib_power_chain",
     "mat_pow",
     "power_basis_coeffs",

@@ -10,6 +10,9 @@ Three power routes are kept on purpose. ``naive`` repeated multiplication is
 the trusted oracle, ``binary`` squaring is the general fast path, and the
 quotient-ring route (O(n^2) per multiply instead of O(n^3)) is the production
 path used by :func:`apply_power`. They must agree exactly, always.
+
+The ring product and the power-basis product (modulo (y - 1)**n - k) share
+one schoolbook multiply, :func:`_mulmod`.
 """
 from __future__ import annotations
 
@@ -25,16 +28,6 @@ def companion_matrix(params: Params) -> Matrix:
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = 1
-    for i in range(1, n):
-        rows[i][i - 1] = 1
-    rows[0][n - 1] += k
-    return Matrix(tuple(tuple(r) for r in rows))
-
-
-def cyclic_matrix(params: Params) -> Matrix:
-    """k-weighted cyclic shift S with S**n = k*I."""
-    n, k = params.n, params.k
-    rows = [[0] * n for _ in range(n)]
     for i in range(1, n):
         rows[i][i - 1] = 1
     rows[0][n - 1] += k
@@ -69,19 +62,29 @@ def ring_one(params: Params) -> RingPoly:
     return RingPoly((1,) + (0,) * (params.n - 1), params)
 
 
+def _mulmod(a, b, fold) -> tuple[int, ...]:
+    """Schoolbook a*b of length-n sequences modulo a monic degree-n polynomial
+    whose nonzero low terms are the (i, q) pairs ``fold``: x**n = -sum(q*x**i).
+    """
+    n = len(a)
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for m in range(2 * n - 2, n - 1, -1):
+        c = prod[m]
+        if c:
+            for i, q in fold:
+                prod[m - n + i] -= c * q
+    return tuple(prod[:n])
+
+
 def ring_mul(a: RingPoly, b: RingPoly) -> RingPoly:
     """Product in Z[x]/(x**n - k): schoolbook multiply, fold x**m -> k*x**(m-n)."""
     if a.params != b.params:
         raise ParamsMismatch(f"operands built over {a.params} and {b.params}")
-    n, k = a.params.n, a.params.k
-    prod = [0] * (2 * n - 1)
-    for i, ai in enumerate(a.coeffs):
-        if ai:
-            for j, bj in enumerate(b.coeffs):
-                prod[i + j] += ai * bj
-    for m in range(2 * n - 2, n - 1, -1):
-        prod[m - n] += k * prod[m]
-    return RingPoly(tuple(prod[:n]), a.params)
+    return RingPoly(_mulmod(a.coeffs, b.coeffs, ((0, -a.params.k),)), a.params)
 
 
 def ring_pow_one_plus_x(params: Params, t: int) -> RingPoly:
@@ -158,30 +161,12 @@ def power_basis_coeffs(params: Params, t: int) -> PowerBasisCoeffs:
     return PowerBasisCoeffs(tuple(a), t, params)
 
 
-def _charpoly_tail(params: Params) -> tuple[int, ...]:
-    """Low n coefficients q[0..n-1] of the monic (y - 1)**n - k."""
+def _charpoly_tail(params: Params) -> tuple[tuple[int, int], ...]:
+    """Nonzero low terms (i, q[i]), i < n, of the monic (y - 1)**n - k."""
     n = params.n
     q = [comb(n, i) * (-1 if (n - i) & 1 else 1) for i in range(n)]
     q[0] -= params.k
-    return tuple(q)
-
-
-def _basis_mul(a, b, params: Params) -> tuple[int, ...]:
-    """Multiply two basis-coefficient vectors modulo the characteristic polynomial."""
-    n = params.n
-    tail = _charpoly_tail(params)
-    prod = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    for m in range(2 * n - 2, n - 1, -1):
-        c = prod[m]
-        if c:
-            prod[m] = 0
-            for i in range(n):
-                prod[m - n + i] -= c * tail[i]
-    return tuple(prod[:n])
+    return tuple((i, qi) for i, qi in enumerate(q) if qi)
 
 
 def fib_power_chain(
@@ -195,12 +180,13 @@ def fib_power_chain(
     """
     if chain_length < 1:
         raise ValueError(f"chain length must be >= 1, got {chain_length}")
+    fold = _charpoly_tail(params)
     chain = [(2, power_basis_coeffs(params, 2))]
     if chain_length >= 2:
         chain.append((3, power_basis_coeffs(params, 3)))
     while len(chain) < chain_length:
         (e2, c2), (e1, c1) = chain[-2], chain[-1]
         e = e1 + e2
-        coeffs = _basis_mul(c1.coeffs, c2.coeffs, params)
+        coeffs = _mulmod(c1.coeffs, c2.coeffs, fold)
         chain.append((e, PowerBasisCoeffs(coeffs, e, params)))
     return chain

@@ -1,5 +1,4 @@
 """Shared test utilities kept independent of the code under test."""
-from fractions import Fraction
 
 
 def bareiss_det(rows) -> int:
@@ -31,7 +30,3 @@ def brute_floor_root(m: int, n: int) -> int:
     while (r + 1) ** n <= m:
         r += 1
     return r
-
-
-def as_fraction(text: str) -> Fraction:
-    return Fraction(text)

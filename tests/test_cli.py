@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -236,6 +240,13 @@ def test_cli_help_exits_zero(capsys):
     rc, out, _ = run_cli(capsys, "--help")
     assert rc == 0
     assert "approx" in out
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import sys, ratroot.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout == "False\n", out.stderr
 
 
 def test_selftest_passes(capsys):
