@@ -10,6 +10,7 @@ vary run to run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -48,20 +49,15 @@ def format_fraction(f: Fraction) -> str:
 
 
 def format_decimal(f: Fraction, places: int) -> str:
-    """Exact long division, truncated (not rounded) toward zero."""
+    """Exact decimal expansion, truncated (not rounded) toward zero."""
     if places < 0:
         raise ValueError(f"places must be nonnegative, got {places}")
     sign = "-" if f < 0 else ""
     a = -f if f < 0 else f
-    whole, rem = divmod(a.numerator, a.denominator)
+    whole, frac = divmod(a.numerator * 10**places // a.denominator, 10**places)
     if places == 0:
         return f"{sign}{whole}"
-    digits = []
-    for _ in range(places):
-        rem *= 10
-        d, rem = divmod(rem, a.denominator)
-        digits.append(str(d))
-    return f"{sign}{whole}." + "".join(digits)
+    return f"{sign}{whole}.{frac:0{places}d}"
 
 
 @dataclass
@@ -489,17 +485,25 @@ def _parse_scalar_start(text: str | None) -> Fraction:
         raise ValueError(f"bad scalar start {text!r}: {exc}") from None
 
 
-def _dispatch(args) -> OutputRecord:
-    params = Params(args.n, args.k)
+def _parse_start(args, params: Params):
+    """The trace start from argv, or None for commands that take none."""
+    if args.command != "trace":
+        return None
+    if args.mode == "linear":
+        return _parse_linear_start(args.start, params)
+    return _parse_scalar_start(args.start)
+
+
+def _dispatch(args, params: Params, start) -> OutputRecord:
     if args.command == "approx":
         record = build_approx(params, args.digits, args.max_t)
     elif args.command == "table":
         record = build_table(params, args.t0, args.t1, args.index)
     elif args.command == "trace":
         if args.mode == "linear":
-            record = build_trace_linear(params, _parse_linear_start(args.start, params), args.steps)
+            record = build_trace_linear(params, start, args.steps)
         else:
-            record = build_trace_scalar(params, _parse_scalar_start(args.start), args.steps)
+            record = build_trace_scalar(params, start, args.steps)
     elif args.command == "eig":
         record = build_eig(params)
     elif args.command == "chpow":
@@ -510,6 +514,25 @@ def _dispatch(args) -> OutputRecord:
         raise ValueError(f"unknown command {args.command!r}")
     record.fmt = args.format
     return record
+
+
+@contextlib.contextmanager
+def _int_str_limit_lifted():
+    """Lift CPython's int/str digit limit (CVE-2020-10735) for the block.
+
+    Only the program's own integers may be converted inside: argv text is
+    parsed before the block. Interpreters without the limit (CPython
+    before 3.10.7) have no setter, and nothing is changed there.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def main(argv=None) -> int:
@@ -523,7 +546,10 @@ def main(argv=None) -> int:
     if args.command == "selftest":
         return run_selftest()
     try:
-        record = _dispatch(args)
+        params = Params(args.n, args.k)
+        start = _parse_start(args, params)
+        with _int_str_limit_lifted():
+            payload = _dispatch(args, params, start).render()
     except (ZeroVector, PoleEncountered, DivisionByZero) as exc:
         print(f"ratroot: error: {exc}", file=sys.stderr)
         return 2
@@ -533,7 +559,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"ratroot: error: {exc}", file=sys.stderr)
         return 1
-    payload = record.render()
     if args.out:
         Path(args.out).write_text(payload)
     else:

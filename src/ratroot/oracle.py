@@ -1,9 +1,10 @@
 """Ground truth for accuracy claims, independent of the iteration machinery.
 
 Everything here is scaled integer arithmetic: the n-th root of k is pinned
-between consecutive integers at a power-of-ten scale, and candidate
-fractions are judged by exact rational comparison against that bracket.
-No floating point, so certificates hold at any digit count.
+between consecutive integers at a power-of-ten scale (an integer Newton
+root, or ``math.isqrt`` for square roots), and candidate fractions are
+judged by exact integer comparison against that bracket. No floating
+point, so certificates hold at any digit count.
 """
 from __future__ import annotations
 
@@ -18,24 +19,27 @@ GUARD_DIGITS = 5  # bracket is kept this much finer than any tested threshold
 
 
 def integer_nth_root(m: int, n: int) -> int:
-    """floor(m**(1/n)) by pure-integer binary search."""
+    """floor(m**(1/n)): ``math.isqrt`` for n = 2, integer Newton for n >= 3.
+
+    Newton starts above the root, at 2**ceil(bit_length(m) / n), and
+    x -> ((n-1)*x + m // x**(n-1)) // n decreases strictly while x**n > m
+    and never drops below floor(m**(1/n)) (AM-GM; the floors cancel), so
+    the first step that fails to decrease x stops on the floor root.
+    """
     if m < 0:
         raise ValueError(f"radicand must be nonnegative, got {m}")
     if n < 1:
         raise ValueError(f"root order must be >= 1, got {n}")
     if m < 2 or n == 1:
         return m
-    hi = 1
-    while hi**n <= m:
-        hi <<= 1
-    lo = hi >> 1
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if mid**n <= m:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if n == 2:
+        return math.isqrt(m)
+    x = 1 << -(-m.bit_length() // n)
+    while True:
+        y = ((n - 1) * x + m // x ** (n - 1)) // n
+        if y >= x:
+            return x
+        x = y
 
 
 @dataclass(frozen=True)
@@ -80,14 +84,25 @@ def digits_of_accuracy(candidate: Fraction, params: Params, cap: int) -> int:
     bracket endpoint bounds its distance to the root from above. The result
     is therefore a certificate, marginally conservative (by at most the
     bracket width), and saturates at cap for exact roots.
+
+    With candidate = p/q and the bracket lo/S .. (lo+1)/S, that distance is
+    num/den with num = max(|p*S - lo*q|, |p*S - (lo+1)*q|) and den = q*S.
+    The answer is the first d failing num * 10**(d+1) < den, clamped to
+    cap; a guess from the bit lengths (log10(2) ~ 30103/100000) is moved
+    onto it with that same integer comparison, a step or two each way.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     candidate = Fraction(candidate)
+    p, q = candidate.numerator, candidate.denominator
     bracket = nth_root_bracket(params, cap + GUARD_DIGITS)
-    err = max(abs(candidate - bracket.low), abs(candidate - bracket.high))
-    num, den = err.numerator, err.denominator
-    d = 0
+    scale = bracket.scale
+    ps = p * scale
+    num = max(abs(ps - bracket.lo * q), abs(ps - (bracket.lo + 1) * q))
+    den = q * scale
+    d = min(cap, max(0, (den.bit_length() - num.bit_length()) * 30103 // 100000))
+    while d > 0 and num * 10**d >= den:
+        d -= 1
     while d < cap and num * 10 ** (d + 1) < den:
         d += 1
     return d

@@ -1,5 +1,7 @@
 """Shared test utilities kept independent of the code under test."""
 
+from fractions import Fraction
+
 
 def bareiss_det(rows) -> int:
     """Exact determinant by fraction-free Gaussian elimination."""
@@ -30,3 +32,53 @@ def brute_floor_root(m: int, n: int) -> int:
     while (r + 1) ** n <= m:
         r += 1
     return r
+
+
+def bisect_nth_root(m: int, n: int) -> int:
+    """floor(m**(1/n)) by pure-integer binary search; shares no step with Newton."""
+    if m < 2 or n == 1:
+        return m
+    hi = 1
+    while hi**n <= m:
+        hi <<= 1
+    lo = hi >> 1
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if mid**n <= m:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def scan_digits_of_accuracy(candidate, n: int, k: int, cap: int, guard: int) -> int:
+    """Reference digit certificate: Fraction error, bisected bracket, step scan.
+
+    The error bound is the Fraction distance to the farther endpoint of the
+    width-10**-(cap + guard) bracket; d then steps up from 0 one power of
+    ten at a time while that bound is below 10**-(d+1).
+    """
+    scale = 10 ** (cap + guard)
+    lo = bisect_nth_root(k * scale**n, n)
+    candidate = Fraction(candidate)
+    err = max(abs(candidate - Fraction(lo, scale)), abs(candidate - Fraction(lo + 1, scale)))
+    num, den = err.numerator, err.denominator
+    d = 0
+    while d < cap and num * 10 ** (d + 1) < den:
+        d += 1
+    return d
+
+
+def loop_format_decimal(f, places: int) -> str:
+    """Decimal expansion by long division, one digit per step, truncated."""
+    sign = "-" if f < 0 else ""
+    a = -f if f < 0 else f
+    whole, rem = divmod(a.numerator, a.denominator)
+    if places == 0:
+        return f"{sign}{whole}"
+    digits = []
+    for _ in range(places):
+        rem *= 10
+        d, rem = divmod(rem, a.denominator)
+        digits.append(str(d))
+    return f"{sign}{whole}." + "".join(digits)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -8,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratroot.cli import (
     build_approx,
@@ -19,6 +22,8 @@ from ratroot.cli import (
     main,
 )
 from ratroot.core import NonConvergence, Params
+
+from _helpers import loop_format_decimal
 
 
 def run_cli(capsys, *argv):
@@ -33,6 +38,17 @@ def test_format_decimal_truncates_toward_zero():
     assert format_decimal(Fraction(99, 70), 6) == "1.414285"
     assert format_decimal(Fraction(3), 4) == "3.0000"
     assert format_decimal(Fraction(7, 2), 0) == "3"
+
+
+@given(
+    st.integers(-(10**80), 10**80),
+    st.integers(1, 10**80),
+    st.integers(0, 120),
+)
+@settings(max_examples=300)
+def test_format_decimal_matches_long_division(num, den, places):
+    f = Fraction(num, den)
+    assert format_decimal(f, places) == loop_format_decimal(f, places)
 
 
 def test_format_fraction_round_trips():
@@ -234,6 +250,70 @@ def test_cli_exit_codes(capsys):
         capsys, "approx", "--n", "3", "--k", "2", "--digits", "30", "--max-t", "10"
     )
     assert rc == 3 and "ceiling" in err
+
+
+def _int_str_limit():
+    """The interpreter's int/str digit limit, or None where it has none."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else None
+
+
+@contextlib.contextmanager
+def _int_str_limit_set(limit):
+    """Run the block at this int/str digit limit (0 lifts it), then restore."""
+    saved = _int_str_limit()
+    if saved is None:
+        yield
+        return
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.fixture
+def default_int_str_limit():
+    """The interpreter's default int/str digit limit, in force for the test."""
+    default = getattr(sys.int_info, "default_max_str_digits", None)
+    with _int_str_limit_set(default):
+        yield default
+
+
+@pytest.mark.parametrize("n,k,digits", [(5, 7, 1000), (2, 2, 10000)])
+def test_approx_renders_past_int_str_limit(capsys, default_int_str_limit, n, k, digits):
+    argv = ["approx", "--n", str(n), "--k", str(k), "--digits", str(digits)]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0, err
+    assert _int_str_limit() == default_int_str_limit
+    rc, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert rc == 0, err
+    assert _int_str_limit() == default_int_str_limit
+    obj = json.loads(out)
+    assert json.dumps(obj, indent=2) + "\n" == out
+    with _int_str_limit_set(0):
+        frac = Fraction(obj["rows"][0][1])
+        decimal = Fraction(obj["rows"][0][2])
+    p, q, scale = frac.numerator, frac.denominator, 10**digits
+    assert (p * scale - q) ** n < k * (q * scale) ** n < (p * scale + q) ** n
+    assert decimal <= frac < decimal + Fraction(1, scale)
+    assert obj["meta"]["achieved"] == str(digits)
+
+
+def test_trace_start_stays_under_int_str_limit(capsys, default_int_str_limit):
+    # argv text is parsed before the limit is lifted for the program's own output
+    if default_int_str_limit is None:
+        pytest.skip("this interpreter has no int/str digit limit")
+    start = "1" * (default_int_str_limit + 1)
+    rc, _, err = run_cli(
+        capsys, "trace", "--mode", "linear", "--n", "2", "--k", "2", "--start", f"{start},1"
+    )
+    assert rc == 1 and "bad linear start" in err
+    rc, _, err = run_cli(
+        capsys, "trace", "--mode", "scalar", "--n", "2", "--k", "2", "--start", f"{start}/1"
+    )
+    assert rc == 1 and "bad scalar start" in err
+    assert _int_str_limit() == default_int_str_limit
 
 
 def test_cli_help_exits_zero(capsys):

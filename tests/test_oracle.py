@@ -1,18 +1,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratroot.core import Params
 from ratroot.oracle import (
+    GUARD_DIGITS,
     digits_of_accuracy,
     integer_nth_root,
     log10_error_bound,
     nth_root_bracket,
 )
 
-from _helpers import brute_floor_root
+from _helpers import bisect_nth_root, brute_floor_root, scan_digits_of_accuracy
 
 
 def test_integer_nth_root_examples():
@@ -45,6 +46,28 @@ def test_integer_nth_root_matches_exhaustive_search():
     for n in range(1, 5):
         for m in range(0, 800):
             assert integer_nth_root(m, n) == brute_floor_root(m, n), (m, n)
+
+
+@st.composite
+def radicands(draw):
+    """(m, n) with m up to ~6000 bits, often at r**n - 1, r**n or r**n + 1."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        m = draw(st.integers(0, 2 ** draw(st.integers(0, 6000))))
+    else:
+        r = draw(st.integers(0, 2 ** draw(st.integers(0, 6000 // n))))
+        m = max(0, r**n + draw(st.sampled_from((-1, 0, 1))))
+    return m, n
+
+
+@given(radicands())
+@example(((2**200 - 1) ** 12 - 1, 12))
+@example(((3**500) ** 7, 7))
+@example(((10**7 + 1) ** 3 + 1, 3))
+@settings(max_examples=300, deadline=None)
+def test_integer_nth_root_matches_bisection(case):
+    m, n = case
+    assert integer_nth_root(m, n) == bisect_nth_root(m, n)
 
 
 def test_bracket_examples():
@@ -98,6 +121,37 @@ def test_digits_of_accuracy_detects_planted_error(d):
     cand = nth_root_bracket(params, 60).low + Fraction(1, 10 ** (d + 1))
     got = digits_of_accuracy(cand, params, 50)
     assert got in (d, d + 1)  # the planted offset dominates, up to bracket slack
+
+
+@st.composite
+def certificate_cases(draw):
+    """(candidate, params, cap): exact roots, far candidates, or an error
+    planted at 10**-d, exactly or one unit of 10**-(cap + GUARD_DIGITS + 3)
+    either side, off either bracket endpoint."""
+    n = draw(st.integers(2, 7))
+    cap = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(("exact", "far", "planted")))
+    if kind == "exact":
+        r = draw(st.integers(1, 30))
+        return Fraction(r), Params(n, r**n), cap
+    params = Params(n, draw(st.integers(2, 60)))
+    if kind == "far":
+        cand = Fraction(draw(st.integers(-(10**9), 10**9)), draw(st.integers(1, 10**9)))
+        return cand, params, cap
+    bracket = nth_root_bracket(params, cap + GUARD_DIGITS)
+    d = draw(st.integers(0, cap + GUARD_DIGITS + 2))
+    nudge = Fraction(draw(st.sampled_from((-1, 0, 1))), 10 ** (cap + GUARD_DIGITS + 3))
+    offset = Fraction(1, 10**d) + nudge
+    cand = bracket.low + offset if draw(st.booleans()) else bracket.high - offset
+    return cand, params, cap
+
+
+@given(certificate_cases())
+@settings(max_examples=300, deadline=None)
+def test_digits_of_accuracy_matches_step_scan(case):
+    cand, params, cap = case
+    want = scan_digits_of_accuracy(cand, params.n, params.k, cap, GUARD_DIGITS)
+    assert digits_of_accuracy(cand, params, cap) == want
 
 
 def test_digits_of_accuracy_monotone_in_cap():
