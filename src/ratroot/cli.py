@@ -116,13 +116,20 @@ def _ones(params: Params) -> StateVector:
 
 
 def build_table(params: Params, t0: int, t1: int, index: int) -> OutputRecord:
-    """Rows (t, reduced fraction, 6-place decimal, certified digits)."""
+    """Rows (t, reduced fraction, 6-place decimal, certified digits).
+
+    Jumps to t0 in one shot, then steps one matrix application per row, so
+    only the current state is held.
+    """
     if not 0 <= t0 <= t1:
         raise ValueError(f"need 0 <= t0 <= t1, got t0={t0}, t1={t1}")
-    traj = recursion.iterate_linear(params, _ones(params), t1)
+    step = engine.companion_matrix(params).apply
+    entries = engine.apply_power(params, t0, _ones(params)).entries
     rows = []
     for t in range(t0, t1 + 1):
-        frac = recursion.ratio(traj.states[t], index)
+        if t > t0:
+            entries = step(entries)
+        frac = recursion.ratio(StateVector(entries, t=t), index)
         rows.append(
             [
                 str(t),

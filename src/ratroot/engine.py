@@ -8,16 +8,20 @@ column vector is multiplication by (1 + x).
 
 Three power routes are kept on purpose. ``naive`` repeated multiplication is
 the trusted oracle, ``binary`` squaring is the general fast path, and the
-quotient-ring route (O(n^2) per multiply instead of O(n^3)) is the production
-path used by :func:`apply_power`. They must agree exactly, always.
+quotient-ring route is the production path used by :func:`apply_power`. They
+must agree exactly, always.
 
-The ring product and the power-basis product (modulo (y - 1)**n - k) share
-one schoolbook multiply, :func:`_mulmod`.
+The ring route computes (1 + x)**t with a left-to-right ladder: per bit of t
+one square by the squaring kernel :func:`_sqrmod` (each cross product once,
+about half the products of a general multiply), and on a set bit one O(n)
+multiply by 1 + x. The general ring product and the power-basis product
+(modulo (y - 1)**n - k) share one schoolbook multiply, :func:`_mulmod`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import add
 
 from .core import Matrix, Params, ParamsMismatch, RingPoly, StateVector, ZeroVector
 
@@ -87,23 +91,43 @@ def ring_mul(a: RingPoly, b: RingPoly) -> RingPoly:
     return RingPoly(_mulmod(a.coeffs, b.coeffs, ((0, -a.params.k),)), a.params)
 
 
-def ring_pow_one_plus_x(params: Params, t: int) -> RingPoly:
-    """(1 + x)**t in Z[x]/(x**n - k), by binary exponentiation.
+def _sqrmod(a, k) -> list[int]:
+    """a*a in Z[x]/(x**n - k) for a length-n sequence a.
 
+    Each cross product ai*aj (i < j) is formed once and doubled, the
+    diagonal ai**2 is added, then x**m folds to k*x**(m-n).
+    """
+    n = len(a)
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j in range(i + 1, n):
+                prod[i + j] += ai * a[j]
+    prod = [c + c for c in prod]
+    for i, ai in enumerate(a):
+        prod[2 * i] += ai * ai
+    for m in range(n - 1):
+        prod[m] += k * prod[m + n]
+    return prod[:n]
+
+
+def ring_pow_one_plus_x(params: Params, t: int) -> RingPoly:
+    """(1 + x)**t in Z[x]/(x**n - k), by a left-to-right ladder.
+
+    For each bit of t from the top the accumulator is squared, and on a set
+    bit multiplied by 1 + x: c0 <- c0 + k*c(n-1), ci <- ci + c(i-1).
     Coefficient i is entry i+1 of M**t applied to the first standard basis
     vector.
     """
     if t < 0:
         raise ValueError(f"exponent must be nonnegative, got {t}")
-    base = RingPoly((1, 1) + (0,) * (params.n - 2), params)
-    acc = ring_one(params)
-    while t:
-        if t & 1:
-            acc = ring_mul(acc, base)
-        t >>= 1
-        if t:
-            base = ring_mul(base, base)
-    return acc
+    k = params.k
+    c = ring_one(params).coeffs
+    for bit in f"{t:b}":
+        c = _sqrmod(c, k)
+        if bit == "1":
+            c = [c[0] + k * c[-1], *map(add, c[1:], c)]
+    return RingPoly(c, params)
 
 
 def apply_power(params: Params, t: int, r0: StateVector) -> StateVector:

@@ -21,7 +21,9 @@ from ratroot.cli import (
     format_fraction,
     main,
 )
-from ratroot.core import NonConvergence, Params
+from ratroot.core import NonConvergence, Params, StateVector
+from ratroot.engine import apply_power
+from ratroot.recursion import ratio
 
 from _helpers import loop_format_decimal
 
@@ -300,6 +302,23 @@ def test_approx_renders_past_int_str_limit(capsys, default_int_str_limit, n, k, 
     assert obj["meta"]["achieved"] == str(digits)
 
 
+def test_table_jumps_to_large_t0(capsys, default_int_str_limit):
+    # t0 is reached in one shot; rows past the int/str limit still round-trip
+    rc, out, err = run_cli(
+        capsys, "table", "--n", "2", "--k", "2", "--t0", "20000", "--t1", "20002",
+        "--format", "json",
+    )
+    assert rc == 0, err
+    obj = json.loads(out)
+    assert json.dumps(obj, indent=2) + "\n" == out
+    assert [row[0] for row in obj["rows"]] == ["20000", "20001", "20002"]
+    params, ones = Params(2, 2), StateVector((1, 1))
+    with _int_str_limit_set(0):
+        for row in obj["rows"]:
+            t = int(row[0])
+            assert Fraction(row[1]) == ratio(apply_power(params, t, ones), 1)
+
+
 def test_trace_start_stays_under_int_str_limit(capsys, default_int_str_limit):
     # argv text is parsed before the limit is lifted for the program's own output
     if default_int_str_limit is None:
@@ -349,6 +368,22 @@ def test_selftest_catches_sabotaged_engine(capsys, monkeypatch):
         return RingPoly((out.coeffs[0] + 1,) + out.coeffs[1:], out.params)
 
     monkeypatch.setattr(engine, "ring_mul", corrupt_mul)
+    rc, out, _ = run_cli(capsys, "selftest")
+    assert rc == 3
+    assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())
+
+
+def test_selftest_catches_sabotaged_square(capsys, monkeypatch):
+    # a wrong squaring kernel must trip the engine-agreement group
+    from ratroot import engine
+
+    true_sqr = engine._sqrmod
+
+    def corrupt_sqr(a, k):
+        out = true_sqr(a, k)
+        return [out[0] + 1, *out[1:]]
+
+    monkeypatch.setattr(engine, "_sqrmod", corrupt_sqr)
     rc, out, _ = run_cli(capsys, "selftest")
     assert rc == 3
     assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())

@@ -16,7 +16,7 @@ from ratroot.engine import (
     ring_pow_one_plus_x,
 )
 
-from _helpers import bareiss_det
+from _helpers import bareiss_det, step_pow_one_plus_x
 
 params_st = st.builds(Params, st.integers(2, 6), st.integers(1, 20))
 
@@ -112,6 +112,25 @@ def test_ring_pow_is_a_homomorphism(params, s, t):
     combined = ring_pow_one_plus_x(params, s + t)
     split = ring_mul(ring_pow_one_plus_x(params, s), ring_pow_one_plus_x(params, t))
     assert combined.coeffs == split.coeffs
+
+
+# half the exponents sit on a ladder edge: 0, 1, 2**j - 1, 2**j, 2**j + 1
+ladder_t_st = st.one_of(
+    st.integers(0, 3000),
+    st.builds(lambda j, d: max(0, 2**j + d), st.integers(0, 11), st.integers(-1, 1)),
+)
+
+
+@given(st.builds(Params, st.integers(2, 64), st.integers(1, 10**6)), ladder_t_st)
+@settings(max_examples=100, deadline=None)
+def test_ring_pow_matches_repeated_step(params, t):
+    assert ring_pow_one_plus_x(params, t).coeffs == step_pow_one_plus_x(params, t)
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_ring_pow_matches_repeated_step_at_t6000(n):
+    params = Params(n, 7)
+    assert ring_pow_one_plus_x(params, 6000).coeffs == step_pow_one_plus_x(params, 6000)
 
 
 def test_apply_power_examples():
