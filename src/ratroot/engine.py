@@ -4,7 +4,9 @@ For parameters (n, k) the iteration matrix is M = I + S, where S is the
 k-weighted cyclic shift: k in the top-right corner, ones on the first
 subdiagonal, zeros elsewhere. S**n = k*I, so the span of I, S, ..., S**(n-1)
 multiplies exactly like Z[x]/(x**n - k) with S playing x; applying M to a
-column vector is multiplication by (1 + x).
+column vector is multiplication by (1 + x). That one O(n) step of M is
+:func:`step_one_plus_x`; the ladder, ``table`` and the linear trajectory all
+take it.
 
 Three power routes are kept on purpose. ``naive`` repeated multiplication is
 the trusted oracle, ``binary`` squaring is the general fast path, and the
@@ -13,8 +15,8 @@ must agree exactly, always.
 
 The ring route computes (1 + x)**t with a left-to-right ladder: per bit of t
 one square by the squaring kernel :func:`_sqrmod` (each cross product once,
-about half the products of a general multiply), and on a set bit one O(n)
-multiply by 1 + x. The general ring product and the power-basis product
+about half the products of a general multiply), and on a set bit one
+:func:`step_one_plus_x`. The general ring product and the power-basis product
 (modulo (y - 1)**n - k) share one schoolbook multiply, :func:`_mulmod`.
 """
 from __future__ import annotations
@@ -111,13 +113,20 @@ def _sqrmod(a, k) -> list[int]:
     return prod[:n]
 
 
+def step_one_plus_x(c, k) -> list[int]:
+    """c*(1 + x) in Z[x]/(x**n - k): c0 <- c0 + k*c(n-1), ci <- ci + c(i-1).
+
+    Read as a state vector, c -> M c: one step of the iteration in O(n).
+    """
+    return [c[0] + k * c[-1], *map(add, c[1:], c)]
+
+
 def ring_pow_one_plus_x(params: Params, t: int) -> RingPoly:
     """(1 + x)**t in Z[x]/(x**n - k), by a left-to-right ladder.
 
     For each bit of t from the top the accumulator is squared, and on a set
-    bit multiplied by 1 + x: c0 <- c0 + k*c(n-1), ci <- ci + c(i-1).
-    Coefficient i is entry i+1 of M**t applied to the first standard basis
-    vector.
+    bit stepped once by :func:`step_one_plus_x`. Coefficient i is entry i+1
+    of M**t applied to the first standard basis vector.
     """
     if t < 0:
         raise ValueError(f"exponent must be nonnegative, got {t}")
@@ -126,7 +135,7 @@ def ring_pow_one_plus_x(params: Params, t: int) -> RingPoly:
     for bit in f"{t:b}":
         c = _sqrmod(c, k)
         if bit == "1":
-            c = [c[0] + k * c[-1], *map(add, c[1:], c)]
+            c = step_one_plus_x(c, k)
     return RingPoly(c, params)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import DivisionByZero, Params, PoleEncountered, StateVector, ZeroVector
-from .engine import companion_matrix
+from .engine import step_one_plus_x
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,8 @@ class ScalarTrajectory:
 def iterate_linear(params: Params, r0: StateVector, t_max: int) -> Trajectory:
     """Evolve r0 step by step, recording every intermediate state.
 
-    One matrix application per step, so traces and tables see each state.
+    One O(n) step of M per step (:func:`engine.step_one_plus_x`), so traces
+    see each state.
     Raises ZeroVector (with the offending t) if the state vanishes, which
     requires a singular matrix: even n with k = 1.
     """
@@ -44,11 +45,10 @@ def iterate_linear(params: Params, r0: StateVector, t_max: int) -> Trajectory:
         raise ValueError(f"state length {len(r0)} != n={params.n}")
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
-    m = companion_matrix(params)
     states = [StateVector(r0.entries, t=0)]
     entries = states[0].entries
     for t in range(1, t_max + 1):
-        entries = m.apply(entries)
+        entries = step_one_plus_x(entries, params.k)
         if all(e == 0 for e in entries):
             raise ZeroVector(t)
         states.append(StateVector(entries, t=t))

@@ -12,6 +12,9 @@ paper promises dps digits per step, not a digit count at a fixed step. For
 least 40, so the budget there is 466. The 40-digit bar is unchanged; where
 the budget rises, the state at t = 400 must still certify
 floor(400 * dps) - 1 digits.
+
+C1, C2, C4 and C5 (2,2) call the checks that ``ratroot selftest`` runs, at
+the sizes pinned here.
 """
 import cmath
 import math
@@ -21,13 +24,8 @@ from fractions import Fraction
 
 import pytest
 
-from ratroot.core import Matrix, Params, PoleEncountered, StateVector, ZeroVector
-from ratroot.engine import (
-    apply_power,
-    companion_matrix,
-    mat_pow,
-    power_basis_coeffs,
-)
+from ratroot.core import Params, PoleEncountered, StateVector, ZeroVector
+from ratroot.engine import apply_power, companion_matrix, power_basis_coeffs
 from ratroot.oracle import (
     digits_of_accuracy,
     integer_nth_root,
@@ -36,7 +34,12 @@ from ratroot.oracle import (
 )
 from ratroot.recursion import iterate_linear, iterate_scalar_map, ratio
 from ratroot.spectral import convergence_rate, decompose, eigenvalues
-from ratroot.cli import build_table
+from ratroot.cli import (
+    check_cayley_hamilton,
+    check_engine_agreement,
+    check_opening_table,
+    check_rate_slope,
+)
 
 
 @contextmanager
@@ -56,19 +59,13 @@ def ones(n: int) -> StateVector:
 def test_c1_opening_table_reproduction():
     # fraction column of table(2, 2, 0..5) is exact; zero tolerance
     with reporting("C1 table-reproduction"):
-        record = build_table(Params(2, 2), 0, 5, 1)
-        got = [row[1] for row in record.rows]
-        assert got == ["1/1", "3/2", "7/5", "17/12", "41/29", "99/70"]
+        check_opening_table()
 
 
 def test_c2_cayley_hamilton_identity():
     # (M - I)**n = k*I exactly over the full grid
     with reporting("C2 cayley-hamilton"):
-        for n in range(2, 9):
-            for k in (1, 2, 3, 5, 10, 16):
-                m = companion_matrix(Params(n, k))
-                got = mat_pow(m - Matrix.identity(n), n)
-                assert got == Matrix.identity(n).scale(k), (n, k)
+        check_cayley_hamilton(8)
 
 
 def test_c3_power_basis_coefficient_chain():
@@ -87,36 +84,13 @@ def test_c3_power_basis_coefficient_chain():
 def test_c4_engine_agreement_on_random_cases():
     # naive, binary, and ring powers agree exactly on 200 random cases
     with reporting("C4 engine-agreement"):
-        rng = random.Random(74207281)
-        cases = 0
-        while cases < 200:
-            n = rng.randint(2, 6)
-            k = rng.randint(1, 20)
-            t = rng.randint(0, 50)
-            entries = tuple(rng.randint(-9, 9) for _ in range(n))
-            if all(e == 0 for e in entries):
-                continue
-            params = Params(n, k)
-            try:
-                via_ring = apply_power(params, t, StateVector(entries)).entries
-            except ZeroVector:
-                continue  # singular matrix annihilated this start; excluded
-            m = companion_matrix(params)
-            assert via_ring == mat_pow(m, t, method="naive").apply(entries), (n, k, t)
-            assert via_ring == mat_pow(m, t, method="binary").apply(entries), (n, k, t)
-            cases += 1
+        check_engine_agreement(74207281, 200)
 
 
 def test_c5_rate_law_square_root_slope():
     # measured digits-per-step over t in [50, 150] within 5% of the closed form
     with reporting("C5 rate-law (2,2)"):
-        params = Params(2, 2)
-        traj = iterate_linear(params, ones(2), 150)
-        e50 = log10_error_bound(ratio(traj.states[50], 1), params, 160)
-        e150 = log10_error_bound(ratio(traj.states[150], 1), params, 160)
-        measured = (e50 - e150) / 100
-        expected = -math.log10(3 - 2 * math.sqrt(2))
-        assert abs(measured - expected) <= 0.05 * expected, (measured, expected)
+        check_rate_slope(-math.log10(3 - 2 * math.sqrt(2)))
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (5, 7)])

@@ -222,6 +222,16 @@ def test_approx_non_convergence_ceiling():
         build_approx(Params(3, 2), 30, max_t=50)
 
 
+@pytest.mark.parametrize(
+    "n,k", [(2, 10**35 + 1), (3, 10**400 + 3)], ids=["rate-rounds-to-1", "k-past-float-range"]
+)
+def test_approx_huge_radicand_is_non_convergence(capsys, n, k):
+    # the float rate rounds to 1, or k**(1/n) overflows a float: no t fits
+    rc, out, err = run_cli(capsys, "approx", "--n", str(n), "--k", str(k), "--digits", "5")
+    assert rc == 3 and out == ""
+    assert err.startswith("ratroot: error: no starting t within ceiling 1000000"), err
+
+
 def test_cli_exit_codes(capsys):
     # usage: bad n
     rc, _, err = run_cli(capsys, "table", "--n", "1", "--k", "2")
@@ -389,6 +399,56 @@ def test_selftest_catches_sabotaged_square(capsys, monkeypatch):
     assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())
 
 
+def test_selftest_catches_sabotaged_companion_matrix(capsys, monkeypatch):
+    # a wrong iteration matrix must trip the cayley-hamilton group
+    from ratroot import engine
+    from ratroot.core import Matrix
+
+    true_companion = engine.companion_matrix
+
+    def corrupt_companion(params):
+        rows = [list(row) for row in true_companion(params).rows]
+        rows[0][0] += 1
+        return Matrix(rows)
+
+    monkeypatch.setattr(engine, "companion_matrix", corrupt_companion)
+    rc, out, _ = run_cli(capsys, "selftest")
+    assert rc == 3
+    assert any(line.startswith("FAIL cayley-hamilton") for line in out.splitlines())
+
+
+def test_selftest_catches_sabotaged_rate(capsys, monkeypatch):
+    # a predicted rate 10% low must trip the rate-check group
+    from ratroot import spectral
+
+    true_rate = spectral.convergence_rate
+
+    def low_rate(params):
+        rho, dps = true_rate(params)
+        return rho, 0.9 * dps
+
+    monkeypatch.setattr(spectral, "convergence_rate", low_rate)
+    rc, out, _ = run_cli(capsys, "selftest")
+    assert rc == 3
+    assert any(line.startswith("FAIL rate-check-2-2") for line in out.splitlines())
+
+
+def test_selftest_catches_sabotaged_step(capsys, monkeypatch):
+    # a wrong O(n) step of M must trip the engine-agreement group
+    from ratroot import engine
+
+    true_step = engine.step_one_plus_x
+
+    def corrupt_step(c, k):
+        out = true_step(c, k)
+        return [out[0] + 1, *out[1:]]
+
+    monkeypatch.setattr(engine, "step_one_plus_x", corrupt_step)
+    rc, out, _ = run_cli(capsys, "selftest")
+    assert rc == 3
+    assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())
+
+
 def test_output_is_deterministic(capsys):
     rc1, out1, _ = run_cli(capsys, "table", "--n", "5", "--k", "7", "--t1", "25", "--format", "json")
     rc2, out2, _ = run_cli(capsys, "table", "--n", "5", "--k", "7", "--t1", "25", "--format", "json")
@@ -412,6 +472,14 @@ def test_out_flag_writes_payload_verbatim(tmp_path, capsys):
     assert out == ""  # payload redirected
     rc, expected, _ = run_cli(capsys, "table", "--n", "2", "--k", "2", "--t1", "5", "--format", "csv")
     assert target.read_bytes() == expected.encode()
+
+
+def test_out_flag_unwritable_path_exits_1(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    rc, out, err = run_cli(capsys, "table", "--n", "2", "--k", "2", "--out", str(target))
+    assert rc == 1 and out == ""
+    assert err.startswith(f"ratroot: error: cannot write {target}"), err
+    assert not target.exists()
 
 
 def test_bench_engines_agree(capsys):

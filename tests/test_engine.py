@@ -14,6 +14,7 @@ from ratroot.engine import (
     ring_mul,
     ring_one,
     ring_pow_one_plus_x,
+    step_one_plus_x,
 )
 
 from _helpers import bareiss_det, step_pow_one_plus_x
@@ -196,6 +197,13 @@ def test_cayley_hamilton_rearranged_form(n, k):
         acc = acc - mat_pow(m, i).scale(coeff)
     acc = acc - Matrix.identity(n).scale((-1) ** (n - 1) + k)
     assert acc == Matrix.identity(n).scale(0)
+
+
+@given(params_st, st.lists(st.integers(-(10**30), 10**30), min_size=6, max_size=6))
+@settings(max_examples=100)
+def test_step_one_plus_x_is_one_matrix_step(params, entries):
+    c = tuple(entries[: params.n])
+    assert tuple(step_one_plus_x(c, params.k)) == companion_matrix(params).apply(c)
 
 
 @given(params_st)
