@@ -1,11 +1,16 @@
 """Command-line surface: approximation runs, tables, traces, eigen reports,
 power-basis coefficient dumps, benchmarks, and a fast self-test.
 
+Each command is declared once, in ``build_parser``: one ``_add_command``
+call names it with its builder, and the flags added to the returned
+subparser follow. ``main`` calls the builder argparse stores on the parsed
+namespace; only ``selftest`` is special-cased.
+
 Output goes to stdout (plain aligned text, CSV, or JSON), errors to stderr.
 Exit codes: 0 success, 1 usage error, 2 domain error (zero vector, scalar-map
-pole, undefined ratio), 3 non-convergence or self-test failure. All commands
-are byte-deterministic except ``bench``, whose timing columns necessarily
-vary run to run.
+pole, undefined ratio, ``eig`` past the float range), 3 non-convergence or
+self-test failure. All commands are byte-deterministic except ``bench``,
+whose timing columns necessarily vary run to run.
 
 ``selftest`` runs acceptance C1, C2, C4 and C5 (2,2) from the same code as
 the acceptance suite (the ``check_*`` functions here), at smaller sizes.
@@ -23,6 +28,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import engine, oracle, recursion, spectral
@@ -46,6 +52,8 @@ DEFAULT_MAX_T = 10**6
 # memory is the only ceiling on exponents.
 GROWTH_NOTE = "entry size grows ~ t*log2(1 + k**(1/n)) bits; t is bounded only by memory"
 
+CONVERGENT_COLUMNS = ("t", "fraction", "decimal", "digits")
+
 
 def format_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
@@ -61,6 +69,11 @@ def format_decimal(f: Fraction, places: int) -> str:
     if places == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{frac:0{places}d}"
+
+
+def _convergent_row(t: int, frac: Fraction, places: int, digits: int) -> list[str]:
+    """One CONVERGENT_COLUMNS row: step, reduced fraction, truncated decimal, certified digits."""
+    return [str(t), format_fraction(frac), format_decimal(frac, places), str(digits)]
 
 
 @dataclass
@@ -126,20 +139,16 @@ def build_table(params: Params, t0: int, t1: int, index: int) -> OutputRecord:
     """
     if not 0 <= t0 <= t1:
         raise ValueError(f"need 0 <= t0 <= t1, got t0={t0}, t1={t1}")
+    if not 1 <= index <= params.n - 1:
+        raise ValueError(f"ratio index must be in 1..{params.n - 1}, got {index}")
     entries = engine.apply_power(params, t0, _ones(params)).entries
     rows = []
     for t in range(t0, t1 + 1):
         if t > t0:
             entries = engine.step_one_plus_x(entries, params.k)
         frac = recursion.ratio(StateVector(entries, t=t), index)
-        rows.append(
-            [
-                str(t),
-                format_fraction(frac),
-                format_decimal(frac, TABLE_DECIMAL_PLACES),
-                str(oracle.digits_of_accuracy(frac, params, TABLE_DIGITS_CAP)),
-            ]
-        )
+        digits = oracle.digits_of_accuracy(frac, params, TABLE_DIGITS_CAP)
+        rows.append(_convergent_row(t, frac, TABLE_DECIMAL_PLACES, digits))
     meta = {
         "n": str(params.n),
         "k": str(params.k),
@@ -147,7 +156,7 @@ def build_table(params: Params, t0: int, t1: int, index: int) -> OutputRecord:
         "t1": str(t1),
         "index": str(index),
     }
-    return OutputRecord("table", meta, ["t", "fraction", "decimal", "digits"], rows)
+    return OutputRecord("table", meta, list(CONVERGENT_COLUMNS), rows)
 
 
 def build_trace_linear(params: Params, start: tuple[int, ...], steps: int) -> OutputRecord:
@@ -235,7 +244,7 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
     spectral rate picks a starting t, the all-ones start is evolved in one
     shot, and t doubles until the oracle certifies the target; exceeding
     max_t raises NonConvergence. So does a k whose float rate rounds to 1,
-    or whose k**(1/n) overflows a float: no starting t can be chosen there.
+    or whose k**((n-1)/n) overflows a float: no starting t can be chosen there.
     """
     if target_digits < 1:
         raise ValueError(f"target digits must be >= 1, got {target_digits}")
@@ -246,44 +255,48 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
     }
     root = oracle.integer_nth_root(params.k, params.n)
     if root**params.n == params.k:
-        frac = Fraction(root)
+        t, frac = 0, Fraction(root)
         achieved = oracle.digits_of_accuracy(frac, params, target_digits)
-        meta.update({"exact": "true", "t_used": "0", "achieved": str(achieved)})
-        rows = [["0", format_fraction(frac), format_decimal(frac, target_digits), str(achieved)]]
-        return OutputRecord("approx", meta, ["t", "fraction", "decimal", "digits"], rows)
-    try:
-        rho, dps = spectral.convergence_rate(params)
-        why = "the floating-point rate rounds to 1"
-    except OverflowError:
-        dps, why = 0.0, "k is past the floating-point range"
-    if not dps > 0:
-        raise NonConvergence(
-            f"no starting t within ceiling {max_t} can be chosen for "
-            f"{target_digits} digits: {why}"
-        )
-    t = math.ceil(target_digits / dps) + APPROX_BURN_IN
-    while True:
-        if t > max_t:
+        meta["exact"] = "true"
+    else:
+        try:
+            rho, dps = spectral.convergence_rate(params)
+            why = "the floating-point rate rounds to 1"
+        except OverflowError as exc:
+            dps, why = 0.0, str(exc)
+        if not dps > 0:
             raise NonConvergence(
-                f"needed t={t} exceeds ceiling {max_t} for {target_digits} digits"
+                f"no starting t within ceiling {max_t} can be chosen for "
+                f"{target_digits} digits: {why}"
             )
-        state = engine.apply_power(params, t, _ones(params))
-        frac = recursion.ratio(state, 1)
-        achieved = oracle.digits_of_accuracy(frac, params, target_digits)
-        if achieved >= target_digits:
-            break
-        t *= 2
-    meta.update(
-        {
-            "exact": "false",
-            "rho": repr(rho),
-            "digits_per_step": repr(dps),
-            "t_used": str(t),
-            "achieved": str(achieved),
-        }
-    )
-    rows = [[str(t), format_fraction(frac), format_decimal(frac, target_digits), str(achieved)]]
-    return OutputRecord("approx", meta, ["t", "fraction", "decimal", "digits"], rows)
+        t = math.ceil(target_digits / dps) + APPROX_BURN_IN
+        while True:
+            if t > max_t:
+                raise NonConvergence(
+                    f"needed t={t} exceeds ceiling {max_t} for {target_digits} digits"
+                )
+            state = engine.apply_power(params, t, _ones(params))
+            frac = recursion.ratio(state, 1)
+            achieved = oracle.digits_of_accuracy(frac, params, target_digits)
+            if achieved >= target_digits:
+                break
+            t *= 2
+        meta.update({"exact": "false", "rho": repr(rho), "digits_per_step": repr(dps)})
+    meta.update({"t_used": str(t), "achieved": str(achieved)})
+    rows = [_convergent_row(t, frac, target_digits, achieved)]
+    return OutputRecord("approx", meta, list(CONVERGENT_COLUMNS), rows)
+
+
+# The three routes to M**t applied to a start; the naive one is the trusted
+# reference. engine.* is looked up at each call, so a patched engine is what
+# bench and check_engine_agreement run.
+POWER_ROUTES = ("naive", "binary", "ring")
+
+
+def _power(route: str, params: Params, t: int, entries: tuple[int, ...]) -> tuple[int, ...]:
+    if route == "ring":
+        return engine.apply_power(params, t, StateVector(entries)).entries
+    return engine.mat_pow(engine.companion_matrix(params), t, method=route).apply(entries)
 
 
 def build_bench(params: Params, t: int, repeat: int) -> OutputRecord:
@@ -292,29 +305,17 @@ def build_bench(params: Params, t: int, repeat: int) -> OutputRecord:
         raise ValueError(f"t must be nonnegative, got {t}")
     if repeat < 1:
         raise ValueError(f"repeat must be >= 1, got {repeat}")
-    m = engine.companion_matrix(params)
-    start = _ones(params)
-
-    def run_naive():
-        return engine.mat_pow(m, t, method="naive").apply(start.entries)
-
-    def run_binary():
-        return engine.mat_pow(m, t, method="binary").apply(start.entries)
-
-    def run_ring():
-        return engine.apply_power(params, t, start).entries
-
+    start = _ones(params).entries
     rows = []
     results = []
-    for name, fn in (("naive", run_naive), ("binary", run_binary), ("ring", run_ring)):
+    for route in POWER_ROUTES:
         best = math.inf
-        value = None
         for _ in range(repeat):
             t0 = time.perf_counter()
-            value = fn()
+            value = _power(route, params, t, start)
             best = min(best, time.perf_counter() - t0)
         results.append(value)
-        rows.append([name, str(t), f"{best * 1e3:.3f}"])
+        rows.append([route, str(t), f"{best * 1e3:.3f}"])
     agree = results[0] == results[1] == results[2]
     meta = {
         "n": str(params.n),
@@ -362,15 +363,11 @@ def check_engine_agreement(seed: int, cases: int):
         entries = tuple(rng.randint(-9, 9) for _ in range(n))
         if all(e == 0 for e in entries):
             continue
-        params = Params(n, k)
         try:
-            via_ring = engine.apply_power(params, t, StateVector(entries)).entries
+            results = [_power(route, Params(n, k), t, entries) for route in POWER_ROUTES]
         except ZeroVector:
             continue  # singular matrix annihilated this start; excluded
-        m = engine.companion_matrix(params)
-        via_naive = engine.mat_pow(m, t, method="naive").apply(entries)
-        via_binary = engine.mat_pow(m, t, method="binary").apply(entries)
-        assert via_ring == via_naive == via_binary, (
+        assert results[0] == results[1] == results[2], (
             f"engines disagree at n={n}, k={k}, t={t}, r0={entries}"
         )
         done += 1
@@ -419,17 +416,26 @@ class _CliParser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
-def _add_common(sub, *, fmt=True):
+def _add_command(subs, name: str, help: str, build):
+    """Add command ``name`` with the common flags.
+
+    ``build(args, params)`` reads the command's flags and returns the job, a
+    zero-argument callable that makes its OutputRecord. argv text is
+    converted in ``build``, under the int/str digit limit; only the job runs
+    with the limit lifted.
+    """
+    sub = subs.add_parser(name, help=help)
+    sub.set_defaults(build=build)
     sub.add_argument("--n", type=int, required=True, help="root order (>= 2)")
     sub.add_argument("--k", type=int, required=True, help="radicand (>= 1)")
-    if fmt:
-        sub.add_argument(
-            "--format",
-            choices=("plain", "csv", "json"),
-            default="plain",
-            help="output format (default plain)",
-        )
-        sub.add_argument("--out", help="write the payload to FILE instead of stdout")
+    sub.add_argument(
+        "--format",
+        choices=("plain", "csv", "json"),
+        default="plain",
+        help="output format (default plain)",
+    )
+    sub.add_argument("--out", help="write the payload to FILE instead of stdout")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("approx", help="certified approximation to a digit target")
-    _add_common(p)
+    p = _add_command(subs, "approx", "certified approximation to a digit target",
+                     lambda a, params: partial(build_approx, params, a.digits, a.max_t))
     p.add_argument("--digits", type=int, required=True, help="decimal digits to certify")
     p.add_argument(
         "--max-t",
@@ -450,14 +456,13 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"step-doubling ceiling (default {DEFAULT_MAX_T})",
     )
 
-    p = subs.add_parser("table", help="per-step convergents from the all-ones start")
-    _add_common(p)
+    p = _add_command(subs, "table", "per-step convergents from the all-ones start",
+                     lambda a, params: partial(build_table, params, a.t0, a.t1, a.index))
     p.add_argument("--t0", type=int, default=0, help="first step (default 0)")
     p.add_argument("--t1", type=int, default=10, help="last step (default 10)")
     p.add_argument("--index", type=int, default=1, help="adjacent-ratio index, 1..n-1")
 
-    p = subs.add_parser("trace", help="raw states or scalar-map iterates")
-    _add_common(p)
+    p = _add_command(subs, "trace", "raw states or scalar-map iterates", _trace_job)
     p.add_argument("--mode", choices=("linear", "scalar"), required=True)
     p.add_argument(
         "--start",
@@ -466,26 +471,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--steps", type=int, default=10, help="steps to iterate (default 10)")
 
-    p = subs.add_parser("eig", help="eigenvalues, dominant pair, convergence rate")
-    _add_common(p)
+    _add_command(subs, "eig", "eigenvalues, dominant pair, convergence rate",
+                 lambda a, params: partial(build_eig, params))
 
-    p = subs.add_parser("chpow", help="matrix power expanded over I, M, ..., M**(n-1)")
-    _add_common(p)
-    p.add_argument("--t", type=int, default=2, help="exponent to expand (default 2)")
-    p.add_argument(
+    p = _add_command(
+        subs, "chpow", "matrix power expanded over I, M, ..., M**(n-1)",
+        lambda a, params: partial(build_chpow, params, 2 if a.t is None else a.t, a.fib),
+    )
+    # --t defaults to None: argparse sees no conflict when a value is the default object
+    exponent = p.add_mutually_exclusive_group()
+    exponent.add_argument("--t", type=int, help="exponent to expand (default 2)")
+    exponent.add_argument(
         "--fib",
         type=int,
         help="emit a chain of this length with exponents 2, 3, 5, 8, ...",
     )
 
-    p = subs.add_parser("bench", help="time the three power engines")
-    _add_common(p)
+    p = _add_command(subs, "bench", "time the three power engines",
+                     lambda a, params: partial(build_bench, params, a.t, a.repeat))
     p.add_argument("--t", type=int, default=256, help="exponent to benchmark (default 256)")
     p.add_argument("--repeat", type=int, default=3, help="best-of repetitions (default 3)")
 
     subs.add_parser("selftest", help="run the fast acceptance subset")
 
     return parser
+
+
+def _trace_job(args, params: Params):
+    if args.mode == "linear":
+        start = _parse_linear_start(args.start, params)
+        return partial(build_trace_linear, params, start, args.steps)
+    return partial(build_trace_scalar, params, _parse_scalar_start(args.start), args.steps)
 
 
 def _parse_linear_start(text: str | None, params: Params) -> tuple[int, ...]:
@@ -505,37 +521,6 @@ def _parse_scalar_start(text: str | None) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad scalar start {text!r}: {exc}") from None
-
-
-def _parse_start(args, params: Params):
-    """The trace start from argv, or None for commands that take none."""
-    if args.command != "trace":
-        return None
-    if args.mode == "linear":
-        return _parse_linear_start(args.start, params)
-    return _parse_scalar_start(args.start)
-
-
-def _dispatch(args, params: Params, start) -> OutputRecord:
-    if args.command == "approx":
-        record = build_approx(params, args.digits, args.max_t)
-    elif args.command == "table":
-        record = build_table(params, args.t0, args.t1, args.index)
-    elif args.command == "trace":
-        if args.mode == "linear":
-            record = build_trace_linear(params, start, args.steps)
-        else:
-            record = build_trace_scalar(params, start, args.steps)
-    elif args.command == "eig":
-        record = build_eig(params)
-    elif args.command == "chpow":
-        record = build_chpow(params, args.t, args.fib)
-    elif args.command == "bench":
-        record = build_bench(params, args.t, args.repeat)
-    else:  # pragma: no cover - parser enforces the choices
-        raise ValueError(f"unknown command {args.command!r}")
-    record.fmt = args.format
-    return record
 
 
 @contextlib.contextmanager
@@ -568,11 +553,12 @@ def main(argv=None) -> int:
     if args.command == "selftest":
         return run_selftest()
     try:
-        params = Params(args.n, args.k)
-        start = _parse_start(args, params)
+        job = args.build(args, Params(args.n, args.k))
         with _int_str_limit_lifted():
-            payload = _dispatch(args, params, start).render()
-    except (ZeroVector, PoleEncountered, DivisionByZero) as exc:
+            record = job()
+            record.fmt = args.format
+            payload = record.render()
+    except (ZeroVector, PoleEncountered, DivisionByZero, OverflowError) as exc:
         print(f"ratroot: error: {exc}", file=sys.stderr)
         return 2
     except NonConvergence as exc:

@@ -74,8 +74,22 @@ class Decomposition:
 
 
 def _real_root(params: Params) -> float:
-    """k**(1/n) as a float, exact when k is a perfect n-th power."""
-    r = params.k ** (1.0 / params.n)
+    """k**(1/n) as a float, exact when k is a perfect n-th power.
+
+    exp(log(k) / n) stands in when k itself is past the float range. Raises
+    OverflowError when r**(n-1), the largest eigenvector entry, is too.
+    """
+    n, k = params.n, params.k
+    try:
+        try:
+            r = k ** (1.0 / n)
+        except OverflowError:
+            r = math.exp(math.log(k) / n)
+        r ** (n - 1)  # the largest eigenvector entry; raises if it overflows
+    except OverflowError:
+        raise OverflowError(
+            f"k**((n-1)/n) is past the floating-point range (n={n}, k of {k.bit_length()} bits)"
+        ) from None
     ri = round(r)
     if ri**params.n == params.k:
         return float(ri)

@@ -232,6 +232,50 @@ def test_approx_huge_radicand_is_non_convergence(capsys, n, k):
     assert err.startswith("ratroot: error: no starting t within ceiling 1000000"), err
 
 
+def test_eig_past_float_range_of_k(capsys):
+    # k = 2**1024 does not fit a float, but its cube root does
+    rc, out, err = run_cli(capsys, "eig", "--n", "3", "--k", str(2**1024))
+    assert rc == 0 and err == ""
+    assert "# rho = 1.0" in out
+
+
+def test_approx_past_float_range_of_k_reports_the_rate(capsys):
+    rc, out, err = run_cli(capsys, "approx", "--n", "3", "--k", str(2**1024 + 1), "--digits", "5")
+    assert rc == 3 and out == ""
+    assert err.rstrip().endswith("the floating-point rate rounds to 1"), err
+
+
+def test_eig_past_float_range_of_root_is_domain_error(capsys):
+    # k**(1/2) = 2**1050 is past the float range too
+    rc, out, err = run_cli(capsys, "eig", "--n", "2", "--k", str(2**2100))
+    assert rc == 2 and out == ""
+    assert err.startswith("ratroot: error: ") and "floating-point range" in err, err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("t", ["5", "2"])
+def test_chpow_t_and_fib_are_exclusive(capsys, t):
+    # "2" is the documented default of --t, and must conflict all the same
+    rc, out, err = run_cli(capsys, "chpow", "--n", "2", "--k", "2", "--t", t, "--fib", "3")
+    assert rc == 1 and out == ""
+    assert "not allowed with argument --t" in err, err
+
+
+def test_table_rejects_index_before_the_power(capsys, monkeypatch):
+    from ratroot import engine
+
+    def no_power(*args):
+        pytest.fail("apply_power ran before the index was checked")
+
+    monkeypatch.setattr(engine, "apply_power", no_power)
+    rc, out, err = run_cli(
+        capsys, "table", "--n", "2", "--k", "2", "--t0", "1000000", "--t1", "1000000",
+        "--index", "5",
+    )
+    assert rc == 1 and out == ""
+    assert "ratio index must be in 1..1, got 5" in err, err
+
+
 def test_cli_exit_codes(capsys):
     # usage: bad n
     rc, _, err = run_cli(capsys, "table", "--n", "1", "--k", "2")
