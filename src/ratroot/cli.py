@@ -4,7 +4,9 @@ power-basis coefficient dumps, benchmarks, and a fast self-test.
 Each command is declared once, in ``build_parser``: one ``_add_command``
 call names it with its builder, and the flags added to the returned
 subparser follow. ``main`` calls the builder argparse stores on the parsed
-namespace; only ``selftest`` is special-cased.
+namespace; only ``selftest`` is special-cased. The parser is built once per
+process, on the first ``main`` call, and shared read-only after that:
+parsing keeps its state in the namespace it returns, not on the parser.
 
 Output goes to stdout (plain aligned text, CSV, or JSON), errors to stderr.
 Exit codes: 0 success, 1 usage error, 2 domain error (zero vector, scalar-map
@@ -28,7 +30,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import engine, oracle, recursion, spectral
@@ -244,7 +246,8 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
     spectral rate picks a starting t, the all-ones start is evolved in one
     shot, and t doubles until the oracle certifies the target; exceeding
     max_t raises NonConvergence. So does a k whose float rate rounds to 1,
-    or whose k**((n-1)/n) overflows a float: no starting t can be chosen there.
+    or whose k**((n-1)/n) overflows a float, or a target whose step count
+    passes the float range: no starting t can be chosen there.
     """
     if target_digits < 1:
         raise ValueError(f"target digits must be >= 1, got {target_digits}")
@@ -264,6 +267,10 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
             why = "the floating-point rate rounds to 1"
         except OverflowError as exc:
             dps, why = 0.0, str(exc)
+        if dps > 0 and target_digits >= dps * sys.float_info.max:
+            # target_digits / dps below would overflow; refused like a rate of 1
+            why = f"at {dps!r} digits per step the step count passes the float range"
+            dps = 0.0
         if not dps > 0:
             raise NonConvergence(
                 f"no starting t within ceiling {max_t} can be chosen for "
@@ -438,6 +445,7 @@ def _add_command(subs, name: str, help: str, build):
     return sub
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _CliParser(
         prog="ratroot",

@@ -5,6 +5,12 @@ between consecutive integers at a power-of-ten scale (an integer Newton
 root, or ``math.isqrt`` for square roots), and candidate fractions are
 judged by exact integer comparison against that bracket. No floating
 point, so certificates hold at any digit count.
+
+The Newton root doubles its precision (Brent & Zimmermann, *Modern
+Computer Arithmetic*, 1.5.2): the floor root of m with its low n*s bits
+dropped, taken the same way, is the root's top half. One more than that,
+shifted left by s bits, overestimates the root, and from there about two
+full-size Newton steps remain.
 """
 from __future__ import annotations
 
@@ -21,7 +27,10 @@ GUARD_DIGITS = 5  # bracket is kept this much finer than any tested threshold
 def integer_nth_root(m: int, n: int) -> int:
     """floor(m**(1/n)): ``math.isqrt`` for n = 2, integer Newton for n >= 3.
 
-    Newton starts above the root, at 2**ceil(bit_length(m) / n), and
+    Newton starts above the root. With s = bit_length(m) // (2n) and
+    r = floor((m >> n*s)**(1/n)), found recursively, the start is
+    (r + 1) << s: (r + 1)**n >= (m >> n*s) + 1, so the start's n-th power
+    exceeds m. Where s = 0 the start is 2**ceil(bit_length(m) / n).
     x -> ((n-1)*x + m // x**(n-1)) // n decreases strictly while x**n > m
     and never drops below floor(m**(1/n)) (AM-GM; the floors cancel), so
     the first step that fails to decrease x stops on the floor root.
@@ -34,7 +43,17 @@ def integer_nth_root(m: int, n: int) -> int:
         return m
     if n == 2:
         return math.isqrt(m)
-    x = 1 << -(-m.bit_length() // n)
+    return _newton_root(m, n)
+
+
+def _newton_root(m: int, n: int) -> int:
+    """floor(m**(1/n)) for m >= 2, n >= 3, as ``integer_nth_root`` describes."""
+    s = m.bit_length() // (2 * n)
+    if s:
+        # m >> n*s keeps at least n*s >= 3 bits, so the recursion stays in range
+        x = (_newton_root(m >> (n * s), n) + 1) << s
+    else:
+        x = 1 << -(-m.bit_length() // n)
     while True:
         y = ((n - 1) * x + m // x ** (n - 1)) // n
         if y >= x:
@@ -67,9 +86,13 @@ class RootBracket:
         return Fraction(2 * self.lo + 1, 2 * self.scale)
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def nth_root_bracket(params: Params, d: int) -> RootBracket:
-    """Width-10**(-d) bracket around k**(1/n), certified by construction."""
+    """Width-10**(-d) bracket around k**(1/n), certified by construction.
+
+    The last 128 brackets are kept (``lru_cache``'s default size): one
+    process serving many distinct (n, k, d) holds a bounded set.
+    """
     if d < 0:
         raise ValueError(f"digit count must be nonnegative, got {d}")
     lo = integer_nth_root(params.k * 10 ** (params.n * d), params.n)

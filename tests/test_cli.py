@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from ratroot.cli import (
     build_approx,
     build_chpow,
+    build_parser,
     build_table,
     build_trace_linear,
     format_decimal,
@@ -245,6 +246,15 @@ def test_approx_past_float_range_of_k_reports_the_rate(capsys):
     assert err.rstrip().endswith("the floating-point rate rounds to 1"), err
 
 
+def test_approx_digits_past_float_range_is_non_convergence(capsys):
+    # target_digits / dps would overflow a float; no step count can be chosen
+    rc, out, err = run_cli(capsys, "approx", "--n", "3", "--k", "2", "--digits", str(10**400))
+    assert rc == 3 and out == ""
+    assert err.startswith("ratroot: error: no starting t within ceiling 1000000"), err
+    assert err.rstrip().endswith("the step count passes the float range"), err
+    assert len(err.splitlines()) == 1
+
+
 def test_eig_past_float_range_of_root_is_domain_error(capsys):
     # k**(1/2) = 2**1050 is past the float range too
     rc, out, err = run_cli(capsys, "eig", "--n", "2", "--k", str(2**2100))
@@ -400,6 +410,41 @@ def test_cli_import_leaves_numpy_unloaded():
     code = "import sys, ratroot.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.stdout == "False\n", out.stderr
+
+
+def test_cli_import_builds_no_parser():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import ratroot.cli as c; print(c.build_parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout == "0\n", out.stderr
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+# successes, help, usage errors and a mutually exclusive pair, in one process
+PARSER_SEQUENCE = [
+    ["approx", "--n", "3", "--k", "2", "--digits", "20"],
+    ["--help"],
+    ["chpow", "--help"],
+    ["table", "--n", "2"],
+    ["chpow", "--n", "3", "--k", "2", "--t", "5", "--fib", "3"],
+    ["chpow", "--n", "3", "--k", "2", "--fib", "3"],
+    ["trace", "--mode", "linear", "--n", "3", "--k", "2", "--start", "1,2,3"],
+    ["nosuch"],
+    ["approx", "--n", "3", "--k", "2", "--digits", "20"],
+]
+
+
+def test_shared_parser_matches_a_fresh_parser_per_call(capsys):
+    shared = [run_cli(capsys, *argv) for argv in PARSER_SEQUENCE]
+    fresh = []
+    for argv in PARSER_SEQUENCE:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert [rc for rc, _, _ in shared] == [0, 0, 0, 1, 1, 0, 0, 1, 0]
+    assert shared == fresh
 
 
 def test_selftest_passes(capsys):

@@ -48,6 +48,33 @@ def test_integer_nth_root_matches_exhaustive_search():
             assert integer_nth_root(m, n) == brute_floor_root(m, n), (m, n)
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 12])
+def test_integer_nth_root_at_powers_past_100k_bits(n):
+    r = 3 ** (100_000 // n) + 12345  # r**n has over 158k bits
+    for delta, want in ((-1, r - 1), (0, r), (1, r)):
+        m = r**n + delta
+        got = integer_nth_root(m, n)
+        assert got == want, (n, delta)
+        assert got**n <= m < (got + 1) ** n
+
+
+def test_integer_nth_root_first_precision_levels():
+    # m of 2n-1 .. 6n bits: the half-precision shift s = bits // (2n) is 0, 1, 2 and 3
+    shifts = set()
+    for n in range(3, 13):
+        cases = set()
+        for bits in range(2 * n - 1, 6 * n + 1):
+            cases.update((1 << (bits - 1), (1 << bits) - 1, 5 << (bits - 3)))
+        r = 1
+        while r**n < 1 << (6 * n):
+            cases.update(m for m in (r**n - 1, r**n, r**n + 1) if 2 * n - 1 <= m.bit_length())
+            r += 1
+        for m in sorted(cases):
+            shifts.add(m.bit_length() // (2 * n))
+            assert integer_nth_root(m, n) == bisect_nth_root(m, n), (m, n)
+    assert {0, 1, 2} <= shifts
+
+
 @st.composite
 def radicands(draw):
     """(m, n) with m up to ~6000 bits, often at r**n - 1, r**n or r**n + 1."""
@@ -68,6 +95,12 @@ def radicands(draw):
 def test_integer_nth_root_matches_bisection(case):
     m, n = case
     assert integer_nth_root(m, n) == bisect_nth_root(m, n)
+
+
+def test_bracket_cache_is_bounded():
+    for k in range(10**6, 10**6 + 200):
+        nth_root_bracket(Params(4, k), 3)
+    assert nth_root_bracket.cache_info().currsize <= 128
 
 
 def test_bracket_examples():
