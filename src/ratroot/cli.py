@@ -65,9 +65,9 @@ def format_decimal(f: Fraction, places: int) -> str:
     """Exact decimal expansion, truncated (not rounded) toward zero."""
     if places < 0:
         raise ValueError(f"places must be nonnegative, got {places}")
-    sign = "-" if f < 0 else ""
-    a = -f if f < 0 else f
-    whole, frac = divmod(a.numerator * 10**places // a.denominator, 10**places)
+    p, q = f.numerator, f.denominator
+    sign = "-" if p < 0 else ""
+    whole, frac = divmod(abs(p) * 10**places // q, 10**places)
     if places == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{frac:0{places}d}"

@@ -14,16 +14,20 @@ quotient-ring route is the production path used by :func:`apply_power`. They
 must agree exactly, always.
 
 The ring route computes (1 + x)**t with a left-to-right ladder: per bit of t
-one square by the squaring kernel :func:`_sqrmod` (each cross product once,
-about half the products of a general multiply), and on a set bit one
-:func:`step_one_plus_x`. The general ring product and the power-basis product
-(modulo (y - 1)**n - k) share one schoolbook multiply, :func:`_mulmod`.
+one square by the squaring kernel :func:`_sqrmod`, and on a set bit one
+:func:`step_one_plus_x`. The kernel squares schoolbook up to SQR_CUTOVER
+coefficients (each cross product once, about half the products of a general
+multiply) and splits longer polynomials Karatsuba-style into three
+half-length squares, so every big-integer product stays at coefficient size.
+The general ring product and the power-basis product (modulo
+(y - 1)**n - k) share one schoolbook multiply, :func:`_mulmod`. The change
+to the power basis, x = y - 1, is a Taylor shift done with subtractions only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from operator import add
+from operator import add, sub
 
 from .core import Matrix, Params, ParamsMismatch, RingPoly, StateVector, ZeroVector
 
@@ -93,21 +97,56 @@ def ring_mul(a: RingPoly, b: RingPoly) -> RingPoly:
     return RingPoly(_mulmod(a.coeffs, b.coeffs, ((0, -a.params.k),)), a.params)
 
 
+# Squares of at most this many coefficients run schoolbook; longer ones split.
+# The ladder time is flat for cutovers 8-16 (BENCH_9.json); splitting down to
+# 4 coefficients is slower, as the split's extra additions and calls then
+# cost more than the products they save.
+SQR_CUTOVER = 12
+
+
+def _square(a) -> list[int]:
+    """The full 2n - 1 coefficients of a*a for a length-n sequence a.
+
+    Up to SQR_CUTOVER coefficients, schoolbook: each cross product ai*aj
+    (i < j) formed once and doubled, plus the diagonal ai**2. Above it,
+    Karatsuba: with h = ceil(n/2), a = lo + x**h * hi, and
+    a*a = lo**2 + x**h * ((lo + hi)**2 - lo**2 - hi**2) + x**(2h) * hi**2.
+    The middle term costs a third half-length square instead of a general
+    product lo*hi, so about n**1.585 coefficient products are formed instead
+    of n(n+1)/2, each still at coefficient size.
+    """
+    n = len(a)
+    if n <= SQR_CUTOVER:
+        prod = [0] * (2 * n - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(i + 1, n):
+                    prod[i + j] += ai * a[j]
+        prod = [c + c for c in prod]
+        for i, ai in enumerate(a):
+            prod[2 * i] += ai * ai
+        return prod
+    h = (n + 1) // 2
+    lo, hi = a[:h], a[h:]
+    lo2, hi2 = _square(lo), _square(hi)
+    mid = _square([*map(add, lo, hi), *lo[len(hi):]])
+    prod = lo2 + [0] + hi2
+    for i, c in enumerate(map(sub, mid, lo2)):
+        prod[h + i] += c
+    for i, c in enumerate(hi2):
+        prod[h + i] -= c
+    return prod
+
+
 def _sqrmod(a, k) -> list[int]:
     """a*a in Z[x]/(x**n - k) for a length-n sequence a.
 
-    Each cross product ai*aj (i < j) is formed once and doubled, the
-    diagonal ai**2 is added, then x**m folds to k*x**(m-n).
+    The full square comes from :func:`_square` (schoolbook up to
+    SQR_CUTOVER coefficients, Karatsuba above), then x**m folds to
+    k*x**(m-n).
     """
     n = len(a)
-    prod = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(i + 1, n):
-                prod[i + j] += ai * a[j]
-    prod = [c + c for c in prod]
-    for i, ai in enumerate(a):
-        prod[2 * i] += ai * ai
+    prod = _square(a)
     for m in range(n - 1):
         prod[m] += k * prod[m + n]
     return prod[:n]
@@ -176,21 +215,22 @@ def power_basis_coeffs(params: Params, t: int) -> PowerBasisCoeffs:
     """Expand M**t over the matrix-power basis I, M, ..., M**(n-1).
 
     Takes the ring coefficients b of (1 + x)**t and substitutes x = y - 1
-    (M = I + S), an alternating binomial transform:
+    (M = I + S), which is the alternating binomial transform
 
-        a[m] = sum over i >= m of b[i] * C(i, m) * (-1)**(i - m).
+        a[m] = sum over i >= m of b[i] * C(i, m) * (-1)**(i - m),
+
+    computed as an in-place Taylor shift by -1 (Horner's scheme, one pass
+    per degree): n(n-1)/2 subtractions and no multiplications.
 
     The result equals the remainder of y**t modulo the monic characteristic
     polynomial (y - 1)**n - k, the unique such expansion since M has n
     distinct eigenvalues.
     """
-    b = ring_pow_one_plus_x(params, t).coeffs
-    a = [0] * params.n
-    for i, bi in enumerate(b):
-        if bi:
-            for m in range(i + 1):
-                term = bi * comb(i, m)
-                a[m] += -term if (i - m) & 1 else term
+    a = list(ring_pow_one_plus_x(params, t).coeffs)
+    n = params.n
+    for j in range(n - 1):
+        for i in range(n - 2, j - 1, -1):
+            a[i] -= a[i + 1]
     return PowerBasisCoeffs(tuple(a), t, params)
 
 

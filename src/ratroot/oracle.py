@@ -116,7 +116,6 @@ def digits_of_accuracy(candidate: Fraction, params: Params, cap: int) -> int:
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    candidate = Fraction(candidate)
     p, q = candidate.numerator, candidate.denominator
     bracket = nth_root_bracket(params, cap + GUARD_DIGITS)
     scale = bracket.scale

@@ -1,6 +1,7 @@
 """Shared test utilities kept independent of the code under test."""
 
 from fractions import Fraction
+from math import comb
 
 
 def bareiss_det(rows) -> int:
@@ -93,3 +94,17 @@ def step_pow_one_plus_x(params, t: int) -> tuple[int, ...]:
     for _ in range(t):
         c = [c[i] + (params.k * c[-1] if i == 0 else c[i - 1]) for i in range(params.n)]
     return tuple(c)
+
+
+def alternating_binomial_transform(b) -> tuple[int, ...]:
+    """Coefficients of p(y - 1) for p(x) = sum(b[i] * x**i), by the explicit sum.
+
+    a[m] = sum over i >= m of b[i] * C(i, m) * (-1)**(i - m).
+    """
+    a = [0] * len(b)
+    for i, bi in enumerate(b):
+        if bi:
+            for m in range(i + 1):
+                term = bi * comb(i, m)
+                a[m] += -term if (i - m) & 1 else term
+    return tuple(a)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -174,6 +175,32 @@ def test_chpow_fib_chain(capsys):
     rows = list(csv.reader(io.StringIO(out)))[1:]
     assert [r[0] for r in rows] == ["2", "3", "5", "8"]
     assert rows[2] == ["5", "12", "29"]
+
+
+# sha256 of stdout, pinned from the schoolbook-only engine. The n values
+# straddle the squaring kernel's Karatsuba cutover (12): at it, one past it,
+# one past twice it, and two and three splits deep (33, 64).
+CHPOW_DIGESTS = [
+    (("--n", "12", "--k", "7", "--t", "5000"),
+     "09eed2a58f202f4ab8feea7cdb6b50db5e1705daba164821ef9dfdcadb5394ce"),
+    (("--n", "13", "--k", "7", "--t", "5000"),
+     "599bb34923a5a94a68d8b501506f2f0f3dc73426afaf1aa0557251b45e0520a0"),
+    (("--n", "25", "--k", "7", "--t", "5000"),
+     "a934a005e2f1f0ed9c8d9a38f405be417fb10e50660878e9c563d98b0012f40c"),
+    (("--n", "33", "--k", "7", "--t", "5000"),
+     "ad6bd46c42b36fe2aaefda0e14f4217a5a8f61a4bef509d79422eb3f0f178b45"),
+    (("--n", "64", "--k", "7", "--t", "5000"),
+     "f3d356f72ab6b5ffc33159daf4ead35836ff0229144eacc2a3b3c4a9c8391697"),
+    (("--n", "64", "--k", "50", "--fib", "15", "--format", "csv"),
+     "d29454b51da63cee6de2137a263bf5654dfb8ebb271616d2d3739c03b29c6910"),
+]
+
+
+@pytest.mark.parametrize("args,digest", CHPOW_DIGESTS)
+def test_chpow_wide_output_is_pinned(capsys, args, digest):
+    rc, out, _ = run_cli(capsys, "chpow", *args)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_approx_reaches_target(capsys):

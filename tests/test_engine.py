@@ -1,11 +1,14 @@
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratroot.core import Matrix, Params, ParamsMismatch, RingPoly, StateVector, ZeroVector
 from ratroot.engine import (
+    SQR_CUTOVER,
+    _mulmod,
+    _sqrmod,
     apply_power,
     companion_matrix,
     fib_power_chain,
@@ -17,7 +20,7 @@ from ratroot.engine import (
     step_one_plus_x,
 )
 
-from _helpers import bareiss_det, step_pow_one_plus_x
+from _helpers import alternating_binomial_transform, bareiss_det, step_pow_one_plus_x
 
 params_st = st.builds(Params, st.integers(2, 6), st.integers(1, 20))
 
@@ -126,6 +129,25 @@ ladder_t_st = st.one_of(
 @settings(max_examples=100, deadline=None)
 def test_ring_pow_matches_repeated_step(params, t):
     assert ring_pow_one_plus_x(params, t).coeffs == step_pow_one_plus_x(params, t)
+
+
+# lengths on both sides of the schoolbook/Karatsuba cutover, odd and even
+sqr_n_st = st.one_of(
+    st.integers(1, 80),
+    st.sampled_from([SQR_CUTOVER, SQR_CUTOVER + 1, 2 * SQR_CUTOVER + 1]),
+)
+sqr_coeff_st = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**300), 10**300))
+edge = 10**300
+
+
+@given(sqr_n_st.flatmap(lambda n: st.lists(sqr_coeff_st, min_size=n, max_size=n)),
+       st.integers(1, 10**6))
+@example([edge] * SQR_CUTOVER, 10**6)
+@example([-edge, edge] * (SQR_CUTOVER // 2) + [-edge], 10**6)
+@example([edge, 0, -1] * SQR_CUTOVER, 1)
+@settings(max_examples=150, deadline=None)
+def test_sqrmod_matches_general_multiply(a, k):
+    assert _sqrmod(a, k) == list(_mulmod(a, a, ((0, -k),)))
 
 
 @pytest.mark.parametrize("n", [2, 8, 64])
@@ -238,6 +260,13 @@ def test_power_basis_reconstruction(params, t):
     for i, a in enumerate(coeffs):
         acc = acc + mat_pow(m, i).scale(a)
     assert acc == mat_pow(m, t)
+
+
+@given(st.builds(Params, st.integers(2, 64), st.integers(1, 10**6)), ladder_t_st)
+@settings(max_examples=60, deadline=None)
+def test_power_basis_coeffs_match_binomial_transform(params, t):
+    b = ring_pow_one_plus_x(params, t).coeffs
+    assert power_basis_coeffs(params, t).coeffs == alternating_binomial_transform(b)
 
 
 def test_fib_power_chain_values():
