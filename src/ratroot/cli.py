@@ -14,6 +14,13 @@ pole, undefined ratio, ``eig`` past the float range), 3 non-convergence or
 self-test failure. All commands are byte-deterministic except ``bench``,
 whose timing columns necessarily vary run to run.
 
+Every integer in a fraction, decimal, ``chpow`` or ``trace`` cell is
+rendered by ``format_int``, which equals ``str``. Up to ``INT_STR_CUTOVER``
+bits it is ``str``, quadratic in CPython 3.11; above it the integer is split
+in halves with shifts and recombined in exact ``decimal`` arithmetic (the
+radix conversion of Brent & Zimmermann, *Modern Computer Arithmetic*, 1.7),
+which is subquadratic and does no integer division.
+
 ``selftest`` runs acceptance C1, C2, C4 and C5 (2,2) from the same code as
 the acceptance suite (the ``check_*`` functions here), at smaller sizes.
 """
@@ -22,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import decimal
 import io
 import json
 import math
@@ -56,9 +64,52 @@ GROWTH_NOTE = "entry size grows ~ t*log2(1 + k**(1/n)) bits; t is bounded only b
 
 CONVERGENT_COLUMNS = ("t", "fraction", "decimal", "digits")
 
+# Bit length above which format_int leaves str(int). Below about 10k digits
+# the decimal conversion is slower than str; at 2**15 bits it is 1.25x faster.
+INT_STR_CUTOVER = 2**15
+_DECIMAL_LEAF_BITS = 2048  # pieces this short go to Decimal(int) directly
+
+
+def format_int(n: int) -> str:
+    """str(n), in subquadratic time above INT_STR_CUTOVER bits.
+
+    Above the cutover |n| is split at half its bit length, each half is
+    converted to a Decimal the same way, and the halves are recombined as
+    lo + hi * 2**w with 2**w memoised. The context has unbounded precision
+    and traps Inexact, so every step is exact; no int/str digit limit
+    applies there.
+    """
+    if n.bit_length() <= INT_STR_CUTOVER:
+        return str(n)
+    powers: dict[int, decimal.Decimal] = {}
+
+    def pow2(w: int) -> decimal.Decimal:
+        if w not in powers:
+            if w <= _DECIMAL_LEAF_BITS:
+                powers[w] = decimal.Decimal(1 << w)
+            else:
+                powers[w] = pow2(w >> 1) * pow2(w - (w >> 1))
+        return powers[w]
+
+    def convert(m: int, w: int) -> decimal.Decimal:
+        # m < 2**w
+        if w <= _DECIMAL_LEAF_BITS:
+            return decimal.Decimal(m)
+        half = w >> 1
+        hi = m >> half
+        return convert(m - (hi << half), half) + convert(hi, w - half) * pow2(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        digits = str(convert(abs(n), n.bit_length()))
+    return "-" + digits if n < 0 else digits
+
 
 def format_fraction(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    return f"{format_int(f.numerator)}/{format_int(f.denominator)}"
 
 
 def format_decimal(f: Fraction, places: int) -> str:
@@ -69,8 +120,8 @@ def format_decimal(f: Fraction, places: int) -> str:
     sign = "-" if p < 0 else ""
     whole, frac = divmod(abs(p) * 10**places // q, 10**places)
     if places == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{frac:0{places}d}"
+        return f"{sign}{format_int(whole)}"
+    return f"{sign}{format_int(whole)}.{format_int(frac).zfill(places)}"
 
 
 def _convergent_row(t: int, frac: Fraction, places: int, digits: int) -> list[str]:
@@ -164,7 +215,7 @@ def build_table(params: Params, t0: int, t1: int, index: int) -> OutputRecord:
 def build_trace_linear(params: Params, start: tuple[int, ...], steps: int) -> OutputRecord:
     traj = recursion.iterate_linear(params, StateVector(start, t=0), steps)
     columns = ["t"] + [f"x{i + 1}" for i in range(params.n)]
-    rows = [[str(s.t), *(str(e) for e in s.entries)] for s in traj.states]
+    rows = [[str(s.t), *map(format_int, s.entries)] for s in traj.states]
     meta = {
         "mode": "linear",
         "n": str(params.n),
@@ -223,10 +274,10 @@ def build_chpow(params: Params, t: int, fib: int | None) -> OutputRecord:
     columns = ["t"] + [f"a{i}" for i in range(params.n)]
     if fib is not None:
         chain = engine.fib_power_chain(params, fib)
-        rows = [[str(e), *(str(c) for c in bc.coeffs)] for e, bc in chain]
+        rows = [[str(e), *map(format_int, bc.coeffs)] for e, bc in chain]
     else:
         bc = engine.power_basis_coeffs(params, t)
-        rows = [[str(t), *(str(c) for c in bc.coeffs)]]
+        rows = [[str(t), *map(format_int, bc.coeffs)]]
     meta = {
         "n": str(params.n),
         "k": str(params.k),
@@ -248,6 +299,10 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
     max_t raises NonConvergence. So does a k whose float rate rounds to 1,
     or whose k**((n-1)/n) overflows a float, or a target whose step count
     passes the float range: no starting t can be chosen there.
+
+    Each attempt is certified on its unreduced entry pair, which has the
+    certificate of the reduced fraction; only the attempt that certifies
+    is reduced.
     """
     if target_digits < 1:
         raise ValueError(f"target digits must be >= 1, got {target_digits}")
@@ -283,11 +338,14 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
                     f"needed t={t} exceeds ceiling {max_t} for {target_digits} digits"
                 )
             state = engine.apply_power(params, t, _ones(params))
-            frac = recursion.ratio(state, 1)
-            achieved = oracle.digits_of_accuracy(frac, params, target_digits)
+            p, q = state.entries[0], state.entries[1]
+            if q == 0:
+                raise DivisionByZero(state.entries, 1, t=t)
+            achieved = oracle.digits_of_ratio(p, q, params, target_digits)
             if achieved >= target_digits:
                 break
             t *= 2
+        frac = recursion.ratio(state, 1)
         meta.update({"exact": "false", "rho": repr(rho), "digits_per_step": repr(dps)})
     meta.update({"t_used": str(t), "achieved": str(achieved)})
     rows = [_convergent_row(t, frac, target_digits, achieved)]

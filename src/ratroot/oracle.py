@@ -102,30 +102,42 @@ def nth_root_bracket(params: Params, d: int) -> RootBracket:
 def digits_of_accuracy(candidate: Fraction, params: Params, cap: int) -> int:
     """Largest d <= cap with |candidate - k**(1/n)| < 10**(-d), else 0.
 
+    The certificate of :func:`digits_of_ratio` on the reduced fraction.
+    """
+    return digits_of_ratio(candidate.numerator, candidate.denominator, params, cap)
+
+
+def digits_of_ratio(p: int, q: int, params: Params, cap: int) -> int:
+    """Largest d <= cap with |p/q - k**(1/n)| < 10**(-d), else 0; needs q > 0.
+
     Decided exactly: the true root lies inside a bracket GUARD_DIGITS finer
     than any tested threshold, and the candidate's distance to the farther
     bracket endpoint bounds its distance to the root from above. The result
     is therefore a certificate, marginally conservative (by at most the
     bracket width), and saturates at cap for exact roots.
 
-    With candidate = p/q and the bracket lo/S .. (lo+1)/S, that distance is
-    num/den with num = max(|p*S - lo*q|, |p*S - (lo+1)*q|) and den = q*S.
-    The answer is the first d failing num * 10**(d+1) < den, clamped to
-    cap; a guess from the bit lengths (log10(2) ~ 30103/100000) is moved
-    onto it with that same integer comparison, a step or two each way.
+    With the bracket lo/S .. (lo+1)/S, S = 10**e, that distance is num/den
+    with num = max(|p*S - lo*q|, |p*S - (lo+1)*q|) and den = q*S. The answer
+    is the first d failing num * 10**(d+1) < den, clamped to cap. Since
+    d <= cap < e, num * 10**d < den is num < q * 10**(e - d), a product with
+    a short power of ten once d is near cap. A guess from the bit lengths
+    (log10(2) ~ 30103/100000) is moved onto the answer with that same
+    integer comparison, a step or two each way. Scaling p and q by a common
+    factor scales num and den alike, so the pair need not be reduced.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    p, q = candidate.numerator, candidate.denominator
-    bracket = nth_root_bracket(params, cap + GUARD_DIGITS)
-    scale = bracket.scale
-    ps = p * scale
-    num = max(abs(ps - bracket.lo * q), abs(ps - (bracket.lo + 1) * q))
-    den = q * scale
-    d = min(cap, max(0, (den.bit_length() - num.bit_length()) * 30103 // 100000))
-    while d > 0 and num * 10**d >= den:
+    if q <= 0:
+        raise ValueError(f"denominator must be positive, got {q}")
+    e = cap + GUARD_DIGITS
+    bracket = nth_root_bracket(params, e)
+    ps = p * bracket.scale
+    lq = bracket.lo * q
+    num = max(abs(ps - lq), abs(ps - lq - q))
+    d = min(cap, max(0, e + (q.bit_length() - num.bit_length()) * 30103 // 100000))
+    while d > 0 and num >= q * 10 ** (e - d):
         d -= 1
-    while d < cap and num * 10 ** (d + 1) < den:
+    while d < cap and num < q * 10 ** (e - d - 1):
         d += 1
     return d
 

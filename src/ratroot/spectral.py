@@ -100,41 +100,51 @@ def _snap_component(x: float, scale: float) -> float:
     return 0.0 if abs(x) < _SNAP * scale else x
 
 
-def eigenvalues(params: Params) -> SpectralData:
-    """Closed-form eigen-decomposition of the iteration matrix.
+def _spectrum(params: Params) -> tuple[list[complex], list[complex], float]:
+    """(bases, values, rate): r*w**j and 1 + r*w**j for j = 0..n-1, snapped.
 
-    Eigenvalue j is 1 + k**(1/n) * exp(2*pi*i*j/n); components smaller than
-    rounding noise are snapped to zero so degenerate cases (k = 1, even n)
-    come out exact.
+    Components smaller than rounding noise are snapped to zero so degenerate
+    cases (k = 1, even n) come out exact. ``rate`` is the largest subdominant
+    modulus over the dominant 1 + r. O(n); no eigenvector is built.
     """
     n = params.n
     r = _real_root(params)
     scale = 1.0 + r
-    pairs = []
+    bases, values = [], []
     for j in range(n):
         theta = 2.0 * math.pi * j / n
         base = complex(
             _snap_component(r * math.cos(theta), scale),
             _snap_component(r * math.sin(theta), scale),
         )
-        value = complex(
-            _snap_component(1.0 + base.real, scale),
-            base.imag,
-        )
-        vector = tuple(base ** (n - 1 - i) for i in range(n))
-        pairs.append(EigenPair(value, vector))
-    dominant = 0  # j = 0 gives the real positive 1 + k**(1/n)
-    rate = max(abs(p.value) for i, p in enumerate(pairs) if i != dominant) / scale
-    return SpectralData(params, tuple(pairs), dominant, rate)
+        bases.append(base)
+        values.append(complex(_snap_component(1.0 + base.real, scale), base.imag))
+    rate = max(abs(v) for v in values[1:]) / scale
+    return bases, values, rate
+
+
+def eigenvalues(params: Params) -> SpectralData:
+    """Closed-form eigen-decomposition of the iteration matrix.
+
+    Eigenvalue j is 1 + k**(1/n) * exp(2*pi*i*j/n), with eigenvector entries
+    (k**(1/n) * exp(2*pi*i*j/n))**(n-1-i); j = 0 is the dominant pair.
+    """
+    n = params.n
+    bases, values, rate = _spectrum(params)
+    pairs = tuple(
+        EigenPair(value, tuple(base ** (n - 1 - i) for i in range(n)))
+        for base, value in zip(bases, values)
+    )
+    return SpectralData(params, pairs, 0, rate)
 
 
 def convergence_rate(params: Params) -> tuple[float, float]:
     """(rho, digits_per_step): subdominant-to-dominant ratio and -log10 of it.
 
-    Raises DegenerateRate when rho = 0 (n = 2, k = 1), where convergence is
-    a single exact step.
+    Takes the n eigenvalues alone, in O(n). Raises DegenerateRate when
+    rho = 0 (n = 2, k = 1), where convergence is a single exact step.
     """
-    rho = eigenvalues(params).rate
+    rho = _spectrum(params)[2]
     if rho == 0.0:
         raise DegenerateRate(f"all subdominant eigenvalues vanish for {params}")
     return rho, -math.log10(rho)

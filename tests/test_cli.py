@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ratroot import engine, recursion
 from ratroot.cli import (
+    INT_STR_CUTOVER,
     build_approx,
     build_chpow,
     build_parser,
@@ -21,6 +24,7 @@ from ratroot.cli import (
     build_trace_linear,
     format_decimal,
     format_fraction,
+    format_int,
     main,
 )
 from ratroot.core import NonConvergence, Params, StateVector
@@ -201,6 +205,57 @@ def test_chpow_wide_output_is_pinned(capsys, args, digest):
     rc, out, _ = run_cli(capsys, "chpow", *args)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of stdout, pinned from the str(int) renderer. Every one prints
+# integers past format_int's cutover: fraction terms of 58k, 14k and 25k
+# digits, a 50k-digit decimal field, chpow coefficients of 87k digits, table
+# fractions of 38k digits; the first approx needs a second step-doubling
+# attempt.
+BIG_INTEGER_DIGESTS = [
+    (("approx", "--n", "2", "--k", "9366", "--digits", "132"),
+     "445471f159829f990566d890dc001c27a9c88dad94359e2c3f18242bd7354980"),
+    (("approx", "--n", "3", "--k", "9973", "--digits", "150", "--format", "json"),
+     "61ac7b4157b8ac3291e755fe8afe1a39c8896b4ae6c97c0c3469a017d7e0e7d5"),
+    (("approx", "--n", "2", "--k", "2", "--digits", "50000"),
+     "e42815b749af190ccebb98cfbe237ed2147d29f96ad7851fd73afe2b5a912055"),
+    (("chpow", "--n", "2", "--k", "3", "--t", "200000"),
+     "1bc324508e5a033aad261088589b22adb034b6024a7d77ec7fb0b789e67e6ee8"),
+    (("table", "--n", "2", "--k", "2", "--t0", "100000", "--t1", "100002"),
+     "8fd6a5803a97064c4c49cbe2fb7d5e6395a79b5940d8c5ffa046cf1b18bbcee7"),
+]
+
+
+@pytest.mark.parametrize("args,digest", BIG_INTEGER_DIGESTS)
+def test_big_integer_output_is_pinned(capsys, args, digest):
+    rc, out, _ = run_cli(capsys, *args)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_approx_reduces_only_the_certified_attempt(capsys, monkeypatch):
+    # t = 14717 misses the target and t = 29434 certifies; only it is reduced
+    true_ratio = recursion.ratio
+    reduced = []
+
+    def counting_ratio(state, i=1):
+        reduced.append(state.t)
+        return true_ratio(state, i)
+
+    monkeypatch.setattr(recursion, "ratio", counting_ratio)
+    rc, out, err = run_cli(
+        capsys, "approx", "--n", "2", "--k", "9366", "--digits", "132", "--format", "json"
+    )
+    assert rc == 0, err
+    assert json.loads(out)["meta"]["t_used"] == "29434"
+    assert reduced == [29434]
+
+
+def test_approx_zero_denominator_is_domain_error(capsys, monkeypatch):
+    monkeypatch.setattr(engine, "apply_power", lambda params, t, r0: StateVector((1, 0), t=t))
+    rc, out, err = run_cli(capsys, "approx", "--n", "2", "--k", "2", "--digits", "5")
+    assert rc == 2 and out == ""
+    assert "ratio 1/2 is undefined" in err, err
 
 
 def test_approx_reaches_target(capsys):
@@ -391,6 +446,38 @@ def test_approx_renders_past_int_str_limit(capsys, default_int_str_limit, n, k, 
     assert (p * scale - q) ** n < k * (q * scale) ** n < (p * scale + q) ** n
     assert decimal <= frac < decimal + Fraction(1, scale)
     assert obj["meta"]["achieved"] == str(digits)
+
+
+def _assert_format_int_is_str(x):
+    # The reference str runs with the int/str limit lifted. Past the cutover
+    # format_int runs at the default limit: its decimal path needs no lift.
+    # At or below it format_int is str itself and runs lifted, as in main.
+    with _int_str_limit_set(0):
+        want = str(x)
+    past = abs(x).bit_length() > INT_STR_CUTOVER
+    with _int_str_limit_set(getattr(sys.int_info, "default_max_str_digits", 0) if past else 0):
+        got = format_int(x)
+    assert got == want, f"format_int differs from str at {x.bit_length()} bits"
+
+
+def test_format_int_edges_match_str():
+    rng = random.Random(20261018)
+    values = [0, 1]
+    for bits in range(INT_STR_CUTOVER - 3, INT_STR_CUTOVER + 4):
+        values += [2**bits - 1, 2**bits, 2**bits + 1, rng.getrandbits(bits) | 1 << (bits - 1)]
+    # 10**9864 is the first power of ten past the cutover; 10**78900 is ~2**18 bits
+    for m in (9863, 9864, 9865, 40000, 78900):
+        values += [10**m - 1, 10**m, 10**m + 1]
+    for x in values:
+        _assert_format_int_is_str(x)
+        _assert_format_int_is_str(-x)
+
+
+@given(st.integers(0, 2**18), st.randoms(use_true_random=False), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_format_int_matches_str(bits, rng, negative):
+    x = rng.getrandbits(bits)
+    _assert_format_int_is_str(-x if negative else x)
 
 
 def test_table_jumps_to_large_t0(capsys, default_int_str_limit):

@@ -8,6 +8,7 @@ from ratroot.core import Params
 from ratroot.oracle import (
     GUARD_DIGITS,
     digits_of_accuracy,
+    digits_of_ratio,
     integer_nth_root,
     log10_error_bound,
     nth_root_bracket,
@@ -185,6 +186,20 @@ def test_digits_of_accuracy_matches_step_scan(case):
     cand, params, cap = case
     want = scan_digits_of_accuracy(cand, params.n, params.k, cap, GUARD_DIGITS)
     assert digits_of_accuracy(cand, params, cap) == want
+
+
+@given(certificate_cases(), st.integers(1, 10**30))
+@settings(max_examples=300, deadline=None)
+def test_digits_of_ratio_ignores_a_common_factor(case, g):
+    cand, params, cap = case
+    p, q = cand.numerator, cand.denominator
+    assert digits_of_ratio(g * p, g * q, params, cap) == digits_of_accuracy(cand, params, cap)
+
+
+@pytest.mark.parametrize("q", [0, -7])
+def test_digits_of_ratio_requires_positive_denominator(q):
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        digits_of_ratio(10, q, Params(2, 2), 5)
 
 
 def test_digits_of_accuracy_monotone_in_cap():

@@ -31,6 +31,17 @@ def test_eigenvalues_quartic_perfect_power():
     assert got == [(-1.0, 0.0), (1.0, -2.0), (1.0, 2.0), (3.0, 0.0)]
 
 
+@pytest.mark.parametrize("k", [2, 3, 7, 1000, 10**6, 2**1024 + 1])
+def test_convergence_rate_matches_the_eigen_decomposition(k):
+    # the eigenvalue-only rate equals the full decomposition's, bit for bit;
+    # the dominant eigenvalue is exactly the float 1 + r
+    for n in range(2, 65):
+        data = eigenvalues(Params(n, k))
+        rate = max(abs(p.value) for p in data.pairs[1:]) / data.dominant.value.real
+        assert data.rate == rate
+        assert convergence_rate(Params(n, k)) == (rate, -math.log10(rate)), (n, k)
+
+
 def test_eigenvalues_degenerate_case_is_exact():
     data = eigenvalues(Params(2, 1))
     assert sorted(p.value.real for p in data.pairs) == [0.0, 2.0]

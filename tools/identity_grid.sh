@@ -1,0 +1,38 @@
+#!/bin/sh
+# Byte-identity grid: run a fixed set of ratroot commands and print, for
+# each, a "### <command>" header, its stdout and its exit code. Run it in two
+# checkouts and diff the outputs; any difference is a change in behaviour.
+#
+#   tools/identity_grid.sh [CHECKOUT] > grid.txt
+#
+# CHECKOUT defaults to the repository holding this script; ratroot is
+# imported from its src/. The grid is 224 commands (n 2-8, k in 1 2 7 1000,
+# eight command forms), then every --help, selftest and five heavy commands
+# whose integers pass the 2**15-bit rendering cutover. It takes about a
+# minute.
+root=${1:-$(dirname "$0")/..}
+run() {
+    echo "### $*"
+    PYTHONPATH="$root/src" python3 -m ratroot.cli "$@" 2>/dev/null
+    echo "rc=$?"
+}
+for n in 2 3 4 5 6 7 8; do
+    for k in 1 2 7 1000; do
+        for a in "approx --digits 30" "table --t1 40 --format csv" \
+                 "trace --mode linear --steps 25 --format json" "trace --mode scalar --steps 6" \
+                 "eig" "eig --format json" "chpow --t 300" "chpow --fib 12 --format json"; do
+            # $a is split into words on purpose
+            run $a --n $n --k $k
+        done
+    done
+done
+run --help
+for c in approx table trace eig chpow bench selftest; do
+    run $c --help
+done
+run selftest
+run approx --n 2 --k 9366 --digits 132
+run approx --n 3 --k 9973 --digits 150 --format json
+run approx --n 2 --k 2 --digits 50000
+run chpow --n 2 --k 3 --t 200000
+run table --n 2 --k 2 --t0 100000 --t1 100002
