@@ -1,5 +1,5 @@
 """Command-line surface: approximation runs, tables, traces, eigen reports,
-power-basis coefficient dumps, benchmarks, and a fast self-test.
+power-basis coefficient dumps, and a fast self-test.
 
 Each command is declared once, in ``build_parser``: one ``_add_command``
 call names it with its builder, and the flags added to the returned
@@ -11,8 +11,8 @@ parsing keeps its state in the namespace it returns, not on the parser.
 Output goes to stdout (plain aligned text, CSV, or JSON), errors to stderr.
 Exit codes: 0 success, 1 usage error, 2 domain error (zero vector, scalar-map
 pole, undefined ratio, ``eig`` past the float range), 3 non-convergence or
-self-test failure. All commands are byte-deterministic except ``bench``,
-whose timing columns necessarily vary run to run.
+self-test failure. Every command is byte-deterministic: the same argv gives
+the same stdout and exit code.
 
 Every integer in a fraction, decimal, ``chpow`` or ``trace`` cell is
 rendered by ``format_int``, which equals ``str``. Up to ``INT_STR_CUTOVER``
@@ -35,7 +35,6 @@ import json
 import math
 import random
 import sys
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
@@ -118,10 +117,10 @@ def format_decimal(f: Fraction, places: int) -> str:
         raise ValueError(f"places must be nonnegative, got {places}")
     p, q = f.numerator, f.denominator
     sign = "-" if p < 0 else ""
-    whole, frac = divmod(abs(p) * 10**places // q, 10**places)
+    digits = format_int(abs(p) * 10**places // q).zfill(places + 1)
     if places == 0:
-        return f"{sign}{format_int(whole)}"
-    return f"{sign}{format_int(whole)}.{format_int(frac).zfill(places)}"
+        return f"{sign}{digits}"
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
 def _convergent_row(t: int, frac: Fraction, places: int, digits: int) -> list[str]:
@@ -240,11 +239,12 @@ def build_trace_scalar(params: Params, r0: Fraction, steps: int) -> OutputRecord
 
 
 def build_eig(params: Params) -> OutputRecord:
-    data = spectral.eigenvalues(params)
+    """The n eigenvalues, dominant (j = 0) first, in O(n): no eigenvector is built."""
+    values = spectral.spectrum(params)[1]
     meta = {
         "n": str(params.n),
         "k": str(params.k),
-        "dominant_index": str(data.dominant_index),
+        "dominant_index": "0",
     }
     try:
         rho, dps = spectral.convergence_rate(params)
@@ -255,17 +255,10 @@ def build_eig(params: Params) -> OutputRecord:
         meta["rho"] = repr(0.0)
         meta["digits_per_step"] = "inf"
         meta["degenerate"] = "true"
-    rows = []
-    for j, pair in enumerate(data.pairs):
-        rows.append(
-            [
-                str(j),
-                repr(pair.value.real),
-                repr(pair.value.imag),
-                repr(abs(pair.value)),
-                "true" if j == data.dominant_index else "false",
-            ]
-        )
+    rows = [
+        [str(j), repr(v.real), repr(v.imag), repr(abs(v)), "true" if j == 0 else "false"]
+        for j, v in enumerate(values)
+    ]
     return OutputRecord("eig", meta, ["j", "re", "im", "modulus", "dominant"], rows)
 
 
@@ -352,47 +345,6 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
     return OutputRecord("approx", meta, list(CONVERGENT_COLUMNS), rows)
 
 
-# The three routes to M**t applied to a start; the naive one is the trusted
-# reference. engine.* is looked up at each call, so a patched engine is what
-# bench and check_engine_agreement run.
-POWER_ROUTES = ("naive", "binary", "ring")
-
-
-def _power(route: str, params: Params, t: int, entries: tuple[int, ...]) -> tuple[int, ...]:
-    if route == "ring":
-        return engine.apply_power(params, t, StateVector(entries)).entries
-    return engine.mat_pow(engine.companion_matrix(params), t, method=route).apply(entries)
-
-
-def build_bench(params: Params, t: int, repeat: int) -> OutputRecord:
-    """Time the three power engines on the same (n, k, t); results must agree."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if repeat < 1:
-        raise ValueError(f"repeat must be >= 1, got {repeat}")
-    start = _ones(params).entries
-    rows = []
-    results = []
-    for route in POWER_ROUTES:
-        best = math.inf
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            value = _power(route, params, t, start)
-            best = min(best, time.perf_counter() - t0)
-        results.append(value)
-        rows.append([route, str(t), f"{best * 1e3:.3f}"])
-    agree = results[0] == results[1] == results[2]
-    meta = {
-        "n": str(params.n),
-        "k": str(params.k),
-        "t": str(t),
-        "repeat": str(repeat),
-        "agree": "true" if agree else "false",
-        "note": "timings vary run to run; all other commands are byte-deterministic",
-    }
-    return OutputRecord("bench", meta, ["method", "t", "best_ms"], rows)
-
-
 # --- checks shared by selftest and the acceptance suite ----------------------
 #
 # Each raises AssertionError on failure. Acceptance C1, C2, C4 and C5 (2,2)
@@ -428,11 +380,15 @@ def check_engine_agreement(seed: int, cases: int):
         entries = tuple(rng.randint(-9, 9) for _ in range(n))
         if all(e == 0 for e in entries):
             continue
+        params = Params(n, k)
+        m = engine.companion_matrix(params)
         try:
-            results = [_power(route, Params(n, k), t, entries) for route in POWER_ROUTES]
+            naive = engine.mat_pow(m, t, method="naive").apply(entries)  # trusted reference
+            binary = engine.mat_pow(m, t, method="binary").apply(entries)
+            ring = engine.apply_power(params, t, StateVector(entries)).entries
         except ZeroVector:
             continue  # singular matrix annihilated this start; excluded
-        assert results[0] == results[1] == results[2], (
+        assert naive == binary == ring, (
             f"engines disagree at n={n}, k={k}, t={t}, r0={entries}"
         )
         done += 1
@@ -552,11 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="emit a chain of this length with exponents 2, 3, 5, 8, ...",
     )
-
-    p = _add_command(subs, "bench", "time the three power engines",
-                     lambda a, params: partial(build_bench, params, a.t, a.repeat))
-    p.add_argument("--t", type=int, default=256, help="exponent to benchmark (default 256)")
-    p.add_argument("--repeat", type=int, default=3, help="best-of repetitions (default 3)")
 
     subs.add_parser("selftest", help="run the fast acceptance subset")
 

@@ -100,7 +100,7 @@ def _snap_component(x: float, scale: float) -> float:
     return 0.0 if abs(x) < _SNAP * scale else x
 
 
-def _spectrum(params: Params) -> tuple[list[complex], list[complex], float]:
+def spectrum(params: Params) -> tuple[list[complex], list[complex], float]:
     """(bases, values, rate): r*w**j and 1 + r*w**j for j = 0..n-1, snapped.
 
     Components smaller than rounding noise are snapped to zero so degenerate
@@ -130,7 +130,7 @@ def eigenvalues(params: Params) -> SpectralData:
     (k**(1/n) * exp(2*pi*i*j/n))**(n-1-i); j = 0 is the dominant pair.
     """
     n = params.n
-    bases, values, rate = _spectrum(params)
+    bases, values, rate = spectrum(params)
     pairs = tuple(
         EigenPair(value, tuple(base ** (n - 1 - i) for i in range(n)))
         for base, value in zip(bases, values)
@@ -144,7 +144,7 @@ def convergence_rate(params: Params) -> tuple[float, float]:
     Takes the n eigenvalues alone, in O(n). Raises DegenerateRate when
     rho = 0 (n = 2, k = 1), where convergence is a single exact step.
     """
-    rho = _spectrum(params)[2]
+    rho = spectrum(params)[2]
     if rho == 0.0:
         raise DegenerateRate(f"all subdominant eigenvalues vanish for {params}")
     return rho, -math.log10(rho)

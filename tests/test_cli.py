@@ -64,13 +64,6 @@ def test_format_fraction_round_trips():
         assert Fraction(format_fraction(f)) == f
 
 
-def test_table_fraction_column_matches_opening_table():
-    record = build_table(Params(2, 2), 0, 5, 1)
-    assert [row[1] for row in record.rows] == [
-        "1/1", "3/2", "7/5", "17/12", "41/29", "99/70",
-    ]
-
-
 def test_table_single_row_csv_example(capsys):
     rc, out, _ = run_cli(
         capsys, "table", "--n", "3", "--k", "2", "--t0", "0", "--t1", "0", "--format", "csv"
@@ -315,6 +308,23 @@ def test_approx_huge_radicand_is_non_convergence(capsys, n, k):
     assert err.startswith("ratroot: error: no starting t within ceiling 1000000"), err
 
 
+def test_eig_builds_no_eigenvectors(capsys, monkeypatch):
+    # eig prints eigenvalues only, so it must not pay O(n**2) for the vectors
+    from ratroot import spectral
+
+    want = [pair.value for pair in spectral.eigenvalues(Params(5, 7)).pairs]
+
+    def no_vectors(params):
+        pytest.fail("eig built the eigenvectors")
+
+    monkeypatch.setattr(spectral, "eigenvalues", no_vectors)
+    rc, out, _ = run_cli(capsys, "eig", "--n", "5", "--k", "7", "--format", "json")
+    assert rc == 0
+    rows = json.loads(out)["rows"]
+    assert [complex(float(r[1]), float(r[2])) for r in rows] == want
+    assert [r[4] for r in rows] == ["true"] + ["false"] * 4
+
+
 def test_eig_past_float_range_of_k(capsys):
     # k = 2**1024 does not fit a float, but its cube root does
     rc, out, err = run_cli(capsys, "eig", "--n", "3", "--k", str(2**1024))
@@ -398,6 +408,10 @@ def test_cli_exit_codes(capsys):
         capsys, "approx", "--n", "3", "--k", "2", "--digits", "30", "--max-t", "10"
     )
     assert rc == 3 and "ceiling" in err
+    # usage: bench is no longer a command
+    rc, out, err = run_cli(capsys, "bench", "--n", "3", "--k", "2")
+    assert rc == 1 and out == ""
+    assert "invalid choice: 'bench'" in err, err
 
 
 def _int_str_limit():
@@ -653,16 +667,21 @@ def test_selftest_catches_sabotaged_step(capsys, monkeypatch):
 
 
 def test_output_is_deterministic(capsys):
-    rc1, out1, _ = run_cli(capsys, "table", "--n", "5", "--k", "7", "--t1", "25", "--format", "json")
-    rc2, out2, _ = run_cli(capsys, "table", "--n", "5", "--k", "7", "--t1", "25", "--format", "json")
-    assert rc1 == rc2 == 0
-    assert out1 == out2
-    rc1, out1, _ = run_cli(capsys, "eig", "--n", "6", "--k", "11")
-    rc2, out2, _ = run_cli(capsys, "eig", "--n", "6", "--k", "11")
-    assert out1 == out2
-    rc1, out1, _ = run_cli(capsys, "selftest")
-    rc2, out2, _ = run_cli(capsys, "selftest")
-    assert out1 == out2
+    # every command prints the same bytes when run again with the same argv
+    for argv in (
+        ["table", "--n", "5", "--k", "7", "--t1", "25", "--format", "json"],
+        ["eig", "--n", "6", "--k", "11"],
+        ["selftest"],
+        ["approx", "--n", "3", "--k", "2", "--digits", "40"],
+        ["chpow", "--n", "4", "--k", "3", "--t", "50"],
+        ["chpow", "--n", "3", "--k", "5", "--fib", "8", "--format", "csv"],
+        ["trace", "--mode", "linear", "--n", "3", "--k", "2", "--steps", "12"],
+        ["trace", "--mode", "scalar", "--n", "2", "--k", "3", "--steps", "5"],
+    ):
+        rc1, out1, _ = run_cli(capsys, *argv)
+        rc2, out2, _ = run_cli(capsys, *argv)
+        assert rc1 == rc2 == 0, argv
+        assert out1 == out2, argv
 
 
 def test_out_flag_writes_payload_verbatim(tmp_path, capsys):
@@ -683,13 +702,3 @@ def test_out_flag_unwritable_path_exits_1(tmp_path, capsys):
     assert rc == 1 and out == ""
     assert err.startswith(f"ratroot: error: cannot write {target}"), err
     assert not target.exists()
-
-
-def test_bench_engines_agree(capsys):
-    rc, out, _ = run_cli(
-        capsys, "bench", "--n", "3", "--k", "2", "--t", "64", "--repeat", "1", "--format", "json"
-    )
-    assert rc == 0
-    obj = json.loads(out)
-    assert obj["meta"]["agree"] == "true"
-    assert [row[0] for row in obj["rows"]] == ["naive", "binary", "ring"]

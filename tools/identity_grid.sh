@@ -27,7 +27,7 @@ for n in 2 3 4 5 6 7 8; do
     done
 done
 run --help
-for c in approx table trace eig chpow bench selftest; do
+for c in approx table trace eig chpow selftest; do
     run $c --help
 done
 run selftest
