@@ -4,6 +4,12 @@ An n-dimensional integer linear system is iterated whose adjacent-entry
 ratios converge to k**(1/n); three exact power engines cross-check each
 other, the closed-form spectrum predicts the convergence rate, and a scaled
 integer oracle certifies digits of accuracy.
+
+The engine computes in one ring, Z[x]/(x**n - k), whose elements are plain
+tuples of n ints: ``ring_pow_one_plus_x`` gives (1 + x)**t, ``apply_power``
+applies M**t to a state, and ``power_basis_coeffs`` and ``fib_power_chain``
+change ring powers to the basis I, M, ..., M**(n-1) at the output.
+``companion_matrix`` and ``mat_pow`` are the matrix reference.
 """
 
 from .core import (
@@ -13,21 +19,16 @@ from .core import (
     Matrix,
     NonConvergence,
     Params,
-    ParamsMismatch,
     PoleEncountered,
-    RingPoly,
     StateVector,
     ZeroVector,
 )
 from .engine import (
-    PowerBasisCoeffs,
     apply_power,
     companion_matrix,
     fib_power_chain,
     mat_pow,
     power_basis_coeffs,
-    ring_mul,
-    ring_one,
     ring_pow_one_plus_x,
 )
 from .oracle import (
@@ -62,19 +63,14 @@ __all__ = [
     "Matrix",
     "NonConvergence",
     "Params",
-    "ParamsMismatch",
     "PoleEncountered",
-    "RingPoly",
     "StateVector",
     "ZeroVector",
-    "PowerBasisCoeffs",
     "apply_power",
     "companion_matrix",
     "fib_power_chain",
     "mat_pow",
     "power_basis_coeffs",
-    "ring_mul",
-    "ring_one",
     "ring_pow_one_plus_x",
     "RootBracket",
     "digits_of_accuracy",

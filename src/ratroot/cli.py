@@ -136,16 +136,15 @@ class OutputRecord:
     meta: dict[str, str]
     columns: list[str]
     rows: list[list[str]]
-    fmt: str = "plain"
 
-    def render(self) -> str:
-        if self.fmt == "plain":
+    def render(self, fmt: str) -> str:
+        if fmt == "plain":
             return self._render_plain()
-        if self.fmt == "csv":
+        if fmt == "csv":
             return self._render_csv()
-        if self.fmt == "json":
+        if fmt == "json":
             return self._render_json()
-        raise ValueError(f"unknown format {self.fmt!r}")
+        raise ValueError(f"unknown format {fmt!r}")
 
     def _render_plain(self) -> str:
         lines = [f"# command = {self.command}"]
@@ -267,10 +266,9 @@ def build_chpow(params: Params, t: int, fib: int | None) -> OutputRecord:
     columns = ["t"] + [f"a{i}" for i in range(params.n)]
     if fib is not None:
         chain = engine.fib_power_chain(params, fib)
-        rows = [[str(e), *map(format_int, bc.coeffs)] for e, bc in chain]
     else:
-        bc = engine.power_basis_coeffs(params, t)
-        rows = [[str(t), *map(format_int, bc.coeffs)]]
+        chain = [(t, engine.power_basis_coeffs(params, t))]
+    rows = [[str(e), *map(format_int, a)] for e, a in chain]
     meta = {
         "n": str(params.n),
         "k": str(params.k),
@@ -572,9 +570,7 @@ def main(argv=None) -> int:
     try:
         job = args.build(args, Params(args.n, args.k))
         with _int_str_limit_lifted():
-            record = job()
-            record.fmt = args.format
-            payload = record.render()
+            payload = job().render(args.format)
     except (ZeroVector, PoleEncountered, DivisionByZero, OverflowError) as exc:
         print(f"ratroot: error: {exc}", file=sys.stderr)
         return 2

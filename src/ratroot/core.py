@@ -10,10 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class ParamsMismatch(ValueError):
-    """Two ring elements built over different (n, k) were combined."""
-
-
 class ZeroVector(ArithmeticError):
     """The evolving state collapsed to the all-zero vector.
 
@@ -156,21 +152,3 @@ class Matrix:
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
 
-
-@dataclass(frozen=True)
-class RingPoly:
-    """Integer polynomial of degree < n in the quotient ring Z[x]/(x**n - k).
-
-    ``coeffs[i]`` is the coefficient of x**i; exactly n coefficients are
-    stored (zero-padded), with the reduction x**n = k already applied.
-    """
-
-    coeffs: tuple[int, ...]
-    params: Params
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) != self.params.n:
-            raise ValueError(
-                f"expected {self.params.n} coefficients, got {len(self.coeffs)}"
-            )

@@ -8,6 +8,10 @@ column vector is multiplication by (1 + x). That one O(n) step of M is
 :func:`step_one_plus_x`; the ladder, ``table`` and the linear trajectory all
 take it.
 
+The engine has one ring. An element of Z[x]/(x**n - k) is a plain tuple of
+n ints, entry i the coefficient of x**i, and every product is reduced by one
+rule, x**m -> k*x**(m-n) (:func:`_fold`).
+
 Three power routes are kept on purpose. ``naive`` repeated multiplication is
 the trusted oracle, ``binary`` squaring is the general fast path, and the
 quotient-ring route is the production path used by :func:`apply_power`. They
@@ -19,17 +23,19 @@ one square by the squaring kernel :func:`_sqrmod`, and on a set bit one
 coefficients (each cross product once, about half the products of a general
 multiply) and splits longer polynomials Karatsuba-style into three
 half-length squares, so every big-integer product stays at coefficient size.
-The general ring product and the power-basis product (modulo
-(y - 1)**n - k) share one schoolbook multiply, :func:`_mulmod`. The change
-to the power basis, x = y - 1, is a Taylor shift done with subtractions only.
+The one general product, :func:`_mulmod`, is schoolbook; it applies a
+power to a start vector and composes the ``--fib`` chain.
+
+The power basis I, M, ..., M**(n-1) appears only at the output: a ring
+element is changed to it, x = y - 1, by one Taylor shift done with
+subtractions only (:func:`power_basis_coeffs`, and once per entry of
+:func:`fib_power_chain`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb
 from operator import add, sub
 
-from .core import Matrix, Params, ParamsMismatch, RingPoly, StateVector, ZeroVector
+from .core import Matrix, Params, StateVector, ZeroVector
 
 
 def companion_matrix(params: Params) -> Matrix:
@@ -68,33 +74,26 @@ def mat_pow(a: Matrix, t: int, method: str = "binary") -> Matrix:
     raise ValueError(f"unknown method {method!r}; expected 'naive' or 'binary'")
 
 
-def ring_one(params: Params) -> RingPoly:
-    return RingPoly((1,) + (0,) * (params.n - 1), params)
+def _fold(prod, k) -> list[int]:
+    """Reduce a full product of 2n - 1 coefficients modulo x**n - k.
 
-
-def _mulmod(a, b, fold) -> tuple[int, ...]:
-    """Schoolbook a*b of length-n sequences modulo a monic degree-n polynomial
-    whose nonzero low terms are the (i, q) pairs ``fold``: x**n = -sum(q*x**i).
+    The one reduction rule of the engine: x**m folds to k*x**(m-n).
     """
+    n = (len(prod) + 1) // 2
+    for m in range(n - 1):
+        prod[m] += k * prod[m + n]
+    return prod[:n]
+
+
+def _mulmod(a, b, k) -> tuple[int, ...]:
+    """a*b in Z[x]/(x**n - k) for length-n sequences a and b, schoolbook."""
     n = len(a)
     prod = [0] * (2 * n - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 prod[i + j] += ai * bj
-    for m in range(2 * n - 2, n - 1, -1):
-        c = prod[m]
-        if c:
-            for i, q in fold:
-                prod[m - n + i] -= c * q
-    return tuple(prod[:n])
-
-
-def ring_mul(a: RingPoly, b: RingPoly) -> RingPoly:
-    """Product in Z[x]/(x**n - k): schoolbook multiply, fold x**m -> k*x**(m-n)."""
-    if a.params != b.params:
-        raise ParamsMismatch(f"operands built over {a.params} and {b.params}")
-    return RingPoly(_mulmod(a.coeffs, b.coeffs, ((0, -a.params.k),)), a.params)
+    return tuple(_fold(prod, k))
 
 
 # Squares of at most this many coefficients run schoolbook; longer ones split.
@@ -142,14 +141,10 @@ def _sqrmod(a, k) -> list[int]:
     """a*a in Z[x]/(x**n - k) for a length-n sequence a.
 
     The full square comes from :func:`_square` (schoolbook up to
-    SQR_CUTOVER coefficients, Karatsuba above), then x**m folds to
-    k*x**(m-n).
+    SQR_CUTOVER coefficients, Karatsuba above) and is reduced by
+    :func:`_fold`.
     """
-    n = len(a)
-    prod = _square(a)
-    for m in range(n - 1):
-        prod[m] += k * prod[m + n]
-    return prod[:n]
+    return _fold(_square(a), k)
 
 
 def step_one_plus_x(c, k) -> list[int]:
@@ -160,7 +155,7 @@ def step_one_plus_x(c, k) -> list[int]:
     return [c[0] + k * c[-1], *map(add, c[1:], c)]
 
 
-def ring_pow_one_plus_x(params: Params, t: int) -> RingPoly:
+def ring_pow_one_plus_x(params: Params, t: int) -> tuple[int, ...]:
     """(1 + x)**t in Z[x]/(x**n - k), by a left-to-right ladder.
 
     For each bit of t from the top the accumulator is squared, and on a set
@@ -170,12 +165,12 @@ def ring_pow_one_plus_x(params: Params, t: int) -> RingPoly:
     if t < 0:
         raise ValueError(f"exponent must be nonnegative, got {t}")
     k = params.k
-    c = ring_one(params).coeffs
+    c = [1] + [0] * (params.n - 1)
     for bit in f"{t:b}":
         c = _sqrmod(c, k)
         if bit == "1":
             c = step_one_plus_x(c, k)
-    return RingPoly(c, params)
+    return tuple(c)
 
 
 def apply_power(params: Params, t: int, r0: StateVector) -> StateVector:
@@ -189,77 +184,54 @@ def apply_power(params: Params, t: int, r0: StateVector) -> StateVector:
         raise ValueError(f"state length {len(r0)} != n={params.n}")
     if t < 0:
         raise ValueError(f"exponent must be nonnegative, got {t}")
-    pt = ring_mul(ring_pow_one_plus_x(params, t), RingPoly(r0.entries, params))
-    if all(c == 0 for c in pt.coeffs):
+    pt = _mulmod(ring_pow_one_plus_x(params, t), r0.entries, params.k)
+    if not any(pt):
         raise ZeroVector(t)
-    return StateVector(pt.coeffs, t=t)
+    return StateVector(pt, t=t)
 
 
-@dataclass(frozen=True)
-class PowerBasisCoeffs:
-    """Coefficients a with M**t = sum(a[i] * M**i for i < n)."""
+def _to_power_basis(c) -> tuple[int, ...]:
+    """Ring coefficients c of p(x) to the coefficients of p(y - 1).
 
-    coeffs: tuple[int, ...]
-    t: int
-    params: Params
+    With x = S = M - I this expands p(S) over I, M, ..., M**(n-1). It is
+    the alternating binomial transform
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) != self.params.n:
-            raise ValueError(
-                f"expected {self.params.n} coefficients, got {len(self.coeffs)}"
-            )
-
-
-def power_basis_coeffs(params: Params, t: int) -> PowerBasisCoeffs:
-    """Expand M**t over the matrix-power basis I, M, ..., M**(n-1).
-
-    Takes the ring coefficients b of (1 + x)**t and substitutes x = y - 1
-    (M = I + S), which is the alternating binomial transform
-
-        a[m] = sum over i >= m of b[i] * C(i, m) * (-1)**(i - m),
+        a[m] = sum over i >= m of c[i] * C(i, m) * (-1)**(i - m),
 
     computed as an in-place Taylor shift by -1 (Horner's scheme, one pass
     per degree): n(n-1)/2 subtractions and no multiplications.
-
-    The result equals the remainder of y**t modulo the monic characteristic
-    polynomial (y - 1)**n - k, the unique such expansion since M has n
-    distinct eigenvalues.
     """
-    a = list(ring_pow_one_plus_x(params, t).coeffs)
-    n = params.n
+    a = list(c)
+    n = len(a)
     for j in range(n - 1):
         for i in range(n - 2, j - 1, -1):
             a[i] -= a[i + 1]
-    return PowerBasisCoeffs(tuple(a), t, params)
+    return tuple(a)
 
 
-def _charpoly_tail(params: Params) -> tuple[tuple[int, int], ...]:
-    """Nonzero low terms (i, q[i]), i < n, of the monic (y - 1)**n - k."""
-    n = params.n
-    q = [comb(n, i) * (-1 if (n - i) & 1 else 1) for i in range(n)]
-    q[0] -= params.k
-    return tuple((i, qi) for i, qi in enumerate(q) if qi)
+def power_basis_coeffs(params: Params, t: int) -> tuple[int, ...]:
+    """Coefficients a with M**t = sum(a[i] * M**i for i < n).
+
+    The Taylor shift of (1 + x)**t. The result equals the remainder of y**t
+    modulo the monic characteristic polynomial (y - 1)**n - k, the unique
+    such expansion since M has n distinct eigenvalues.
+    """
+    return _to_power_basis(ring_pow_one_plus_x(params, t))
 
 
 def fib_power_chain(
     params: Params, chain_length: int
-) -> list[tuple[int, PowerBasisCoeffs]]:
-    """Exponents 2, 3, 5, 8, ... with basis coefficients composed pairwise.
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Exponents 2, 3, 5, 8, ... with the basis coefficients of each M**F_i.
 
-    Entry i is M**F_i where F_i = F_{i-1} + F_{i-2}; each coefficient vector
-    past the first two is the product of its two predecessors reduced in the
-    power basis, never a fresh exponentiation.
+    F_i = F_{i-1} + F_{i-2}. Each ring power (1 + x)**F_i past the first two
+    is the product of its two predecessors, never a fresh exponentiation;
+    each is then Taylor-shifted once into the power basis.
     """
     if chain_length < 1:
         raise ValueError(f"chain length must be >= 1, got {chain_length}")
-    fold = _charpoly_tail(params)
-    chain = [(2, power_basis_coeffs(params, 2))]
-    if chain_length >= 2:
-        chain.append((3, power_basis_coeffs(params, 3)))
+    chain = [(e, ring_pow_one_plus_x(params, e)) for e in (2, 3)[:chain_length]]
     while len(chain) < chain_length:
         (e2, c2), (e1, c1) = chain[-2], chain[-1]
-        e = e1 + e2
-        coeffs = _mulmod(c1.coeffs, c2.coeffs, fold)
-        chain.append((e, PowerBasisCoeffs(coeffs, e, params)))
-    return chain
+        chain.append((e1 + e2, _mulmod(c1, c2, params.k)))
+    return [(e, _to_power_basis(c)) for e, c in chain]

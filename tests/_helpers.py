@@ -108,3 +108,45 @@ def alternating_binomial_transform(b) -> tuple[int, ...]:
                 term = bi * comb(i, m)
                 a[m] += -term if (i - m) & 1 else term
     return tuple(a)
+
+
+def charpoly_tail(n: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero low terms (i, q[i]), i < n, of the monic (y - 1)**n - k."""
+    q = [comb(n, i) * (-1 if (n - i) & 1 else 1) for i in range(n)]
+    q[0] -= k
+    return tuple((i, qi) for i, qi in enumerate(q) if qi)
+
+
+def mulmod_monic(a, b, fold) -> tuple[int, ...]:
+    """Schoolbook a*b of length-n sequences modulo a monic degree-n polynomial
+    whose nonzero low terms are the (i, q) pairs ``fold``: y**n = -sum(q*y**i).
+    """
+    n = len(a)
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for m in range(2 * n - 2, n - 1, -1):
+        c = prod[m]
+        if c:
+            for i, q in fold:
+                prod[m - n + i] -= c * q
+    return tuple(prod[:n])
+
+
+def fib_chain_in_power_basis(n: int, k: int, chain_length: int):
+    """(F_i, coefficients of y**F_i mod (y - 1)**n - k) for F = 2, 3, 5, 8, ...
+
+    Every product is reduced by the characteristic polynomial of M, so the
+    coefficients expand M**F_i over I, M, ..., M**(n-1) without the ring
+    Z[x]/(x**n - k). The chain starts from y and composes pairwise.
+    """
+    fold = charpoly_tail(n, k)
+    y = (0, 1) + (0,) * (n - 2)
+    y2 = mulmod_monic(y, y, fold)
+    chain = [(2, y2), (3, mulmod_monic(y2, y, fold))][:chain_length]
+    while len(chain) < chain_length:
+        (e2, c2), (e1, c1) = chain[-2], chain[-1]
+        chain.append((e1 + e2, mulmod_monic(c1, c2, fold)))
+    return chain

@@ -586,15 +586,14 @@ def test_selftest_passes(capsys):
 def test_selftest_catches_sabotaged_engine(capsys, monkeypatch):
     # a wrong ring reduction must trip the engine-agreement group
     from ratroot import engine
-    from ratroot.core import RingPoly
 
-    true_mul = engine.ring_mul
+    true_mul = engine._mulmod
 
-    def corrupt_mul(a, b):
-        out = true_mul(a, b)
-        return RingPoly((out.coeffs[0] + 1,) + out.coeffs[1:], out.params)
+    def corrupt_mul(a, b, k):
+        out = true_mul(a, b, k)
+        return (out[0] + 1,) + out[1:]
 
-    monkeypatch.setattr(engine, "ring_mul", corrupt_mul)
+    monkeypatch.setattr(engine, "_mulmod", corrupt_mul)
     rc, out, _ = run_cli(capsys, "selftest")
     assert rc == 3
     assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())

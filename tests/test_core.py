@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ratroot.core import Matrix, Params, RingPoly, StateVector
+from ratroot.core import Matrix, Params, StateVector
 
 
 def test_params_accepts_valid_instances():
@@ -112,12 +112,3 @@ def test_matrix_dimension_mismatch():
 def test_matrix_is_value_type():
     assert Matrix.identity(2) == Matrix(((1, 0), (0, 1)))
     assert hash(Matrix.identity(2)) == hash(Matrix(((1, 0), (0, 1))))
-
-
-def test_ring_poly_coefficient_count_enforced():
-    p = Params(3, 2)
-    assert RingPoly((1, 0, 0), p).coeffs == (1, 0, 0)
-    with pytest.raises(ValueError):
-        RingPoly((1, 0), p)
-    with pytest.raises(ValueError):
-        RingPoly((1, 0, 0, 0), p)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ratroot.core import Matrix, Params, ParamsMismatch, RingPoly, StateVector, ZeroVector
+from ratroot.core import Matrix, Params, StateVector, ZeroVector
 from ratroot.engine import (
     SQR_CUTOVER,
     _mulmod,
@@ -14,13 +14,16 @@ from ratroot.engine import (
     fib_power_chain,
     mat_pow,
     power_basis_coeffs,
-    ring_mul,
-    ring_one,
     ring_pow_one_plus_x,
     step_one_plus_x,
 )
 
-from _helpers import alternating_binomial_transform, bareiss_det, step_pow_one_plus_x
+from _helpers import (
+    alternating_binomial_transform,
+    bareiss_det,
+    fib_chain_in_power_basis,
+    step_pow_one_plus_x,
+)
 
 params_st = st.builds(Params, st.integers(2, 6), st.integers(1, 20))
 
@@ -73,32 +76,51 @@ def test_mat_pow_naive_binary_agree(params, t):
 
 
 def test_ring_mul_examples():
-    p32 = Params(3, 2)
-    x2 = RingPoly((0, 0, 1), p32)
-    assert ring_mul(x2, x2).coeffs == (0, 2, 0)  # x**4 = k*x at n=3, k=2
+    x2 = (0, 0, 1)
+    assert _mulmod(x2, x2, 2) == (0, 2, 0)  # x**4 = k*x at n=3, k=2
 
-    p22 = Params(2, 2)
-    one_plus_x = RingPoly((1, 1), p22)
-    assert ring_mul(one_plus_x, one_plus_x).coeffs == (3, 2)
+    one_plus_x = (1, 1)
+    assert _mulmod(one_plus_x, one_plus_x, 2) == (3, 2)
 
-    p = RingPoly((4, -1, 7), p32)
-    assert ring_mul(ring_one(p32), p).coeffs == p.coeffs
+    p = (4, -1, 7)
+    assert _mulmod((1, 0, 0), p, 2) == p
 
 
-def test_ring_mul_rejects_mixed_params():
-    a = RingPoly((1, 0), Params(2, 2))
-    b = RingPoly((1, 0), Params(2, 3))
-    with pytest.raises(ParamsMismatch):
-        ring_mul(a, b)
+# lengths 2-64, with both sides of the squaring kernel's cutover
+mul_n_st = st.one_of(st.integers(2, 64), st.sampled_from([SQR_CUTOVER, SQR_CUTOVER + 1]))
+big_coeff_st = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**300), 10**300))
+
+
+@given(
+    mul_n_st.flatmap(
+        lambda n: st.tuples(
+            st.lists(big_coeff_st, min_size=n, max_size=n),
+            st.lists(big_coeff_st, min_size=n, max_size=n),
+        )
+    ),
+    st.integers(1, 10**6),
+)
+@settings(max_examples=40, deadline=None)
+def test_mulmod_matches_cyclic_shift_sum(ab, k):
+    # a*b = sum(a_i * S**i b): S = M - I is multiplication by x
+    a, b = ab
+    n = len(a)
+    s = companion_matrix(Params(n, k)) - Matrix.identity(n)
+    want = [0] * n
+    shifted = tuple(b)
+    for ai in a:
+        want = [w + ai * c for w, c in zip(want, shifted)]
+        shifted = s.apply(shifted)
+    assert _mulmod(a, b, k) == tuple(want)
 
 
 def test_ring_pow_examples():
-    assert ring_pow_one_plus_x(Params(3, 9), 0).coeffs == (1, 0, 0)
+    assert ring_pow_one_plus_x(Params(3, 9), 0) == (1, 0, 0)
     # (1+x)**5 with x**2 = 2 equals the first column of M**5
-    assert ring_pow_one_plus_x(Params(2, 2), 5).coeffs == (41, 29)
+    assert ring_pow_one_plus_x(Params(2, 2), 5) == (41, 29)
     assert mat_pow(companion_matrix(Params(2, 2)), 5).apply((1, 0)) == (41, 29)
     # degree < n, no reduction: (1+x)**2 at n=3
-    assert ring_pow_one_plus_x(Params(3, 2), 2).coeffs == (1, 2, 1)
+    assert ring_pow_one_plus_x(Params(3, 2), 2) == (1, 2, 1)
     assert mat_pow(companion_matrix(Params(3, 2)), 2).apply((1, 0, 0)) == (1, 2, 1)
 
 
@@ -107,15 +129,15 @@ def test_ring_pow_examples():
 def test_ring_pow_matches_matrix_first_column(params, t):
     e1 = (1,) + (0,) * (params.n - 1)
     column = mat_pow(companion_matrix(params), t).apply(e1)
-    assert ring_pow_one_plus_x(params, t).coeffs == column
+    assert ring_pow_one_plus_x(params, t) == column
 
 
 @given(params_st, st.integers(0, 30), st.integers(0, 30))
 @settings(max_examples=60, deadline=None)
 def test_ring_pow_is_a_homomorphism(params, s, t):
     combined = ring_pow_one_plus_x(params, s + t)
-    split = ring_mul(ring_pow_one_plus_x(params, s), ring_pow_one_plus_x(params, t))
-    assert combined.coeffs == split.coeffs
+    split = _mulmod(ring_pow_one_plus_x(params, s), ring_pow_one_plus_x(params, t), params.k)
+    assert combined == split
 
 
 # half the exponents sit on a ladder edge: 0, 1, 2**j - 1, 2**j, 2**j + 1
@@ -128,7 +150,7 @@ ladder_t_st = st.one_of(
 @given(st.builds(Params, st.integers(2, 64), st.integers(1, 10**6)), ladder_t_st)
 @settings(max_examples=100, deadline=None)
 def test_ring_pow_matches_repeated_step(params, t):
-    assert ring_pow_one_plus_x(params, t).coeffs == step_pow_one_plus_x(params, t)
+    assert ring_pow_one_plus_x(params, t) == step_pow_one_plus_x(params, t)
 
 
 # lengths on both sides of the schoolbook/Karatsuba cutover, odd and even
@@ -136,24 +158,23 @@ sqr_n_st = st.one_of(
     st.integers(1, 80),
     st.sampled_from([SQR_CUTOVER, SQR_CUTOVER + 1, 2 * SQR_CUTOVER + 1]),
 )
-sqr_coeff_st = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**300), 10**300))
 edge = 10**300
 
 
-@given(sqr_n_st.flatmap(lambda n: st.lists(sqr_coeff_st, min_size=n, max_size=n)),
+@given(sqr_n_st.flatmap(lambda n: st.lists(big_coeff_st, min_size=n, max_size=n)),
        st.integers(1, 10**6))
 @example([edge] * SQR_CUTOVER, 10**6)
 @example([-edge, edge] * (SQR_CUTOVER // 2) + [-edge], 10**6)
 @example([edge, 0, -1] * SQR_CUTOVER, 1)
 @settings(max_examples=150, deadline=None)
 def test_sqrmod_matches_general_multiply(a, k):
-    assert _sqrmod(a, k) == list(_mulmod(a, a, ((0, -k),)))
+    assert _sqrmod(a, k) == list(_mulmod(a, a, k))
 
 
 @pytest.mark.parametrize("n", [2, 8, 64])
 def test_ring_pow_matches_repeated_step_at_t6000(n):
     params = Params(n, 7)
-    assert ring_pow_one_plus_x(params, 6000).coeffs == step_pow_one_plus_x(params, 6000)
+    assert ring_pow_one_plus_x(params, 6000) == step_pow_one_plus_x(params, 6000)
 
 
 def test_apply_power_examples():
@@ -239,23 +260,23 @@ def test_power_basis_coeffs_chain_formulas():
     # the three chain exponents, as polynomials in k, checked at several k
     for k in (2, 3, 7):
         params = Params(2, k)
-        assert power_basis_coeffs(params, 2).coeffs == (k - 1, 2)
-        assert power_basis_coeffs(params, 3).coeffs == (2 * (k - 1), k + 3)
-        assert power_basis_coeffs(params, 5).coeffs == (4 * (k**2 - 1), k**2 + 10 * k + 5)
+        assert power_basis_coeffs(params, 2) == (k - 1, 2)
+        assert power_basis_coeffs(params, 3) == (2 * (k - 1), k + 3)
+        assert power_basis_coeffs(params, 5) == (4 * (k**2 - 1), k**2 + 10 * k + 5)
 
 
 def test_power_basis_coeffs_small_exponents_are_delta():
     params = Params(3, 2)
-    assert power_basis_coeffs(params, 0).coeffs == (1, 0, 0)
-    assert power_basis_coeffs(params, 1).coeffs == (0, 1, 0)
-    assert power_basis_coeffs(params, 2).coeffs == (0, 0, 1)
+    assert power_basis_coeffs(params, 0) == (1, 0, 0)
+    assert power_basis_coeffs(params, 1) == (0, 1, 0)
+    assert power_basis_coeffs(params, 2) == (0, 0, 1)
 
 
 @given(params_st, st.integers(0, 60))
 @settings(max_examples=60, deadline=None)
 def test_power_basis_reconstruction(params, t):
     m = companion_matrix(params)
-    coeffs = power_basis_coeffs(params, t).coeffs
+    coeffs = power_basis_coeffs(params, t)
     acc = Matrix.identity(params.n).scale(0)
     for i, a in enumerate(coeffs):
         acc = acc + mat_pow(m, i).scale(a)
@@ -265,13 +286,13 @@ def test_power_basis_reconstruction(params, t):
 @given(st.builds(Params, st.integers(2, 64), st.integers(1, 10**6)), ladder_t_st)
 @settings(max_examples=60, deadline=None)
 def test_power_basis_coeffs_match_binomial_transform(params, t):
-    b = ring_pow_one_plus_x(params, t).coeffs
-    assert power_basis_coeffs(params, t).coeffs == alternating_binomial_transform(b)
+    b = ring_pow_one_plus_x(params, t)
+    assert power_basis_coeffs(params, t) == alternating_binomial_transform(b)
 
 
 def test_fib_power_chain_values():
     chain = fib_power_chain(Params(2, 2), 3)
-    assert [(e, bc.coeffs) for e, bc in chain] == [
+    assert chain == [
         (2, (1, 2)),
         (3, (2, 5)),
         (5, (12, 29)),
@@ -282,15 +303,27 @@ def test_fib_power_chain_base_case():
     chain = fib_power_chain(Params(3, 11), 1)
     assert len(chain) == 1
     assert chain[0][0] == 2
-    assert chain[0][1].coeffs == power_basis_coeffs(Params(3, 11), 2).coeffs
+    assert chain[0][1] == power_basis_coeffs(Params(3, 11), 2)
 
 
 def test_fib_power_chain_matches_direct_expansion():
     params = Params(3, 2)
     chain = fib_power_chain(params, 6)
     assert [e for e, _ in chain] == [2, 3, 5, 8, 13, 21]
-    for e, bc in chain:
-        assert bc.coeffs == power_basis_coeffs(params, e).coeffs
+    for e, a in chain:
+        assert a == power_basis_coeffs(params, e)
+
+
+@given(
+    st.builds(Params, st.integers(2, 64), st.integers(1, 10**6)),
+    st.integers(1, 12),
+)
+@settings(max_examples=40, deadline=None)
+def test_fib_power_chain_matches_power_basis_composition(params, chain_length):
+    chain = fib_power_chain(params, chain_length)
+    assert chain == fib_chain_in_power_basis(params.n, params.k, chain_length)
+    for e, a in chain:
+        assert a == power_basis_coeffs(params, e)
 
 
 def test_fib_power_chain_rejects_empty():

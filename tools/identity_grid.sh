@@ -7,9 +7,9 @@
 #
 # CHECKOUT defaults to the repository holding this script; ratroot is
 # imported from its src/. The grid is 224 commands (n 2-8, k in 1 2 7 1000,
-# eight command forms), then every --help, selftest and five heavy commands
-# whose integers pass the 2**15-bit rendering cutover. It takes about a
-# minute.
+# eight command forms), then every --help, selftest, five heavy commands
+# whose integers pass the 2**15-bit rendering cutover and two --fib chains
+# at n 16 and 33: 239 commands in all. It takes about a minute.
 root=${1:-$(dirname "$0")/..}
 run() {
     echo "### $*"
@@ -36,3 +36,6 @@ run approx --n 3 --k 9973 --digits 150 --format json
 run approx --n 2 --k 2 --digits 50000
 run chpow --n 2 --k 3 --t 200000
 run table --n 2 --k 2 --t0 100000 --t1 100002
+for n in 16 33; do
+    run chpow --fib 15 --format csv --n $n --k 50
+done
