@@ -10,6 +10,10 @@ tuples of n ints: ``ring_pow_one_plus_x`` gives (1 + x)**t, ``apply_power``
 applies M**t to a state, and ``power_basis_coeffs`` and ``fib_power_chain``
 change ring powers to the basis I, M, ..., M**(n-1) at the output.
 ``companion_matrix`` and ``mat_pow`` are the matrix reference.
+
+A state is a plain tuple of n ints. ``iterate_linear`` returns the tuple of
+states t = 0, 1, ..., t_max, ``iterate_scalar_map`` the tuple of its
+Fraction iterates, and ``ratio`` reads one adjacent-entry ratio off a state.
 """
 
 from .core import (
@@ -20,7 +24,6 @@ from .core import (
     NonConvergence,
     Params,
     PoleEncountered,
-    StateVector,
     ZeroVector,
 )
 from .engine import (
@@ -39,8 +42,6 @@ from .oracle import (
     nth_root_bracket,
 )
 from .recursion import (
-    ScalarTrajectory,
-    Trajectory,
     iterate_linear,
     iterate_scalar_map,
     ratio,
@@ -64,7 +65,6 @@ __all__ = [
     "NonConvergence",
     "Params",
     "PoleEncountered",
-    "StateVector",
     "ZeroVector",
     "apply_power",
     "companion_matrix",
@@ -77,8 +77,6 @@ __all__ = [
     "integer_nth_root",
     "log10_error_bound",
     "nth_root_bracket",
-    "ScalarTrajectory",
-    "Trajectory",
     "iterate_linear",
     "iterate_scalar_map",
     "ratio",

@@ -48,7 +48,6 @@ from .core import (
     NonConvergence,
     Params,
     PoleEncountered,
-    StateVector,
     ZeroVector,
 )
 
@@ -178,10 +177,6 @@ class OutputRecord:
         return json.dumps(obj, indent=2) + "\n"
 
 
-def _ones(params: Params) -> StateVector:
-    return StateVector((1,) * params.n, t=0)
-
-
 def build_table(params: Params, t0: int, t1: int, index: int) -> OutputRecord:
     """Rows (t, reduced fraction, 6-place decimal, certified digits).
 
@@ -192,12 +187,12 @@ def build_table(params: Params, t0: int, t1: int, index: int) -> OutputRecord:
         raise ValueError(f"need 0 <= t0 <= t1, got t0={t0}, t1={t1}")
     if not 1 <= index <= params.n - 1:
         raise ValueError(f"ratio index must be in 1..{params.n - 1}, got {index}")
-    entries = engine.apply_power(params, t0, _ones(params)).entries
+    entries = engine.apply_power(params, t0, (1,) * params.n)
     rows = []
     for t in range(t0, t1 + 1):
         if t > t0:
             entries = engine.step_one_plus_x(entries, params.k)
-        frac = recursion.ratio(StateVector(entries, t=t), index)
+        frac = recursion.ratio(entries, index)
         digits = oracle.digits_of_accuracy(frac, params, TABLE_DIGITS_CAP)
         rows.append(_convergent_row(t, frac, TABLE_DECIMAL_PLACES, digits))
     meta = {
@@ -211,9 +206,9 @@ def build_table(params: Params, t0: int, t1: int, index: int) -> OutputRecord:
 
 
 def build_trace_linear(params: Params, start: tuple[int, ...], steps: int) -> OutputRecord:
-    traj = recursion.iterate_linear(params, StateVector(start, t=0), steps)
+    states = recursion.iterate_linear(params, start, steps)
     columns = ["t"] + [f"x{i + 1}" for i in range(params.n)]
-    rows = [[str(s.t), *map(format_int, s.entries)] for s in traj.states]
+    rows = [[str(t), *map(format_int, s)] for t, s in enumerate(states)]
     meta = {
         "mode": "linear",
         "n": str(params.n),
@@ -225,8 +220,8 @@ def build_trace_linear(params: Params, start: tuple[int, ...], steps: int) -> Ou
 
 
 def build_trace_scalar(params: Params, r0: Fraction, steps: int) -> OutputRecord:
-    st = recursion.iterate_scalar_map(params, r0, steps)
-    rows = [[str(t), format_fraction(r)] for t, r in enumerate(st.ratios)]
+    ratios = recursion.iterate_scalar_map(params, r0, steps)
+    rows = [[str(t), format_fraction(r)] for t, r in enumerate(ratios)]
     meta = {
         "mode": "scalar",
         "n": str(params.n),
@@ -328,10 +323,10 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
                 raise NonConvergence(
                     f"needed t={t} exceeds ceiling {max_t} for {target_digits} digits"
                 )
-            state = engine.apply_power(params, t, _ones(params))
-            p, q = state.entries[0], state.entries[1]
+            state = engine.apply_power(params, t, (1,) * params.n)
+            p, q = state[0], state[1]
             if q == 0:
-                raise DivisionByZero(state.entries, 1, t=t)
+                raise DivisionByZero(state, 1, t=t)
             achieved = oracle.digits_of_ratio(p, q, params, target_digits)
             if achieved >= target_digits:
                 break
@@ -383,7 +378,7 @@ def check_engine_agreement(seed: int, cases: int):
         try:
             naive = engine.mat_pow(m, t, method="naive").apply(entries)  # trusted reference
             binary = engine.mat_pow(m, t, method="binary").apply(entries)
-            ring = engine.apply_power(params, t, StateVector(entries)).entries
+            ring = engine.apply_power(params, t, entries)
         except ZeroVector:
             continue  # singular matrix annihilated this start; excluded
         assert naive == binary == ring, (
@@ -395,9 +390,9 @@ def check_engine_agreement(seed: int, cases: int):
 def check_rate_slope(expected_dps: float):
     """Digits per step of (2, 2) over t in [50, 150] within 5% of expected_dps."""
     params = Params(2, 2)
-    traj = recursion.iterate_linear(params, _ones(params), 150)
-    e50 = oracle.log10_error_bound(recursion.ratio(traj.states[50], 1), params, 160)
-    e150 = oracle.log10_error_bound(recursion.ratio(traj.states[150], 1), params, 160)
+    states = recursion.iterate_linear(params, (1, 1), 150)
+    e50 = oracle.log10_error_bound(recursion.ratio(states[50], 1), params, 160)
+    e150 = oracle.log10_error_bound(recursion.ratio(states[150], 1), params, 160)
     measured = (e50 - e150) / 100
     assert abs(measured - expected_dps) <= 0.05 * expected_dps, (
         f"measured {measured:.6f} digits/step vs predicted {expected_dps:.6f}"

@@ -1,7 +1,9 @@
 """Exact-arithmetic domain types shared by every other module.
 
 Arbitrary-precision integers are plain Python ``int``; reduced fractions are
-``fractions.Fraction`` (always canonical: positive denominator, gcd 1).
+``fractions.Fraction`` (always canonical: positive denominator, gcd 1). A
+state of the linear iteration is a plain tuple of n ints, entries listed top
+to bottom; :func:`check_state` is the one check of a start state.
 Everything here is immutable and hashable, so values can be shared freely
 between threads or processes.
 """
@@ -78,24 +80,17 @@ class Params:
             raise ValueError(f"radicand k must be an integer >= 1, got {self.k!r}")
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Exact integer state at time t, entries listed top to bottom."""
+def check_state(r0, n: int) -> tuple[int, ...]:
+    """A start state as a tuple of n ints, at least one of them nonzero.
 
-    entries: tuple[int, ...]
-    t: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if not self.entries:
-            raise ValueError("state vector must not be empty")
-        if all(e == 0 for e in self.entries):
-            raise ValueError("state vector must have at least one nonzero entry")
-        if self.t < 0:
-            raise ValueError(f"time index must be nonnegative, got {self.t}")
-
-    def __len__(self) -> int:
-        return len(self.entries)
+    An all-zero start is refused as such, whatever its length.
+    """
+    r0 = tuple(r0)
+    if not any(r0):
+        raise ValueError("state vector must have at least one nonzero entry")
+    if len(r0) != n:
+        raise ValueError(f"state length {len(r0)} != n={n}")
+    return r0
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from operator import add, sub
 
-from .core import Matrix, Params, StateVector, ZeroVector
+from .core import Matrix, Params, ZeroVector, check_state
 
 
 def companion_matrix(params: Params) -> Matrix:
@@ -173,21 +173,21 @@ def ring_pow_one_plus_x(params: Params, t: int) -> tuple[int, ...]:
     return tuple(c)
 
 
-def apply_power(params: Params, t: int, r0: StateVector) -> StateVector:
-    """Evolve r0 by t steps in one shot: M**t r0 via the quotient ring.
+def apply_power(params: Params, t: int, r0) -> tuple[int, ...]:
+    """Evolve the state r0 by t steps in one shot: M**t r0 via the quotient ring.
 
-    Entry i of a state corresponds to the coefficient of x**(i-1), so the
-    result is (1 + x)**t times the polynomial image of r0, mapped back.
+    r0 is any sequence of n ints, not all zero. Entry i of a state
+    corresponds to the coefficient of x**(i-1), so the result is (1 + x)**t
+    times the polynomial image of r0, read back as a tuple.
     Raises ZeroVector if the result vanishes (singular M, even n with k=1).
     """
-    if len(r0) != params.n:
-        raise ValueError(f"state length {len(r0)} != n={params.n}")
+    r0 = check_state(r0, params.n)
     if t < 0:
         raise ValueError(f"exponent must be nonnegative, got {t}")
-    pt = _mulmod(ring_pow_one_plus_x(params, t), r0.entries, params.k)
+    pt = _mulmod(ring_pow_one_plus_x(params, t), r0, params.k)
     if not any(pt):
         raise ZeroVector(t)
-    return StateVector(pt, t=t)
+    return pt
 
 
 def _to_power_basis(c) -> tuple[int, ...]:

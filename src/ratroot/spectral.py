@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DegenerateRate, IllConditioned, Params, StateVector
+from .core import DegenerateRate, IllConditioned, Params, check_state
 
 _SNAP = 1e-13  # relative threshold below which a float component is rounding noise
 
@@ -36,19 +36,17 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """All n eigenpairs, the dominant index, and the convergence ratio.
+    """All n eigenpairs, dominant (j = 0) first, and the convergence ratio.
 
     ``rate`` is (second-largest modulus) / (dominant modulus), in [0, 1).
     """
 
-    params: Params
     pairs: tuple[EigenPair, ...]
-    dominant_index: int
     rate: float
 
     @property
     def dominant(self) -> EigenPair:
-        return self.pairs[self.dominant_index]
+        return self.pairs[0]
 
 
 @dataclass(frozen=True)
@@ -135,7 +133,7 @@ def eigenvalues(params: Params) -> SpectralData:
         EigenPair(value, tuple(base ** (n - 1 - i) for i in range(n)))
         for base, value in zip(bases, values)
     )
-    return SpectralData(params, pairs, 0, rate)
+    return SpectralData(pairs, rate)
 
 
 def convergence_rate(params: Params) -> tuple[float, float]:
@@ -155,17 +153,17 @@ def _solve(pairs: tuple[EigenPair, ...], b) -> list[complex]:
     return [sum(bi / vi for bi, vi in zip(b, p.vector)) / len(b) for p in pairs]
 
 
-def decompose(params: Params, r0: StateVector) -> Decomposition:
+def decompose(params: Params, r0) -> Decomposition:
     """Solve V c = r0, where V's columns are the eigenvectors.
 
-    The closed-form c gets one refinement step; without it the residual for
-    r0 = (1, ..., n) at (9, 10**6) is 1.4e-9. Raises IllConditioned (with
-    cond_2(V)) if c cannot reconstruct r0 to the residual bound.
+    r0 is any sequence of n ints, not all zero. The closed-form c gets one
+    refinement step; without it the residual for r0 = (1, ..., n) at
+    (9, 10**6) is 1.4e-9. Raises IllConditioned (with cond_2(V)) if c cannot
+    reconstruct r0 to the residual bound.
     """
-    if len(r0) != params.n:
-        raise ValueError(f"state length {len(r0)} != n={params.n}")
+    r0 = check_state(r0, params.n)
     data = eigenvalues(params)
-    b = [float(e) for e in r0.entries]
+    b = [float(e) for e in r0]
     c = _solve(data.pairs, b)
     rec = Decomposition(tuple(c), data).reconstruct()
     step = _solve(data.pairs, [bi - ri for bi, ri in zip(b, rec)])

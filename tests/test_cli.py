@@ -27,7 +27,7 @@ from ratroot.cli import (
     format_int,
     main,
 )
-from ratroot.core import NonConvergence, Params, StateVector
+from ratroot.core import NonConvergence, Params
 from ratroot.engine import apply_power
 from ratroot.recursion import ratio
 
@@ -232,7 +232,7 @@ def test_approx_reduces_only_the_certified_attempt(capsys, monkeypatch):
     reduced = []
 
     def counting_ratio(state, i=1):
-        reduced.append(state.t)
+        reduced.append(state)
         return true_ratio(state, i)
 
     monkeypatch.setattr(recursion, "ratio", counting_ratio)
@@ -241,11 +241,11 @@ def test_approx_reduces_only_the_certified_attempt(capsys, monkeypatch):
     )
     assert rc == 0, err
     assert json.loads(out)["meta"]["t_used"] == "29434"
-    assert reduced == [29434]
+    assert reduced == [apply_power(Params(2, 9366), 29434, (1, 1))]
 
 
 def test_approx_zero_denominator_is_domain_error(capsys, monkeypatch):
-    monkeypatch.setattr(engine, "apply_power", lambda params, t, r0: StateVector((1, 0), t=t))
+    monkeypatch.setattr(engine, "apply_power", lambda params, t, r0: (1, 0))
     rc, out, err = run_cli(capsys, "approx", "--n", "2", "--k", "2", "--digits", "5")
     assert rc == 2 and out == ""
     assert "ratio 1/2 is undefined" in err, err
@@ -403,6 +403,18 @@ def test_cli_exit_codes(capsys):
         "--start=-1", "--steps", "2",
     )
     assert rc == 2 and "pole" in err
+    # usage: all-zero linear start
+    rc, out, err = run_cli(
+        capsys, "trace", "--mode", "linear", "--n", "2", "--k", "2", "--start", "0,0"
+    )
+    assert rc == 1 and out == ""
+    assert "nonzero entry" in err, err
+    # usage: linear start of the wrong length
+    rc, out, err = run_cli(
+        capsys, "trace", "--mode", "linear", "--n", "3", "--k", "2", "--start", "1,1"
+    )
+    assert rc == 1 and out == ""
+    assert "state length" in err, err
     # non-convergence ceiling
     rc, _, err = run_cli(
         capsys, "approx", "--n", "3", "--k", "2", "--digits", "30", "--max-t", "10"
@@ -504,7 +516,7 @@ def test_table_jumps_to_large_t0(capsys, default_int_str_limit):
     obj = json.loads(out)
     assert json.dumps(obj, indent=2) + "\n" == out
     assert [row[0] for row in obj["rows"]] == ["20000", "20001", "20002"]
-    params, ones = Params(2, 2), StateVector((1, 1))
+    params, ones = Params(2, 2), (1, 1)
     with _int_str_limit_set(0):
         for row in obj["rows"]:
             t = int(row[0])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ratroot.core import Matrix, Params, StateVector
+from ratroot.core import Matrix, Params, check_state
 
 
 def test_params_accepts_valid_instances():
@@ -32,23 +32,22 @@ def test_params_is_hashable_value_type():
 
 
 def test_state_vector_basics():
-    s = StateVector([1, 1], t=0)
-    assert s.entries == (1, 1)
-    assert len(s) == 2
-    assert s.t == 0
+    s = check_state([1, 1], 2)
+    assert s == (1, 1)
+    assert type(s) is tuple
 
 
 def test_state_vector_rejects_degenerate_inputs():
-    with pytest.raises(ValueError):
-        StateVector(())
-    with pytest.raises(ValueError):
-        StateVector((0, 0, 0))
-    with pytest.raises(ValueError):
-        StateVector((1, 1), t=-1)
+    with pytest.raises(ValueError, match="nonzero entry"):
+        check_state((), 2)
+    with pytest.raises(ValueError, match="nonzero entry"):
+        check_state((0, 0, 0), 3)
+    with pytest.raises(ValueError, match=r"state length 2 != n=3"):
+        check_state((1, 1), 3)
 
 
 def test_state_vector_allows_partial_zeros():
-    assert StateVector((0, 5)).entries == (0, 5)
+    assert check_state((0, 5), 2) == (0, 5)
 
 
 # Reduced fractions are the workhorse value type; pin down the canonical-form

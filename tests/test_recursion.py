@@ -1,38 +1,37 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ratroot.core import DivisionByZero, Params, PoleEncountered, StateVector, ZeroVector
+from ratroot.core import DivisionByZero, Params, PoleEncountered, ZeroVector
 from ratroot.engine import apply_power
 from ratroot.oracle import digits_of_accuracy, nth_root_bracket
 from ratroot.recursion import iterate_linear, iterate_scalar_map, ratio
 
 
 def ones(n):
-    return StateVector((1,) * n)
+    return (1,) * n
 
 
 def test_iterate_linear_reproduces_the_opening_table():
-    traj = iterate_linear(Params(2, 2), ones(2), 5)
-    assert [s.entries for s in traj.states] == [
+    states = iterate_linear(Params(2, 2), ones(2), 5)
+    assert states == (
         (1, 1), (3, 2), (7, 5), (17, 12), (41, 29), (99, 70),
-    ]
-    assert [s.t for s in traj.states] == [0, 1, 2, 3, 4, 5]
+    )
+    assert len(states) == 6
 
 
 def test_iterate_linear_zero_vector_abort():
     with pytest.raises(ZeroVector) as exc:
-        iterate_linear(Params(2, 1), StateVector((-1, 1)), 1)
+        iterate_linear(Params(2, 1), (-1, 1), 1)
     assert exc.value.t == 1
 
 
 def test_iterate_linear_zero_steps():
-    traj = iterate_linear(Params(3, 4), StateVector((2, 0, -1)), 0)
-    assert len(traj.states) == 1
-    assert traj.states[0].entries == (2, 0, -1)
-    assert traj.origin == traj.states[0]
+    states = iterate_linear(Params(3, 4), [2, 0, -1], 0)
+    assert len(states) == 1
+    assert states[0] == (2, 0, -1)
 
 
 def test_iterate_linear_validates_inputs():
@@ -45,38 +44,56 @@ def test_iterate_linear_validates_inputs():
 @given(
     st.builds(Params, st.integers(2, 5), st.integers(1, 12)),
     st.integers(0, 25),
+    st.one_of(st.just(ones(5)), st.tuples(*[st.integers(-9, 9)] * 5)),
 )
-@settings(max_examples=50, deadline=None)
-def test_iterate_linear_matches_one_shot_power(params, t_max):
-    traj = iterate_linear(params, ones(params.n), t_max)
+@example(Params(2, 1), 3, (-1, 1, 0, 0, 0))
+@example(Params(4, 1), 5, (-1, 1, -1, 1, 0))
+@example(Params(3, 2), 25, (2, 0, -1, 0, 0))
+@settings(max_examples=80, deadline=None)
+def test_iterate_linear_matches_one_shot_power(params, t_max, entries):
+    # the first n drawn entries are the start: all ones, or any nonzero
+    # start in -9..9 (zeros included)
+    r0 = entries[: params.n]
+    assume(any(r0))
+    try:
+        states = iterate_linear(params, r0, t_max)
+    except ZeroVector as exc:
+        # the singular case (even n, k = 1): the one-shot power vanishes at
+        # the same step and not one step earlier
+        z = exc.t
+        with pytest.raises(ZeroVector) as one_shot:
+            apply_power(params, z, r0)
+        assert one_shot.value.t == z
+        assert any(apply_power(params, z - 1, r0))
+        return
     for t in (0, t_max // 2, t_max):
-        assert traj.states[t] == apply_power(params, t, ones(params.n))
+        assert states[t] == apply_power(params, t, r0)
 
 
 def test_ratio_examples():
-    assert ratio(StateVector((99, 70)), 1) == Fraction(99, 70)
-    assert ratio(StateVector((3, 2, 2)), 2) == Fraction(1, 1)
-    state = StateVector((7, 5, 4))
+    assert ratio((99, 70), 1) == Fraction(99, 70)
+    assert ratio((3, 2, 2), 2) == Fraction(1, 1)
+    state = (7, 5, 4)
     assert ratio(state, 1) == Fraction(7, 5)
     assert ratio(state, 2) == Fraction(5, 4)
 
 
 def test_ratio_is_reduced():
-    assert ratio(StateVector((6, 4)), 1) == Fraction(3, 2)
-    f = ratio(StateVector((-6, 4)), 1)
+    assert ratio((6, 4), 1) == Fraction(3, 2)
+    f = ratio([-6, 4], 1)
     assert (f.numerator, f.denominator) == (-3, 2)
 
 
 def test_ratio_division_by_zero_reports_context():
     with pytest.raises(DivisionByZero) as exc:
-        ratio(StateVector((5, 0), t=3), 1)
+        ratio((5, 0), 1)
+    assert exc.value.entries == (5, 0)
     assert exc.value.index == 1
-    assert exc.value.t == 3
-    assert "t=3" in str(exc.value)
+    assert "entry 2 of state (5, 0) is zero" in str(exc.value)
 
 
 def test_ratio_index_bounds():
-    state = StateVector((1, 2, 3))
+    state = (1, 2, 3)
     with pytest.raises(ValueError):
         ratio(state, 0)
     with pytest.raises(ValueError):
@@ -84,18 +101,18 @@ def test_ratio_index_bounds():
 
 
 def test_scalar_map_reproduces_square_root_ratios():
-    st_ = iterate_scalar_map(Params(2, 2), Fraction(1), 2)
-    assert list(st_.ratios) == [Fraction(1), Fraction(3, 2), Fraction(7, 5)]
+    ratios = iterate_scalar_map(Params(2, 2), Fraction(1), 2)
+    assert ratios == (Fraction(1), Fraction(3, 2), Fraction(7, 5))
 
 
 def test_scalar_map_fixed_point():
-    st_ = iterate_scalar_map(Params(2, 4), Fraction(2), 5)
-    assert all(r == 2 for r in st_.ratios)
+    ratios = iterate_scalar_map(Params(2, 4), Fraction(2), 5)
+    assert all(r == 2 for r in ratios)
 
 
 def test_scalar_map_cube_root_example():
-    st_ = iterate_scalar_map(Params(3, 2), Fraction(1), 2)
-    assert list(st_.ratios) == [Fraction(1), Fraction(3, 2), Fraction(14, 13)]
+    ratios = iterate_scalar_map(Params(3, 2), Fraction(1), 2)
+    assert ratios == (Fraction(1), Fraction(3, 2), Fraction(14, 13))
 
 
 def test_scalar_map_pole():
@@ -107,8 +124,8 @@ def test_scalar_map_pole():
 
 def test_scalar_map_no_pole_for_odd_n():
     # r**(n-1) + 1 > 0 whenever n - 1 is even, so any start is safe
-    st_ = iterate_scalar_map(Params(3, 2), Fraction(-1), 4)
-    assert len(st_.ratios) == 5
+    ratios = iterate_scalar_map(Params(3, 2), Fraction(-1), 4)
+    assert len(ratios) == 5
 
 
 def test_scalar_map_validates_steps():
@@ -130,35 +147,34 @@ def test_square_root_case_scalar_equals_linear_ratios(num, den, k, steps):
         scal = iterate_scalar_map(params, Fraction(num, den), steps)
     except PoleEncountered as exc:
         # the linear side must hit the matching undefined ratio one step later
-        start = StateVector((num, den))
         try:
-            traj = iterate_linear(params, start, exc.t + 1)
+            states = iterate_linear(params, (num, den), exc.t + 1)
         except ZeroVector as zv:
             assert zv.t == exc.t + 1
             return
         with pytest.raises(DivisionByZero):
-            ratio(traj.states[exc.t + 1], 1)
+            ratio(states[exc.t + 1], 1)
         return
-    traj = iterate_linear(params, StateVector((num, den)), steps)
-    for t, r in enumerate(scal.ratios):
-        assert ratio(traj.states[t], 1) == r
+    states = iterate_linear(params, (num, den), steps)
+    for t, r in enumerate(scal):
+        assert ratio(states[t], 1) == r
 
 
 def test_higher_order_systems_differ():
     # same limit, different trajectories: the two systems must not be conflated
     scal = iterate_scalar_map(Params(3, 2), Fraction(1), 2)
-    traj = iterate_linear(Params(3, 2), ones(3), 2)
-    assert scal.ratios[2] == Fraction(14, 13)
-    assert ratio(traj.states[2], 1) == Fraction(7, 5)
-    assert scal.ratios[2] != ratio(traj.states[2], 1)
+    states = iterate_linear(Params(3, 2), ones(3), 2)
+    assert scal[2] == Fraction(14, 13)
+    assert ratio(states[2], 1) == Fraction(7, 5)
+    assert scal[2] != ratio(states[2], 1)
 
 
 @given(st.integers(1, 9), st.integers(2, 5))
 @settings(max_examples=40, deadline=None)
 def test_scalar_map_fixes_exact_roots(m, n):
     params = Params(n, m**n)
-    st_ = iterate_scalar_map(params, Fraction(m), 3)
-    assert all(r == m for r in st_.ratios)
+    ratios = iterate_scalar_map(params, Fraction(m), 3)
+    assert all(r == m for r in ratios)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 10, 17])
@@ -167,8 +183,8 @@ def test_digits_monotone_for_square_roots(k, start):
     # real subdominant eigenvalue: error decays monotonically, so certified
     # digits never drop once past a short burn-in
     params = Params(2, k)
-    traj = iterate_linear(params, StateVector(start), 90)
-    digits = [digits_of_accuracy(ratio(s, 1), params, 75) for s in traj.states[10:]]
+    states = iterate_linear(params, start, 90)
+    digits = [digits_of_accuracy(ratio(s, 1), params, 75) for s in states[10:]]
     assert digits == sorted(digits)
 
 
@@ -177,8 +193,8 @@ def test_digits_monotone_with_stride_for_higher_roots(n, k):
     # complex subdominant pairs oscillate, so single-step dips of a few
     # digits occur; over a 30-step stride the trend always wins
     params = Params(n, k)
-    traj = iterate_linear(params, ones(n), 150)
-    digits = [digits_of_accuracy(ratio(s, 1), params, 75) for s in traj.states]
+    states = iterate_linear(params, ones(n), 150)
+    digits = [digits_of_accuracy(ratio(s, 1), params, 75) for s in states]
     for t in range(10, 121):
         assert digits[t + 30] >= digits[t], (t, digits[t], digits[t + 30])
 
@@ -190,7 +206,7 @@ def test_sign_basin_prefers_positive_root(k):
     params = Params(2, k)
     neg_mid = -nth_root_bracket(params, 30).midpoint
     for start in [(-41, 29), (-50, 35), (7, -5), (-1, 1), (-49, -50)]:
-        traj = iterate_linear(params, StateVector(start), 120)
-        assert digits_of_accuracy(ratio(traj.states[120], 1), params, 20) == 20
+        states = iterate_linear(params, start, 120)
+        assert digits_of_accuracy(ratio(states[120], 1), params, 20) == 20
         for t in range(50, 121):
-            assert abs(ratio(traj.states[t], 1) - neg_mid) > 1
+            assert abs(ratio(states[t], 1) - neg_mid) > 1

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from ratroot.core import DegenerateRate, IllConditioned, Params, StateVector
+from ratroot.core import DegenerateRate, IllConditioned, Params
 from ratroot.engine import apply_power, companion_matrix
 from ratroot.oracle import log10_error_bound
 from ratroot.recursion import iterate_linear, ratio
@@ -138,15 +138,15 @@ def test_convergence_rate_matches_measured_error_decay():
     # geometric-mean per-step error shrinkage of a 200-step trajectory
     params = Params(3, 2)
     rho, _ = convergence_rate(params)
-    traj = iterate_linear(params, StateVector((1, 1, 1)), 200)
-    e50 = log10_error_bound(ratio(traj.states[50], 1), params, 90)
-    e150 = log10_error_bound(ratio(traj.states[150], 1), params, 90)
+    states = iterate_linear(params, (1, 1, 1), 200)
+    e50 = log10_error_bound(ratio(states[50], 1), params, 90)
+    e150 = log10_error_bound(ratio(states[150], 1), params, 90)
     measured = 10 ** ((e150 - e50) / 100)
     assert abs(measured - rho) <= 0.10 * rho
 
 
 def test_decompose_unit_start():
-    dec = decompose(Params(2, 2), StateVector((1, 1)))
+    dec = decompose(Params(2, 2), (1, 1))
     c = dec.coefficients
     assert c[0].real == pytest.approx(0.8535533905932737, abs=1e-9)
     assert c[1].real == pytest.approx(0.1464466094067262, abs=1e-9)
@@ -158,7 +158,7 @@ def test_decompose_near_dominant_eigenvector():
     # decomposes into essentially that eigenvector alone
     params = Params(2, 2)
     scale = 10**8
-    r0 = StateVector((round(math.sqrt(2) * scale), scale))
+    r0 = (round(math.sqrt(2) * scale), scale)
     c = decompose(params, r0).coefficients
     assert abs(c[1]) / abs(c[0]) < 1e-6
 
@@ -167,22 +167,22 @@ def test_decompose_reconstruction_residual():
     for n in range(2, 7):
         for k in (1, 2, 11, 20):
             params = Params(n, k)
-            r0 = StateVector(tuple(range(1, n + 1)))
+            r0 = tuple(range(1, n + 1))
             dec = decompose(params, r0)
             rec = dec.reconstruct()
-            residual = max(abs(rec[i] - r0.entries[i]) for i in range(n))
+            residual = max(abs(rec[i] - r0[i]) for i in range(n))
             assert residual < 1e-9
 
 
 def test_decompose_validates_length():
     with pytest.raises(ValueError):
-        decompose(Params(3, 2), StateVector((1, 1)))
+        decompose(Params(3, 2), (1, 1))
 
 
 def test_decompose_residual_gate_can_trip(monkeypatch):
     monkeypatch.setattr(spectral, "RESIDUAL_BOUND", 1e-22)
     with pytest.raises(IllConditioned) as exc:
-        decompose(Params(6, 19), StateVector((1, 1, 1, 1, 1, 1)))
+        decompose(Params(6, 19), (1, 1, 1, 1, 1, 1))
     assert exc.value.cond > 1
 
 
@@ -190,9 +190,9 @@ def test_prediction_matches_exact_trajectory():
     # float forecast of the exact integer states, relative error < 1e-6
     for n, k in [(2, 2), (2, 20), (3, 2), (4, 7), (5, 20)]:
         params = Params(n, k)
-        dec = decompose(params, StateVector((1,) * n))
+        dec = decompose(params, (1,) * n)
         for t in (1, 5, 17, 30):
-            exact = apply_power(params, t, StateVector((1,) * n)).entries
+            exact = apply_power(params, t, (1,) * n)
             predicted = dec.predict(t)
             for i in range(n):
                 rel = abs(predicted[i].real - exact[i]) / abs(exact[i])
@@ -200,7 +200,7 @@ def test_prediction_matches_exact_trajectory():
 
 
 def test_prediction_of_opening_table_row():
-    dec = decompose(Params(2, 2), StateVector((1, 1)))
+    dec = decompose(Params(2, 2), (1, 1))
     predicted = dec.predict(5)
     assert abs(predicted[0].real - 99) / 99 < 1e-6
     assert abs(predicted[1].real - 70) / 70 < 1e-6

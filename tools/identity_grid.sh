@@ -8,8 +8,10 @@
 # CHECKOUT defaults to the repository holding this script; ratroot is
 # imported from its src/. The grid is 224 commands (n 2-8, k in 1 2 7 1000,
 # eight command forms), then every --help, selftest, five heavy commands
-# whose integers pass the 2**15-bit rendering cutover and two --fib chains
-# at n 16 and 33: 239 commands in all. It takes about a minute.
+# whose integers pass the 2**15-bit rendering cutover, two --fib chains
+# at n 16 and 33, the last ratio index of three tables, and six traces
+# from explicit starts (three of them refused): 247 commands in all. It
+# takes about a minute.
 root=${1:-$(dirname "$0")/..}
 run() {
     echo "### $*"
@@ -39,3 +41,11 @@ run table --n 2 --k 2 --t0 100000 --t1 100002
 for n in 16 33; do
     run chpow --fib 15 --format csv --n $n --k 50
 done
+for n in 3 5 8; do
+    run table --k 7 --t1 40 --index $((n-1)) --format csv --n $n
+done
+run trace --mode linear --n 3 --k 2 --start 2,0,-1 --steps 25 --format csv
+run trace --mode linear --n 2 --k 1 --start=-1,1 --steps 3
+run trace --mode linear --n 2 --k 2 --start 0,0
+run trace --mode linear --n 3 --k 2 --start 1,1
+run trace --mode scalar --n 3 --k 2 --start 3/7 --steps 5 --format json
