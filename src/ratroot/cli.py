@@ -14,6 +14,12 @@ pole, undefined ratio, ``eig`` past the float range), 3 non-convergence or
 self-test failure. Every command is byte-deterministic: the same argv gives
 the same stdout and exit code.
 
+``approx`` and ``table`` print each convergent as a reduced pair (p, q),
+and the row formatters take that pair. For n = 2 it comes reduced from the
+engine (``engine.reduced_pow_one_plus_x`` and its step), so no gcd of
+full-size entries runs and no ``Fraction`` is built; for n >= 3
+``recursion.ratio`` reduces it.
+
 Every integer in a fraction, decimal, ``chpow`` or ``trace`` cell is
 rendered by ``format_int``, which equals ``str``. Up to ``INT_STR_CUTOVER``
 bits it is ``str``, quadratic in CPython 3.11; above it the integer is split
@@ -42,7 +48,6 @@ from pathlib import Path
 
 from . import engine, oracle, recursion, spectral
 from .core import (
-    DegenerateRate,
     DivisionByZero,
     Matrix,
     NonConvergence,
@@ -106,15 +111,15 @@ def format_int(n: int) -> str:
     return "-" + digits if n < 0 else digits
 
 
-def format_fraction(f: Fraction) -> str:
-    return f"{format_int(f.numerator)}/{format_int(f.denominator)}"
+def format_fraction(p: int, q: int) -> str:
+    """p/q as written; the pair is not reduced here."""
+    return f"{format_int(p)}/{format_int(q)}"
 
 
-def format_decimal(f: Fraction, places: int) -> str:
-    """Exact decimal expansion, truncated (not rounded) toward zero."""
+def format_decimal(p: int, q: int, places: int) -> str:
+    """Exact decimal expansion of p/q, q > 0, truncated (not rounded) toward zero."""
     if places < 0:
         raise ValueError(f"places must be nonnegative, got {places}")
-    p, q = f.numerator, f.denominator
     sign = "-" if p < 0 else ""
     digits = format_int(abs(p) * 10**places // q).zfill(places + 1)
     if places == 0:
@@ -122,9 +127,9 @@ def format_decimal(f: Fraction, places: int) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
-def _convergent_row(t: int, frac: Fraction, places: int, digits: int) -> list[str]:
-    """One CONVERGENT_COLUMNS row: step, reduced fraction, truncated decimal, certified digits."""
-    return [str(t), format_fraction(frac), format_decimal(frac, places), str(digits)]
+def _convergent_row(t: int, p: int, q: int, places: int, digits: int) -> list[str]:
+    """One CONVERGENT_COLUMNS row: step, reduced pair p/q, truncated decimal, certified digits."""
+    return [str(t), format_fraction(p, q), format_decimal(p, q, places), str(digits)]
 
 
 @dataclass
@@ -181,20 +186,30 @@ def build_table(params: Params, t0: int, t1: int, index: int) -> OutputRecord:
     """Rows (t, reduced fraction, 6-place decimal, certified digits).
 
     Jumps to t0 in one shot, then takes one O(n) step of M per row, so only
-    the current state is held.
+    the current state is held. For n = 2 the state is the reduced pair
+    itself (the engine's reduced route); for n >= 3 each row's ratio is
+    reduced by ``recursion.ratio``.
     """
     if not 0 <= t0 <= t1:
         raise ValueError(f"need 0 <= t0 <= t1, got t0={t0}, t1={t1}")
     if not 1 <= index <= params.n - 1:
         raise ValueError(f"ratio index must be in 1..{params.n - 1}, got {index}")
-    entries = engine.apply_power(params, t0, (1,) * params.n)
+    k = params.k
+    if params.n == 2:
+        state, step = engine.reduced_pow_one_plus_x(k, t0 + 1), engine.reduced_step_one_plus_x
+    else:
+        state, step = engine.apply_power(params, t0, (1,) * params.n), engine.step_one_plus_x
     rows = []
     for t in range(t0, t1 + 1):
         if t > t0:
-            entries = engine.step_one_plus_x(entries, params.k)
-        frac = recursion.ratio(entries, index)
-        digits = oracle.digits_of_accuracy(frac, params, TABLE_DIGITS_CAP)
-        rows.append(_convergent_row(t, frac, TABLE_DECIMAL_PLACES, digits))
+            state = step(state, k)
+        if params.n == 2:
+            p, q = state  # already reduced
+        else:
+            frac = recursion.ratio(state, index)
+            p, q = frac.numerator, frac.denominator
+        digits = oracle.digits_of_ratio(p, q, params, TABLE_DIGITS_CAP)
+        rows.append(_convergent_row(t, p, q, TABLE_DECIMAL_PLACES, digits))
     meta = {
         "n": str(params.n),
         "k": str(params.k),
@@ -221,34 +236,33 @@ def build_trace_linear(params: Params, start: tuple[int, ...], steps: int) -> Ou
 
 def build_trace_scalar(params: Params, r0: Fraction, steps: int) -> OutputRecord:
     ratios = recursion.iterate_scalar_map(params, r0, steps)
-    rows = [[str(t), format_fraction(r)] for t, r in enumerate(ratios)]
+    rows = [[str(t), format_fraction(r.numerator, r.denominator)] for t, r in enumerate(ratios)]
     meta = {
         "mode": "scalar",
         "n": str(params.n),
         "k": str(params.k),
-        "start": format_fraction(Fraction(r0)),
+        "start": format_fraction(ratios[0].numerator, ratios[0].denominator),
         "steps": str(steps),
     }
     return OutputRecord("trace", meta, ["t", "ratio"], rows)
 
 
 def build_eig(params: Params) -> OutputRecord:
-    """The n eigenvalues, dominant (j = 0) first, in O(n): no eigenvector is built."""
-    values = spectral.spectrum(params)[1]
+    """The n eigenvalues, dominant (j = 0) first, in O(n): no eigenvector is built.
+
+    The rate comes from the same eigenvalues, so ``eig`` answers whenever
+    r = k**(1/n) fits a float, even where the eigenvectors would not.
+    """
+    _, values, rho = spectral.spectrum(params)
     meta = {
         "n": str(params.n),
         "k": str(params.k),
         "dominant_index": "0",
     }
-    try:
-        rho, dps = spectral.convergence_rate(params)
-        meta["rho"] = repr(rho)
-        meta["digits_per_step"] = repr(dps)
-        meta["degenerate"] = "false"
-    except DegenerateRate:
-        meta["rho"] = repr(0.0)
-        meta["digits_per_step"] = "inf"
-        meta["degenerate"] = "true"
+    if rho == 0.0:  # n = 2, k = 1: convergence is a single exact step
+        meta.update(rho=repr(0.0), digits_per_step="inf", degenerate="true")
+    else:
+        meta.update(rho=repr(rho), digits_per_step=repr(-math.log10(rho)), degenerate="false")
     rows = [
         [str(j), repr(v.real), repr(v.imag), repr(abs(v)), "true" if j == 0 else "false"]
         for j, v in enumerate(values)
@@ -286,7 +300,10 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
     or whose k**((n-1)/n) overflows a float, or a target whose step count
     passes the float range: no starting t can be chosen there.
 
-    Each attempt is certified on its unreduced entry pair, which has the
+    For n = 2 each attempt's pair comes out reduced from the engine
+    (``engine.reduced_pow_one_plus_x``, of exponent t + 1 since the
+    all-ones start is 1 + x), so no full-size gcd runs. For n >= 3 each
+    attempt is certified on its unreduced entry pair, which has the
     certificate of the reduced fraction; only the attempt that certifies
     is reduced.
     """
@@ -299,8 +316,8 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
     }
     root = oracle.integer_nth_root(params.k, params.n)
     if root**params.n == params.k:
-        t, frac = 0, Fraction(root)
-        achieved = oracle.digits_of_accuracy(frac, params, target_digits)
+        t, p, q = 0, root, 1
+        achieved = oracle.digits_of_ratio(p, q, params, target_digits)
         meta["exact"] = "true"
     else:
         try:
@@ -323,18 +340,23 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
                 raise NonConvergence(
                     f"needed t={t} exceeds ceiling {max_t} for {target_digits} digits"
                 )
-            state = engine.apply_power(params, t, (1,) * params.n)
-            p, q = state[0], state[1]
-            if q == 0:
-                raise DivisionByZero(state, 1, t=t)
+            if params.n == 2:
+                p, q = engine.reduced_pow_one_plus_x(params.k, t + 1)
+            else:
+                state = engine.apply_power(params, t, (1,) * params.n)
+                p, q = state[0], state[1]
+                if q == 0:
+                    raise DivisionByZero(state, 1, t=t)
             achieved = oracle.digits_of_ratio(p, q, params, target_digits)
             if achieved >= target_digits:
                 break
             t *= 2
-        frac = recursion.ratio(state, 1)
+        if params.n > 2:
+            frac = recursion.ratio(state, 1)
+            p, q = frac.numerator, frac.denominator
         meta.update({"exact": "false", "rho": repr(rho), "digits_per_step": repr(dps)})
     meta.update({"t_used": str(t), "achieved": str(achieved)})
-    rows = [_convergent_row(t, frac, target_digits, achieved)]
+    rows = [_convergent_row(t, p, q, target_digits, achieved)]
     return OutputRecord("approx", meta, list(CONVERGENT_COLUMNS), rows)
 
 
@@ -363,7 +385,13 @@ def check_cayley_hamilton(n_max: int):
 
 
 def check_engine_agreement(seed: int, cases: int):
-    """Naive, binary and ring powers agree exactly on random (n, k, t, r0)."""
+    """Naive, binary and ring powers agree exactly on random (n, k, t, r0).
+
+    For n = 2 the reduced route is also checked against the naive
+    M**t (1, 1), both as ``approx`` takes it (the ladder to exponent t + 1)
+    and as ``table`` does (t reduced steps from 1 + x): each pair must be
+    proportional, coprime, and have a positive denominator.
+    """
     rng = random.Random(seed)
     done = 0
     while done < cases:
@@ -376,7 +404,8 @@ def check_engine_agreement(seed: int, cases: int):
         params = Params(n, k)
         m = engine.companion_matrix(params)
         try:
-            naive = engine.mat_pow(m, t, method="naive").apply(entries)  # trusted reference
+            naive_power = engine.mat_pow(m, t, method="naive")  # trusted reference
+            naive = naive_power.apply(entries)
             binary = engine.mat_pow(m, t, method="binary").apply(entries)
             ring = engine.apply_power(params, t, entries)
         except ZeroVector:
@@ -384,6 +413,15 @@ def check_engine_agreement(seed: int, cases: int):
         assert naive == binary == ring, (
             f"engines disagree at n={n}, k={k}, t={t}, r0={entries}"
         )
+        if n == 2:
+            ref = naive_power.apply((1, 1))
+            walked = (1, 1)
+            for _ in range(t):
+                walked = engine.reduced_step_one_plus_x(walked, k)
+            for p, q in (engine.reduced_pow_one_plus_x(k, t + 1), walked):
+                assert p * ref[1] == q * ref[0] and math.gcd(p, q) == 1 and q > 0, (
+                    f"reduced pair {p}/{q} is not M**{t} (1, 1) = {ref} reduced at k={k}"
+                )
         done += 1
 
 

@@ -71,11 +71,18 @@ class Decomposition:
         return tuple(out)
 
 
+def _past_float_range(params: Params) -> OverflowError:
+    return OverflowError(
+        f"k**((n-1)/n) is past the floating-point range "
+        f"(n={params.n}, k of {params.k.bit_length()} bits)"
+    )
+
+
 def _real_root(params: Params) -> float:
     """k**(1/n) as a float, exact when k is a perfect n-th power.
 
     exp(log(k) / n) stands in when k itself is past the float range. Raises
-    OverflowError when r**(n-1), the largest eigenvector entry, is too.
+    OverflowError when r is too (then so is r**(n-1)).
     """
     n, k = params.n, params.k
     try:
@@ -83,15 +90,24 @@ def _real_root(params: Params) -> float:
             r = k ** (1.0 / n)
         except OverflowError:
             r = math.exp(math.log(k) / n)
-        r ** (n - 1)  # the largest eigenvector entry; raises if it overflows
     except OverflowError:
-        raise OverflowError(
-            f"k**((n-1)/n) is past the floating-point range (n={n}, k of {k.bit_length()} bits)"
-        ) from None
+        raise _past_float_range(params) from None
     ri = round(r)
     if ri**params.n == params.k:
         return float(ri)
     return r
+
+
+def _largest_entry(params: Params) -> float:
+    """r**(n-1): the largest eigenvector entry, and cond_2(V).
+
+    Raises OverflowError when it is past the float range. The eigenvalues
+    need only r, so :func:`spectrum` does not call this.
+    """
+    try:
+        return _real_root(params) ** (params.n - 1)
+    except OverflowError:
+        raise _past_float_range(params) from None
 
 
 def _snap_component(x: float, scale: float) -> float:
@@ -128,6 +144,7 @@ def eigenvalues(params: Params) -> SpectralData:
     (k**(1/n) * exp(2*pi*i*j/n))**(n-1-i); j = 0 is the dominant pair.
     """
     n = params.n
+    _largest_entry(params)
     bases, values, rate = spectrum(params)
     pairs = tuple(
         EigenPair(value, tuple(base ** (n - 1 - i) for i in range(n)))
@@ -141,7 +158,11 @@ def convergence_rate(params: Params) -> tuple[float, float]:
 
     Takes the n eigenvalues alone, in O(n). Raises DegenerateRate when
     rho = 0 (n = 2, k = 1), where convergence is a single exact step.
+    Raises OverflowError, like :func:`eigenvalues`, when r**(n-1) is past
+    the float range: ``approx`` refuses such (n, k), whose powers it has
+    no size bound for.
     """
+    _largest_entry(params)
     rho = spectrum(params)[2]
     if rho == 0.0:
         raise DegenerateRate(f"all subdominant eigenvalues vanish for {params}")
@@ -170,5 +191,5 @@ def decompose(params: Params, r0) -> Decomposition:
     dec = Decomposition(tuple(ci + di for ci, di in zip(c, step)), data)
     residual = max(abs(ri - bi) for ri, bi in zip(dec.reconstruct(), b))
     if not residual < RESIDUAL_BOUND:
-        raise IllConditioned(residual, _real_root(params) ** (params.n - 1))
+        raise IllConditioned(residual, _largest_entry(params))
     return dec

@@ -41,11 +41,11 @@ def run_cli(capsys, *argv):
 
 
 def test_format_decimal_truncates_toward_zero():
-    assert format_decimal(Fraction(17, 12), 6) == "1.416666"
-    assert format_decimal(Fraction(-17, 12), 6) == "-1.416666"
-    assert format_decimal(Fraction(99, 70), 6) == "1.414285"
-    assert format_decimal(Fraction(3), 4) == "3.0000"
-    assert format_decimal(Fraction(7, 2), 0) == "3"
+    assert format_decimal(17, 12, 6) == "1.416666"
+    assert format_decimal(-17, 12, 6) == "-1.416666"
+    assert format_decimal(99, 70, 6) == "1.414285"
+    assert format_decimal(3, 1, 4) == "3.0000"
+    assert format_decimal(7, 2, 0) == "3"
 
 
 @given(
@@ -55,13 +55,13 @@ def test_format_decimal_truncates_toward_zero():
 )
 @settings(max_examples=300)
 def test_format_decimal_matches_long_division(num, den, places):
-    f = Fraction(num, den)
-    assert format_decimal(f, places) == loop_format_decimal(f, places)
+    # the pair need not be reduced: the expansion is of the value num/den
+    assert format_decimal(num, den, places) == loop_format_decimal(Fraction(num, den), places)
 
 
 def test_format_fraction_round_trips():
     for f in (Fraction(1), Fraction(-3, 7), Fraction(99, 70)):
-        assert Fraction(format_fraction(f)) == f
+        assert Fraction(format_fraction(f.numerator, f.denominator)) == f
 
 
 def test_table_single_row_csv_example(capsys):
@@ -204,7 +204,8 @@ def test_chpow_wide_output_is_pinned(capsys, args, digest):
 # integers past format_int's cutover: fraction terms of 58k, 14k and 25k
 # digits, a 50k-digit decimal field, chpow coefficients of 87k digits, table
 # fractions of 38k digits; the first approx needs a second step-doubling
-# attempt.
+# attempt. The last two are n = 2 convergents whose raw entry pair carries a
+# common factor (14.5k bits for the approx, which also step-doubles).
 BIG_INTEGER_DIGESTS = [
     (("approx", "--n", "2", "--k", "9366", "--digits", "132"),
      "445471f159829f990566d890dc001c27a9c88dad94359e2c3f18242bd7354980"),
@@ -216,6 +217,10 @@ BIG_INTEGER_DIGESTS = [
      "1bc324508e5a033aad261088589b22adb034b6024a7d77ec7fb0b789e67e6ee8"),
     (("table", "--n", "2", "--k", "2", "--t0", "100000", "--t1", "100002"),
      "8fd6a5803a97064c4c49cbe2fb7d5e6395a79b5940d8c5ffa046cf1b18bbcee7"),
+    (("approx", "--n", "2", "--k", "7531", "--digits", "145"),
+     "14f6c08b77a20f6a0d58cab86778a7e2e2bb0efd1381602e713617cd1a88e803"),
+    (("table", "--n", "2", "--k", "7531", "--t0", "1000", "--t1", "1010", "--format", "csv"),
+     "80446e41dd44482759f8cd3f7c7ea93d28f367ced612fe2736a257c45d367112"),
 ]
 
 
@@ -227,7 +232,9 @@ def test_big_integer_output_is_pinned(capsys, args, digest):
 
 
 def test_approx_reduces_only_the_certified_attempt(capsys, monkeypatch):
-    # t = 14717 misses the target and t = 29434 certifies; only it is reduced
+    # (3, 9973): t = 5085 misses the target and t = 10170 certifies; only it
+    # is reduced. (2, 9366): t = 14717 misses and t = 29434 certifies, and
+    # the engine's n = 2 pairs come out reduced, so none goes through ratio.
     true_ratio = recursion.ratio
     reduced = []
 
@@ -236,17 +243,23 @@ def test_approx_reduces_only_the_certified_attempt(capsys, monkeypatch):
         return true_ratio(state, i)
 
     monkeypatch.setattr(recursion, "ratio", counting_ratio)
-    rc, out, err = run_cli(
-        capsys, "approx", "--n", "2", "--k", "9366", "--digits", "132", "--format", "json"
-    )
-    assert rc == 0, err
-    assert json.loads(out)["meta"]["t_used"] == "29434"
-    assert reduced == [apply_power(Params(2, 9366), 29434, (1, 1))]
+    for n, k, digits, t_used, want in (
+        (3, 9973, 150, 10170, [apply_power(Params(3, 9973), 10170, (1, 1, 1))]),
+        (2, 9366, 132, 29434, []),
+    ):
+        reduced.clear()
+        rc, out, err = run_cli(
+            capsys, "approx", "--n", str(n), "--k", str(k), "--digits", str(digits),
+            "--format", "json",
+        )
+        assert rc == 0, err
+        assert json.loads(out)["meta"]["t_used"] == str(t_used)
+        assert reduced == want, (n, k)
 
 
 def test_approx_zero_denominator_is_domain_error(capsys, monkeypatch):
-    monkeypatch.setattr(engine, "apply_power", lambda params, t, r0: (1, 0))
-    rc, out, err = run_cli(capsys, "approx", "--n", "2", "--k", "2", "--digits", "5")
+    monkeypatch.setattr(engine, "apply_power", lambda params, t, r0: (1, 0, 1))
+    rc, out, err = run_cli(capsys, "approx", "--n", "3", "--k", "2", "--digits", "5")
     assert rc == 2 and out == ""
     assert "ratio 1/2 is undefined" in err, err
 
@@ -347,6 +360,27 @@ def test_approx_digits_past_float_range_is_non_convergence(capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_eig_past_float_range_of_eigenvectors(capsys):
+    # r = k**(1/300) ~ 12.7 fits a float though r**299 does not; eig prints
+    # only the values 1 + r*w**j, so it answers
+    rc, out, err = run_cli(capsys, "eig", "--n", "300", "--k", str(2**1100), "--format", "json")
+    assert rc == 0 and err == ""
+    obj = json.loads(out)
+    assert len(obj["rows"]) == 300
+    assert obj["meta"]["degenerate"] == "false"
+    assert 0 < float(obj["meta"]["rho"]) < 1
+
+
+def test_approx_past_float_range_of_eigenvectors_is_non_convergence(capsys):
+    # the rate approx reads keeps refusing where r**(n-1) overflows
+    rc, out, err = run_cli(capsys, "approx", "--n", "300", "--k", str(2**1100), "--digits", "1")
+    assert rc == 3 and out == ""
+    assert err == (
+        "ratroot: error: no starting t within ceiling 1000000 can be chosen for 1 digits: "
+        "k**((n-1)/n) is past the floating-point range (n=300, k of 1101 bits)\n"
+    )
+
+
 def test_eig_past_float_range_of_root_is_domain_error(capsys):
     # k**(1/2) = 2**1050 is past the float range too
     rc, out, err = run_cli(capsys, "eig", "--n", "2", "--k", str(2**2100))
@@ -371,11 +405,11 @@ def test_table_rejects_index_before_the_power(capsys, monkeypatch):
 
     monkeypatch.setattr(engine, "apply_power", no_power)
     rc, out, err = run_cli(
-        capsys, "table", "--n", "2", "--k", "2", "--t0", "1000000", "--t1", "1000000",
+        capsys, "table", "--n", "3", "--k", "2", "--t0", "1000000", "--t1", "1000000",
         "--index", "5",
     )
     assert rc == 1 and out == ""
-    assert "ratio index must be in 1..1, got 5" in err, err
+    assert "ratio index must be in 1..2, got 5" in err, err
 
 
 def test_cli_exit_codes(capsys):
@@ -672,6 +706,21 @@ def test_selftest_catches_sabotaged_step(capsys, monkeypatch):
         return [out[0] + 1, *out[1:]]
 
     monkeypatch.setattr(engine, "step_one_plus_x", corrupt_step)
+    rc, out, _ = run_cli(capsys, "selftest")
+    assert rc == 3
+    assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())
+
+
+def test_selftest_catches_sabotaged_reduced_step(capsys, monkeypatch):
+    # an n = 2 step that skips its division leaves a common factor in the
+    # reduced pair, which must trip the engine-agreement group
+    from ratroot import engine
+
+    def undivided_step(pair, k):
+        a, b = pair
+        return a + k * b, a + b
+
+    monkeypatch.setattr(engine, "reduced_step_one_plus_x", undivided_step)
     rc, out, _ = run_cli(capsys, "selftest")
     assert rc == 3
     assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())

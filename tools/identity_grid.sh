@@ -10,8 +10,9 @@
 # eight command forms), then every --help, selftest, five heavy commands
 # whose integers pass the 2**15-bit rendering cutover, two --fib chains
 # at n 16 and 33, the last ratio index of three tables, and six traces
-# from explicit starts (three of them refused): 247 commands in all. It
-# takes about a minute.
+# from explicit starts (three of them refused), and ten n = 2 convergents
+# (five approx, the last refused because its rate rounds to 1, and five
+# tables): 257 commands in all. It takes about a minute.
 root=${1:-$(dirname "$0")/..}
 run() {
     echo "### $*"
@@ -49,3 +50,13 @@ run trace --mode linear --n 2 --k 1 --start=-1,1 --steps 3
 run trace --mode linear --n 2 --k 2 --start 0,0
 run trace --mode linear --n 3 --k 2 --start 1,1
 run trace --mode scalar --n 3 --k 2 --start 3/7 --steps 5 --format json
+for a in "--k 7531 --digits 145" "--k 2311 --digits 200 --format json" \
+         "--k 1000001 --digits 3" "--k 3 --digits 20000" \
+         "--k 100000000000000000000000000000001 --digits 5"; do
+    run approx --n 2 $a
+done
+run table --n 2 --k 1 --t1 30
+run table --n 2 --k 4 --t1 30 --format csv
+run table --n 2 --k 9 --t0 3 --t1 50 --format json
+run table --n 2 --k 7531 --t0 1000 --t1 1010
+run table --n 2 --k 2311 --t1 300 --format csv
