@@ -15,10 +15,10 @@ self-test failure. Every command is byte-deterministic: the same argv gives
 the same stdout and exit code.
 
 ``approx`` and ``table`` print each convergent as a reduced pair (p, q),
-and the row formatters take that pair. For n = 2 it comes reduced from the
-engine (``engine.reduced_pow_one_plus_x`` and its step), so no gcd of
-full-size entries runs and no ``Fraction`` is built; for n >= 3
-``recursion.ratio`` reduces it.
+and the row formatters take that pair. For n = 2 the common factor of the
+two entries is a power of two, shifted off by ``engine.primitive_pair``,
+so no gcd of full-size entries runs and no ``Fraction`` is built; for
+n >= 3 ``recursion.ratio`` reduces the pair.
 
 Every integer in a fraction, decimal, ``chpow`` or ``trace`` cell is
 rendered by ``format_int``, which equals ``str``. Up to ``INT_STR_CUTOVER``
@@ -132,6 +132,14 @@ def _convergent_row(t: int, p: int, q: int, places: int, digits: int) -> list[st
     return [str(t), format_fraction(p, q), format_decimal(p, q, places), str(digits)]
 
 
+def _reduced_pair(state, index: int) -> tuple[int, int]:
+    """state[index-1] / state[index] reduced, for a state M**t (1, ..., 1)."""
+    if len(state) == 2:
+        return engine.primitive_pair(state)
+    frac = recursion.ratio(state, index)
+    return frac.numerator, frac.denominator
+
+
 @dataclass
 class OutputRecord:
     """Rendered-ready payload: run metadata plus stringified rows."""
@@ -186,28 +194,18 @@ def build_table(params: Params, t0: int, t1: int, index: int) -> OutputRecord:
     """Rows (t, reduced fraction, 6-place decimal, certified digits).
 
     Jumps to t0 in one shot, then takes one O(n) step of M per row, so only
-    the current state is held. For n = 2 the state is the reduced pair
-    itself (the engine's reduced route); for n >= 3 each row's ratio is
-    reduced by ``recursion.ratio``.
+    the current state is held.
     """
     if not 0 <= t0 <= t1:
         raise ValueError(f"need 0 <= t0 <= t1, got t0={t0}, t1={t1}")
     if not 1 <= index <= params.n - 1:
         raise ValueError(f"ratio index must be in 1..{params.n - 1}, got {index}")
-    k = params.k
-    if params.n == 2:
-        state, step = engine.reduced_pow_one_plus_x(k, t0 + 1), engine.reduced_step_one_plus_x
-    else:
-        state, step = engine.apply_power(params, t0, (1,) * params.n), engine.step_one_plus_x
+    entries = engine.apply_power(params, t0, (1,) * params.n)
     rows = []
     for t in range(t0, t1 + 1):
         if t > t0:
-            state = step(state, k)
-        if params.n == 2:
-            p, q = state  # already reduced
-        else:
-            frac = recursion.ratio(state, index)
-            p, q = frac.numerator, frac.denominator
+            entries = engine.step_one_plus_x(entries, params.k)
+        p, q = _reduced_pair(entries, index)
         digits = oracle.digits_of_ratio(p, q, params, TABLE_DIGITS_CAP)
         rows.append(_convergent_row(t, p, q, TABLE_DECIMAL_PLACES, digits))
     meta = {
@@ -300,10 +298,7 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
     or whose k**((n-1)/n) overflows a float, or a target whose step count
     passes the float range: no starting t can be chosen there.
 
-    For n = 2 each attempt's pair comes out reduced from the engine
-    (``engine.reduced_pow_one_plus_x``, of exponent t + 1 since the
-    all-ones start is 1 + x), so no full-size gcd runs. For n >= 3 each
-    attempt is certified on its unreduced entry pair, which has the
+    Each attempt is certified on its unreduced entry pair, which has the
     certificate of the reduced fraction; only the attempt that certifies
     is reduced.
     """
@@ -340,20 +335,15 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
                 raise NonConvergence(
                     f"needed t={t} exceeds ceiling {max_t} for {target_digits} digits"
                 )
-            if params.n == 2:
-                p, q = engine.reduced_pow_one_plus_x(params.k, t + 1)
-            else:
-                state = engine.apply_power(params, t, (1,) * params.n)
-                p, q = state[0], state[1]
-                if q == 0:
-                    raise DivisionByZero(state, 1, t=t)
+            state = engine.apply_power(params, t, (1,) * params.n)
+            p, q = state[0], state[1]
+            if q == 0:
+                raise DivisionByZero(state, 1, t=t)
             achieved = oracle.digits_of_ratio(p, q, params, target_digits)
             if achieved >= target_digits:
                 break
             t *= 2
-        if params.n > 2:
-            frac = recursion.ratio(state, 1)
-            p, q = frac.numerator, frac.denominator
+        p, q = _reduced_pair(state, 1)
         meta.update({"exact": "false", "rho": repr(rho), "digits_per_step": repr(dps)})
     meta.update({"t_used": str(t), "achieved": str(achieved)})
     rows = [_convergent_row(t, p, q, target_digits, achieved)]
@@ -385,13 +375,7 @@ def check_cayley_hamilton(n_max: int):
 
 
 def check_engine_agreement(seed: int, cases: int):
-    """Naive, binary and ring powers agree exactly on random (n, k, t, r0).
-
-    For n = 2 the reduced route is also checked against the naive
-    M**t (1, 1), both as ``approx`` takes it (the ladder to exponent t + 1)
-    and as ``table`` does (t reduced steps from 1 + x): each pair must be
-    proportional, coprime, and have a positive denominator.
-    """
+    """Naive, binary and ring powers agree exactly on random (n, k, t, r0)."""
     rng = random.Random(seed)
     done = 0
     while done < cases:
@@ -404,8 +388,7 @@ def check_engine_agreement(seed: int, cases: int):
         params = Params(n, k)
         m = engine.companion_matrix(params)
         try:
-            naive_power = engine.mat_pow(m, t, method="naive")  # trusted reference
-            naive = naive_power.apply(entries)
+            naive = engine.mat_pow(m, t, method="naive").apply(entries)  # trusted reference
             binary = engine.mat_pow(m, t, method="binary").apply(entries)
             ring = engine.apply_power(params, t, entries)
         except ZeroVector:
@@ -413,15 +396,6 @@ def check_engine_agreement(seed: int, cases: int):
         assert naive == binary == ring, (
             f"engines disagree at n={n}, k={k}, t={t}, r0={entries}"
         )
-        if n == 2:
-            ref = naive_power.apply((1, 1))
-            walked = (1, 1)
-            for _ in range(t):
-                walked = engine.reduced_step_one_plus_x(walked, k)
-            for p, q in (engine.reduced_pow_one_plus_x(k, t + 1), walked):
-                assert p * ref[1] == q * ref[0] and math.gcd(p, q) == 1 and q > 0, (
-                    f"reduced pair {p}/{q} is not M**{t} (1, 1) = {ref} reduced at k={k}"
-                )
         done += 1
 
 

@@ -5,8 +5,8 @@ k-weighted cyclic shift: k in the top-right corner, ones on the first
 subdiagonal, zeros elsewhere. S**n = k*I, so the span of I, S, ..., S**(n-1)
 multiplies exactly like Z[x]/(x**n - k) with S playing x; applying M to a
 column vector is multiplication by (1 + x). That one O(n) step of M is
-:func:`step_one_plus_x`; the ladder, ``table`` (n >= 3) and the linear
-trajectory all take it.
+:func:`step_one_plus_x`; the ladder, ``table`` and the linear trajectory all
+take it.
 
 The engine has one ring. An element of Z[x]/(x**n - k) is a plain tuple of
 n ints, entry i the coefficient of x**i, and every product is reduced by one
@@ -32,16 +32,12 @@ subtractions only (:func:`power_basis_coeffs`, and once per entry of
 :func:`fib_power_chain`).
 
 For n = 2 the coefficient pair is the whole ring element, and ``approx``
-and ``table`` print it reduced. :func:`reduced_pow_one_plus_x` runs the
-same ladder on the coprime pair proportional to (1 + x)**t and removes the
-common factor after every square (a power of two, by shifts) and every
-step (a gcd with the small k - 1), so no gcd of full-size entries is ever
-taken. It is a second ladder on purpose: ``chpow``, :func:`apply_power`
-and the references need the exact powers, content and all.
+and ``table`` print it reduced. The content of (1 + x)**t is a power of
+two, so :func:`primitive_pair` reduces it by shifts, and no gcd of
+full-size entries is ever taken.
 """
 from __future__ import annotations
 
-import math
 from operator import add, sub
 
 from .core import Matrix, Params, ZeroVector, check_state
@@ -182,51 +178,22 @@ def ring_pow_one_plus_x(params: Params, t: int) -> tuple[int, ...]:
     return tuple(c)
 
 
-def reduced_step_one_plus_x(pair, k) -> tuple[int, int]:
-    """The coprime pair proportional to (a + b*x)*(1 + x) in Z[x]/(x**2 - k).
+def primitive_pair(c) -> tuple[int, int]:
+    """(a, b) / gcd(a, b) for a + b*x = (1 + x)**t in Z[x]/(x**2 - k).
 
-    (a, b) must be coprime. The product (a + k*b, a + b) differs from
-    (a + b, a + b) by ((k - 1)*b, 0), and gcd(b, a + b) = gcd(b, a) = 1, so
-    its common factor is gcd(k - 1, a + b): one reduction of a + b modulo
-    the small k - 1, then two exact divisions. For k = 1 it is a + b.
+    For n = 2 the state M**t (1, 1) is (1 + x)**(t + 1), so this is the
+    reduced convergent a/b. The content of (1 + x)**t is a power of two, so
+    it is shifted off (the smaller trailing-zero count of a and b) and no
+    gcd of full-size entries runs. Proof: if an odd prime p divided both a
+    and b, then (1 + x)**t would vanish modulo p, and so would its norm
+    (1 - k)**t; so p divides k - 1. But then x**2 = 1 modulo p, so
+    (1 + x)**2 = 2*(1 + x) and (1 + x)**t = 2**(t-1)*(1 + x) for t >= 1,
+    which does not vanish modulo p (nor does 1 at t = 0).
     """
-    a, b = pair
-    p, q = a + k * b, a + b
-    d = math.gcd(k - 1, q)
-    return p // d, q // d
-
-
-def reduced_pow_one_plus_x(k: int, t: int) -> tuple[int, int]:
-    """The coprime pair (p, q) proportional to (1 + x)**t in Z[x]/(x**2 - k).
-
-    For n = 2 the pair is the whole ring element, so it is kept primitive
-    along the ladder of :func:`ring_pow_one_plus_x` and no full-size gcd is
-    ever taken. t = 0 gives (1, 0); from t = 1 on, (1, 1) = 1 + x is squared
-    per further bit of t and stepped on a set bit, so b is never 0.
-
-    Along the ladder (a, b) is coprime and a + b*x is a power (1 + x)**s
-    divided by its content, so the norm a**2 - k*b**2 divides (1 - k)**s.
-    The square is (a**2 + k*b**2) + 2*a*b*x. An odd prime dividing both
-    parts divides 2*a*b, so exactly one of a and b. It cannot be b, or it
-    would divide a**2 = (a**2 + k*b**2) - k*b**2 as well. So it divides a,
-    hence k*b**2 and so k, hence the norm and so 1 - k; but no prime divides
-    both k and k - 1. The common factor is therefore a power of two: the
-    smaller trailing-zero count of the two parts, shifted off. The step
-    removes its factor by :func:`reduced_step_one_plus_x`.
-    """
-    if t < 0:
-        raise ValueError(f"exponent must be nonnegative, got {t}")
-    if t == 0:
-        return 1, 0
-    a, b = 1, 1
-    for bit in f"{t:b}"[1:]:
-        a, b = a * a + k * b * b, 2 * a * b
-        low = a | b
-        s = (low & -low).bit_length() - 1
-        a, b = a >> s, b >> s
-        if bit == "1":
-            a, b = reduced_step_one_plus_x((a, b), k)
-    return a, b
+    a, b = c
+    low = a | b
+    s = (low & -low).bit_length() - 1
+    return a >> s, b >> s
 
 
 def apply_power(params: Params, t: int, r0) -> tuple[int, ...]:

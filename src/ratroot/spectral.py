@@ -71,18 +71,11 @@ class Decomposition:
         return tuple(out)
 
 
-def _past_float_range(params: Params) -> OverflowError:
-    return OverflowError(
-        f"k**((n-1)/n) is past the floating-point range "
-        f"(n={params.n}, k of {params.k.bit_length()} bits)"
-    )
-
-
 def _real_root(params: Params) -> float:
     """k**(1/n) as a float, exact when k is a perfect n-th power.
 
     exp(log(k) / n) stands in when k itself is past the float range. Raises
-    OverflowError when r is too (then so is r**(n-1)).
+    OverflowError when r is too.
     """
     n, k = params.n, params.k
     try:
@@ -91,23 +84,28 @@ def _real_root(params: Params) -> float:
         except OverflowError:
             r = math.exp(math.log(k) / n)
     except OverflowError:
-        raise _past_float_range(params) from None
+        raise OverflowError(
+            f"k**(1/n) is past the floating-point range (n={n}, k of {k.bit_length()} bits)"
+        ) from None
     ri = round(r)
     if ri**params.n == params.k:
         return float(ri)
     return r
 
 
-def _largest_entry(params: Params) -> float:
-    """r**(n-1): the largest eigenvector entry, and cond_2(V).
+def _check_largest_entry(params: Params, r: float) -> None:
+    """Raise OverflowError when r**(n-1), r = k**(1/n), is past the float range.
 
-    Raises OverflowError when it is past the float range. The eigenvalues
-    need only r, so :func:`spectrum` does not call this.
+    r**(n-1) is the largest eigenvector entry, and cond_2(V). The
+    eigenvalues need only r, so :func:`spectrum` does not check it.
     """
+    n, k = params.n, params.k
     try:
-        return _real_root(params) ** (params.n - 1)
+        r ** (n - 1)
     except OverflowError:
-        raise _past_float_range(params) from None
+        raise OverflowError(
+            f"k**((n-1)/n) is past the floating-point range (n={n}, k of {k.bit_length()} bits)"
+        ) from None
 
 
 def _snap_component(x: float, scale: float) -> float:
@@ -144,8 +142,8 @@ def eigenvalues(params: Params) -> SpectralData:
     (k**(1/n) * exp(2*pi*i*j/n))**(n-1-i); j = 0 is the dominant pair.
     """
     n = params.n
-    _largest_entry(params)
     bases, values, rate = spectrum(params)
+    _check_largest_entry(params, bases[0].real)
     pairs = tuple(
         EigenPair(value, tuple(base ** (n - 1 - i) for i in range(n)))
         for base, value in zip(bases, values)
@@ -162,8 +160,8 @@ def convergence_rate(params: Params) -> tuple[float, float]:
     the float range: ``approx`` refuses such (n, k), whose powers it has
     no size bound for.
     """
-    _largest_entry(params)
-    rho = spectrum(params)[2]
+    bases, _, rho = spectrum(params)
+    _check_largest_entry(params, bases[0].real)
     if rho == 0.0:
         raise DegenerateRate(f"all subdominant eigenvalues vanish for {params}")
     return rho, -math.log10(rho)
@@ -191,5 +189,5 @@ def decompose(params: Params, r0) -> Decomposition:
     dec = Decomposition(tuple(ci + di for ci, di in zip(c, step)), data)
     residual = max(abs(ri - bi) for ri, bi in zip(dec.reconstruct(), b))
     if not residual < RESIDUAL_BOUND:
-        raise IllConditioned(residual, _largest_entry(params))
+        raise IllConditioned(residual, _real_root(params) ** (params.n - 1))
     return dec

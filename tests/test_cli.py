@@ -234,7 +234,7 @@ def test_big_integer_output_is_pinned(capsys, args, digest):
 def test_approx_reduces_only_the_certified_attempt(capsys, monkeypatch):
     # (3, 9973): t = 5085 misses the target and t = 10170 certifies; only it
     # is reduced. (2, 9366): t = 14717 misses and t = 29434 certifies, and
-    # the engine's n = 2 pairs come out reduced, so none goes through ratio.
+    # the n = 2 pair is reduced by shifts, so none goes through ratio.
     true_ratio = recursion.ratio
     reduced = []
 
@@ -258,8 +258,8 @@ def test_approx_reduces_only_the_certified_attempt(capsys, monkeypatch):
 
 
 def test_approx_zero_denominator_is_domain_error(capsys, monkeypatch):
-    monkeypatch.setattr(engine, "apply_power", lambda params, t, r0: (1, 0, 1))
-    rc, out, err = run_cli(capsys, "approx", "--n", "3", "--k", "2", "--digits", "5")
+    monkeypatch.setattr(engine, "apply_power", lambda params, t, r0: (1, 0))
+    rc, out, err = run_cli(capsys, "approx", "--n", "2", "--k", "2", "--digits", "5")
     assert rc == 2 and out == ""
     assert "ratio 1/2 is undefined" in err, err
 
@@ -405,11 +405,11 @@ def test_table_rejects_index_before_the_power(capsys, monkeypatch):
 
     monkeypatch.setattr(engine, "apply_power", no_power)
     rc, out, err = run_cli(
-        capsys, "table", "--n", "3", "--k", "2", "--t0", "1000000", "--t1", "1000000",
+        capsys, "table", "--n", "2", "--k", "2", "--t0", "1000000", "--t1", "1000000",
         "--index", "5",
     )
     assert rc == 1 and out == ""
-    assert "ratio index must be in 1..2, got 5" in err, err
+    assert "ratio index must be in 1..1, got 5" in err, err
 
 
 def test_cli_exit_codes(capsys):
@@ -706,21 +706,6 @@ def test_selftest_catches_sabotaged_step(capsys, monkeypatch):
         return [out[0] + 1, *out[1:]]
 
     monkeypatch.setattr(engine, "step_one_plus_x", corrupt_step)
-    rc, out, _ = run_cli(capsys, "selftest")
-    assert rc == 3
-    assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())
-
-
-def test_selftest_catches_sabotaged_reduced_step(capsys, monkeypatch):
-    # an n = 2 step that skips its division leaves a common factor in the
-    # reduced pair, which must trip the engine-agreement group
-    from ratroot import engine
-
-    def undivided_step(pair, k):
-        a, b = pair
-        return a + k * b, a + b
-
-    monkeypatch.setattr(engine, "reduced_step_one_plus_x", undivided_step)
     rc, out, _ = run_cli(capsys, "selftest")
     assert rc == 3
     assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())

@@ -14,8 +14,7 @@ from ratroot.engine import (
     fib_power_chain,
     mat_pow,
     power_basis_coeffs,
-    reduced_pow_one_plus_x,
-    reduced_step_one_plus_x,
+    primitive_pair,
     ring_pow_one_plus_x,
     step_one_plus_x,
 )
@@ -157,25 +156,21 @@ def test_ring_pow_matches_repeated_step(params, t):
 
 # k - 1 = 2*3*5*7*11 for 2311 and 2*3*5*7*11*13 for 30031; 2**1024 + 1 is
 # past the float range, and its k - 1 is a power of two
-reduced_k_st = st.one_of(
+primitive_k_st = st.one_of(
     st.sampled_from([1, 2, 3, 4, 9, 2311, 7531, 30031, 2**1024 + 1]),
     st.integers(1, 10**6),
 )
 
 
-@given(reduced_k_st, ladder_t_st, st.integers(0, 50))
+@given(primitive_k_st, ladder_t_st)
 @settings(max_examples=100, deadline=None)
-def test_reduced_pow_is_the_primitive_ring_power(k, t, m):
+def test_primitive_pair_is_the_ring_power_over_its_gcd(k, t):
     if k > 10**6:
         # 512 bits a step, and the reference gcd is quadratic (5 s at t = 3000)
         t %= 257
     a, b = ring_pow_one_plus_x(Params(2, k), t)
     g = gcd(a, b)
-    pair = reduced_pow_one_plus_x(k, t)
-    assert pair == (a // g, b // g)
-    for _ in range(m):
-        pair = reduced_step_one_plus_x(pair, k)
-    assert pair == reduced_pow_one_plus_x(k, t + m)
+    assert primitive_pair((a, b)) == (a // g, b // g)
 
 
 # lengths on both sides of the schoolbook/Karatsuba cutover, odd and even
