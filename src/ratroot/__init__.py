@@ -1,9 +1,9 @@
 """Exact rational approximations to integer n-th roots.
 
 An n-dimensional integer linear system is iterated whose adjacent-entry
-ratios converge to k**(1/n); three exact power engines cross-check each
-other, the closed-form spectrum predicts the convergence rate, and a scaled
-integer oracle certifies digits of accuracy.
+ratios converge to k**(1/n); an exact ring power is cross-checked against
+the naive matrix power, the closed-form spectrum predicts the convergence
+rate, and a scaled integer oracle certifies digits of accuracy.
 
 The engine computes in one ring, Z[x]/(x**n - k), whose elements are plain
 tuples of n ints: ``ring_pow_one_plus_x`` gives (1 + x)**t, ``apply_power``

@@ -12,9 +12,9 @@ The engine has one ring. An element of Z[x]/(x**n - k) is a plain tuple of
 n ints, entry i the coefficient of x**i, and every product is reduced by one
 rule, x**m -> k*x**(m-n) (:func:`_fold`).
 
-Three power routes are kept on purpose. ``naive`` repeated multiplication is
-the trusted oracle, ``binary`` squaring is the general fast path, and the
-quotient-ring route is the production path used by :func:`apply_power`. They
+Two power routes are kept on purpose. :func:`mat_pow`, repeated matrix
+multiplication, is the trusted reference, and the quotient-ring route is the
+production path used by :func:`apply_power`. They share no multiply and
 must agree exactly, always.
 
 The ring route computes (1 + x)**t with a left-to-right ladder: per bit of t
@@ -55,28 +55,14 @@ def companion_matrix(params: Params) -> Matrix:
     return Matrix(tuple(tuple(r) for r in rows))
 
 
-def mat_pow(a: Matrix, t: int, method: str = "binary") -> Matrix:
-    """a**t exactly; ``naive`` multiplies t-1 times, ``binary`` squares."""
+def mat_pow(a: Matrix, t: int) -> Matrix:
+    """a**t exactly, by t repeated multiplications: the trusted reference."""
     if t < 0:
         raise ValueError(f"exponent must be nonnegative, got {t}")
-    if method == "naive":
-        if t == 0:
-            return Matrix.identity(a.n)
-        acc = a
-        for _ in range(t - 1):
-            acc = acc * a
-        return acc
-    if method == "binary":
-        acc = Matrix.identity(a.n)
-        base = a
-        while t:
-            if t & 1:
-                acc = acc * base
-            t >>= 1
-            if t:
-                base = base * base
-        return acc
-    raise ValueError(f"unknown method {method!r}; expected 'naive' or 'binary'")
+    acc = Matrix.identity(a.n)
+    for _ in range(t):
+        acc = acc * a
+    return acc
 
 
 def _fold(prod, k) -> list[int]:

@@ -82,7 +82,7 @@ def test_c3_power_basis_coefficient_chain():
 
 
 def test_c4_engine_agreement_on_random_cases():
-    # naive, binary, and ring powers agree exactly on 200 random cases
+    # naive matrix and ring powers agree exactly on 200 random cases
     with reporting("C4 engine-agreement"):
         check_engine_agreement(74207281, 200)
 

@@ -711,6 +711,24 @@ def test_selftest_catches_sabotaged_step(capsys, monkeypatch):
     assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())
 
 
+def test_selftest_catches_sabotaged_matrix_power(capsys, monkeypatch):
+    # a wrong matrix reference must trip both checks that reach it
+    from ratroot.core import Matrix
+
+    true_pow = engine.mat_pow
+
+    def corrupt_pow(a, t):
+        rows = [list(row) for row in true_pow(a, t).rows]
+        rows[0][0] += 1
+        return Matrix(rows)
+
+    monkeypatch.setattr(engine, "mat_pow", corrupt_pow)
+    rc, out, _ = run_cli(capsys, "selftest")
+    assert rc == 3
+    failed = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL ")]
+    assert failed == ["FAIL cayley-hamilton", "FAIL engine-agreement"]
+
+
 def test_output_is_deterministic(capsys):
     # every command prints the same bytes when run again with the same argv
     for argv in (

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -111,3 +112,18 @@ def test_matrix_dimension_mismatch():
 def test_matrix_is_value_type():
     assert Matrix.identity(2) == Matrix(((1, 0), (0, 1)))
     assert hash(Matrix.identity(2)) == hash(Matrix(((1, 0), (0, 1))))
+
+
+def test_readme_library_snippet_runs_as_written():
+    # the snippet imports from the top-level package; its exports must resolve
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    snippet = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    *body, last = snippet.strip().splitlines()
+    namespace = {}
+    exec("\n".join(body), namespace)
+    assert eval(last, namespace) == 60
+
+    import ratroot
+
+    missing = [name for name in ratroot.__all__ if not hasattr(ratroot, name)]
+    assert missing == []

@@ -9,7 +9,7 @@
 # imported from its src/. The grid is 224 commands (n 2-8, k in 1 2 7 1000,
 # eight command forms), then every --help, selftest, five heavy commands
 # whose integers pass the 2**15-bit rendering cutover, two --fib chains
-# at n 16 and 33, the last ratio index of three tables, and six traces
+# at n 16 and 33, the last ratio index of three tables, and five traces
 # from explicit starts (three of them refused), and ten n = 2 convergents
 # (five approx, the last refused because its rate rounds to 1, and five
 # tables): 257 commands in all. It takes about a minute.
