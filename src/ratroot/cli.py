@@ -41,10 +41,9 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial
-from pathlib import Path
 
 from . import engine, oracle, recursion, spectral
 from .core import (
@@ -140,14 +139,10 @@ def _reduced_pair(state, index: int) -> tuple[int, int]:
     return frac.numerator, frac.denominator
 
 
-@dataclass
-class OutputRecord:
+class OutputRecord(namedtuple("OutputRecord", "command meta columns rows")):
     """Rendered-ready payload: run metadata plus stringified rows."""
 
-    command: str
-    meta: dict[str, str]
-    columns: list[str]
-    rows: list[list[str]]
+    __slots__ = ()
 
     def render(self, fmt: str) -> str:
         if fmt == "plain":
@@ -588,7 +583,8 @@ def main(argv=None) -> int:
         return 1
     if args.out:
         try:
-            Path(args.out).write_text(payload)
+            with open(args.out, "w") as f:
+                f.write(payload)
         except OSError as exc:
             print(f"ratroot: error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return 1

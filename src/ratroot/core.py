@@ -9,7 +9,7 @@ between threads or processes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class ZeroVector(ArithmeticError):
@@ -66,18 +66,17 @@ class NonConvergence(RuntimeError):
     """Step doubling exceeded the configured ceiling; indicates a bug."""
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(namedtuple("Params", "n k")):
     """Problem instance: approximate the n-th root of k."""
 
-    n: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"root order n must be an integer >= 2, got {self.n!r}")
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"radicand k must be an integer >= 1, got {self.k!r}")
+    def __new__(cls, n: int, k: int):
+        if not isinstance(n, int) or n < 2:
+            raise ValueError(f"root order n must be an integer >= 2, got {n!r}")
+        if not isinstance(k, int) or k < 1:
+            raise ValueError(f"radicand k must be an integer >= 1, got {k!r}")
+        return super().__new__(cls, n, k)
 
 
 def check_state(r0, n: int) -> tuple[int, ...]:
@@ -93,17 +92,34 @@ def check_state(r0, n: int) -> tuple[int, ...]:
     return r0
 
 
-@dataclass(frozen=True)
 class Matrix:
     """Immutable square matrix of exact integers, row-major."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows):
+        rows = tuple(tuple(r) for r in rows)
         if not rows or any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square and nonempty")
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: Matrix is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through __init__, not the frozen slot
+        return Matrix, (self.rows,)
+
+    def __eq__(self, other):
+        return self.rows == other.rows if isinstance(other, Matrix) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"Matrix(rows={self.rows!r})"
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -112,12 +128,6 @@ class Matrix:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_dims(other)
-        return Matrix(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_dims(other)

@@ -15,7 +15,7 @@ full-size Newton steps remain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -61,13 +61,10 @@ def _newton_root(m: int, n: int) -> int:
         x = y
 
 
-@dataclass(frozen=True)
-class RootBracket:
+class RootBracket(namedtuple("RootBracket", "params digits lo")):
     """Certified interval lo/10**d <= k**(1/n) < (lo+1)/10**d."""
 
-    params: Params
-    digits: int
-    lo: int
+    __slots__ = ()
 
     @property
     def scale(self) -> int:

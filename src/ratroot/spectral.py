@@ -13,7 +13,7 @@ matrix: V c = b is solved in closed form, and cond_2(V) = r**(n-1) exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import DegenerateRate, IllConditioned, Params, check_state
 
@@ -22,39 +22,33 @@ _SNAP = 1e-13  # relative threshold below which a float component is rounding no
 RESIDUAL_BOUND = 1e-9
 
 
-@dataclass(frozen=True)
-class EigenPair:
+class EigenPair(namedtuple("EigenPair", "value vector")):
     """One eigenvalue with its eigenvector, normalized so the last entry is 1.
 
     Entry m from the bottom is (value - 1)**m; adjacent entries of the
     dominant pair therefore all have ratio k**(1/n).
     """
 
-    value: complex
-    vector: tuple[complex, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(namedtuple("SpectralData", "pairs rate")):
     """All n eigenpairs, dominant (j = 0) first, and the convergence ratio.
 
     ``rate`` is (second-largest modulus) / (dominant modulus), in [0, 1).
     """
 
-    pairs: tuple[EigenPair, ...]
-    rate: float
+    __slots__ = ()
 
     @property
     def dominant(self) -> EigenPair:
         return self.pairs[0]
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "coefficients basis")):
     """Coefficients c expressing a start vector over the eigenvector basis."""
 
-    coefficients: tuple[complex, ...]
-    basis: SpectralData
+    __slots__ = ()
 
     def reconstruct(self) -> tuple[complex, ...]:
         return self.predict(0)

