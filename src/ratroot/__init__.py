@@ -14,6 +14,12 @@ change ring powers to the basis I, M, ..., M**(n-1) at the output.
 A state is a plain tuple of n ints. ``iterate_linear`` returns the tuple of
 states t = 0, 1, ..., t_max, ``iterate_scalar_map`` the tuple of its
 Fraction iterates, and ``ratio`` reads one adjacent-entry ratio off a state.
+
+The oracle is integer-only: ``nth_root_bracket`` gives the int
+floor(k**(1/n) * 10**d), and ``digits_of_ratio(p, q, params, cap)`` and
+``log10_error_bound(p, q, params, ref_digits)`` take an integer pair p/q
+with q > 0, reduced or not; a Fraction f is passed as
+``*f.as_integer_ratio()``.
 """
 
 from .core import (
@@ -35,8 +41,7 @@ from .engine import (
     ring_pow_one_plus_x,
 )
 from .oracle import (
-    RootBracket,
-    digits_of_accuracy,
+    digits_of_ratio,
     integer_nth_root,
     log10_error_bound,
     nth_root_bracket,
@@ -72,8 +77,7 @@ __all__ = [
     "mat_pow",
     "power_basis_coeffs",
     "ring_pow_one_plus_x",
-    "RootBracket",
-    "digits_of_accuracy",
+    "digits_of_ratio",
     "integer_nth_root",
     "log10_error_bound",
     "nth_root_bracket",

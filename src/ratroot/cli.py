@@ -394,11 +394,15 @@ def check_engine_agreement(seed: int, cases: int):
 
 
 def check_rate_slope(expected_dps: float):
-    """Digits per step of (2, 2) over t in [50, 150] within 5% of expected_dps."""
+    """Digits per step of (2, 2) over t in [50, 150] within 5% of expected_dps.
+
+    The error of each raw entry pair is the oracle's bracket distance, the
+    one its certificates compare.
+    """
     params = Params(2, 2)
     states = recursion.iterate_linear(params, (1, 1), 150)
-    e50 = oracle.log10_error_bound(recursion.ratio(states[50], 1), params, 160)
-    e150 = oracle.log10_error_bound(recursion.ratio(states[150], 1), params, 160)
+    e50 = oracle.log10_error_bound(*states[50], params, 160)
+    e150 = oracle.log10_error_bound(*states[150], params, 160)
     measured = (e50 - e150) / 100
     assert abs(measured - expected_dps) <= 0.05 * expected_dps, (
         f"measured {measured:.6f} digits/step vs predicted {expected_dps:.6f}"

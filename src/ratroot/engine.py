@@ -191,8 +191,6 @@ def apply_power(params: Params, t: int, r0) -> tuple[int, ...]:
     Raises ZeroVector if the result vanishes (singular M, even n with k=1).
     """
     r0 = check_state(r0, params.n)
-    if t < 0:
-        raise ValueError(f"exponent must be nonnegative, got {t}")
     pt = _mulmod(ring_pow_one_plus_x(params, t), r0, params.k)
     if not any(pt):
         raise ZeroVector(t)

@@ -2,9 +2,11 @@
 
 Everything here is scaled integer arithmetic: the n-th root of k is pinned
 between consecutive integers at a power-of-ten scale (an integer Newton
-root, or ``math.isqrt`` for square roots), and candidate fractions are
-judged by exact integer comparison against that bracket. No floating
-point, so certificates hold at any digit count.
+root, or ``math.isqrt`` for square roots), and a candidate p/q, any
+integer pair with q > 0, is measured by one integer distance to the
+farther end of that bracket. ``digits_of_ratio`` certifies digits by exact
+comparison of that distance, so no floating point decides a certificate
+at any digit count; ``log10_error_bound`` takes its logarithm for rate fits.
 
 The Newton root doubles its precision (Brent & Zimmermann, *Modern
 Computer Arithmetic*, 1.5.2): the floor root of m with its low n*s bits
@@ -15,8 +17,6 @@ full-size Newton steps remain.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from .core import Params
@@ -61,47 +61,31 @@ def _newton_root(m: int, n: int) -> int:
         x = y
 
 
-class RootBracket(namedtuple("RootBracket", "params digits lo")):
-    """Certified interval lo/10**d <= k**(1/n) < (lo+1)/10**d."""
-
-    __slots__ = ()
-
-    @property
-    def scale(self) -> int:
-        return 10**self.digits
-
-    @property
-    def low(self) -> Fraction:
-        return Fraction(self.lo, self.scale)
-
-    @property
-    def high(self) -> Fraction:
-        return Fraction(self.lo + 1, self.scale)
-
-    @property
-    def midpoint(self) -> Fraction:
-        return Fraction(2 * self.lo + 1, 2 * self.scale)
-
-
 @lru_cache
-def nth_root_bracket(params: Params, d: int) -> RootBracket:
-    """Width-10**(-d) bracket around k**(1/n), certified by construction.
+def nth_root_bracket(params: Params, d: int) -> int:
+    """lo = floor(k**(1/n) * 10**d), so lo/10**d <= k**(1/n) < (lo+1)/10**d.
 
-    The last 128 brackets are kept (``lru_cache``'s default size): one
-    process serving many distinct (n, k, d) holds a bounded set.
+    The bracket is certified by construction. The last 128 are kept
+    (``lru_cache``'s default size): one process serving many distinct
+    (n, k, d) holds a bounded set.
     """
     if d < 0:
         raise ValueError(f"digit count must be nonnegative, got {d}")
-    lo = integer_nth_root(params.k * 10 ** (params.n * d), params.n)
-    return RootBracket(params, d, lo)
+    return integer_nth_root(params.k * 10 ** (params.n * d), params.n)
 
 
-def digits_of_accuracy(candidate: Fraction, params: Params, cap: int) -> int:
-    """Largest d <= cap with |candidate - k**(1/n)| < 10**(-d), else 0.
+def _bracket_distance(p: int, q: int, params: Params, e: int) -> int:
+    """q * 10**e times the distance from p/q to the farther end of the e bracket.
 
-    The certificate of :func:`digits_of_ratio` on the reduced fraction.
+    With lo = nth_root_bracket(params, e) and S = 10**e that is
+    max(|p*S - lo*q|, |p*S - (lo+1)*q|), which is at least q/2 > 0. It
+    bounds q*S*|p/q - k**(1/n)| from above. Needs q > 0.
     """
-    return digits_of_ratio(candidate.numerator, candidate.denominator, params, cap)
+    if q <= 0:
+        raise ValueError(f"denominator must be positive, got {q}")
+    ps = p * 10**e
+    lq = nth_root_bracket(params, e) * q
+    return max(abs(ps - lq), abs(ps - lq - q))
 
 
 def digits_of_ratio(p: int, q: int, params: Params, cap: int) -> int:
@@ -113,24 +97,20 @@ def digits_of_ratio(p: int, q: int, params: Params, cap: int) -> int:
     is therefore a certificate, marginally conservative (by at most the
     bracket width), and saturates at cap for exact roots.
 
-    With the bracket lo/S .. (lo+1)/S, S = 10**e, that distance is num/den
-    with num = max(|p*S - lo*q|, |p*S - (lo+1)*q|) and den = q*S. The answer
-    is the first d failing num * 10**(d+1) < den, clamped to cap. Since
-    d <= cap < e, num * 10**d < den is num < q * 10**(e - d), a product with
-    a short power of ten once d is near cap. A guess from the bit lengths
+    With e = cap + GUARD_DIGITS that distance is num / (q * 10**e), num
+    from :func:`_bracket_distance`. The answer is the first d failing
+    num * 10**(d+1) < q * 10**e, clamped to cap. Since d <= cap < e,
+    num * 10**d < q * 10**e is num < q * 10**(e - d), a product with a
+    short power of ten once d is near cap. A guess from the bit lengths
     (log10(2) ~ 30103/100000) is moved onto the answer with that same
     integer comparison, a step or two each way. Scaling p and q by a common
-    factor scales num and den alike, so the pair need not be reduced.
+    factor scales num and q alike, so the pair need not be reduced; a
+    ``Fraction`` f is certified as ``digits_of_ratio(*f.as_integer_ratio(), ...)``.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    if q <= 0:
-        raise ValueError(f"denominator must be positive, got {q}")
     e = cap + GUARD_DIGITS
-    bracket = nth_root_bracket(params, e)
-    ps = p * bracket.scale
-    lq = bracket.lo * q
-    num = max(abs(ps - lq), abs(ps - lq - q))
+    num = _bracket_distance(p, q, params, e)
     d = min(cap, max(0, e + (q.bit_length() - num.bit_length()) * 30103 // 100000))
     while d > 0 and num >= q * 10 ** (e - d):
         d -= 1
@@ -139,13 +119,13 @@ def digits_of_ratio(p: int, q: int, params: Params, cap: int) -> int:
     return d
 
 
-def log10_error_bound(candidate: Fraction, params: Params, ref_digits: int) -> float:
-    """log10 of a certified upper bound on |candidate - k**(1/n)|.
+def log10_error_bound(p: int, q: int, params: Params, ref_digits: int) -> float:
+    """log10 of a certified upper bound on |p/q - k**(1/n)|; needs q > 0.
 
     The bound is the distance to the farther endpoint of the ref_digits
-    bracket, so it is only a sharp error measure while the true error is
-    well above the bracket width 10**(-ref_digits). Used for rate fits.
+    bracket, the one :func:`digits_of_ratio` compares, so it is only a sharp
+    error measure while the true error is well above the bracket width
+    10**(-ref_digits). The pair need not be reduced. Used for rate fits.
     """
-    bracket = nth_root_bracket(params, ref_digits)
-    err = max(abs(candidate - bracket.low), abs(candidate - bracket.high))
-    return math.log10(err.numerator) - math.log10(err.denominator)
+    num = _bracket_distance(p, q, params, ref_digits)
+    return math.log10(num) - math.log10(q) - ref_digits

@@ -52,6 +52,15 @@ def bisect_nth_root(m: int, n: int) -> int:
     return lo
 
 
+def farther_end_error(candidate, n: int, k: int, digits: int) -> Fraction:
+    """Fraction distance from candidate to the farther end of the bisected
+    width-10**-digits bracket around k**(1/n)."""
+    scale = 10**digits
+    lo = bisect_nth_root(k * scale**n, n)
+    candidate = Fraction(candidate)
+    return max(abs(candidate - Fraction(lo, scale)), abs(candidate - Fraction(lo + 1, scale)))
+
+
 def scan_digits_of_accuracy(candidate, n: int, k: int, cap: int, guard: int) -> int:
     """Reference digit certificate: Fraction error, bisected bracket, step scan.
 
@@ -59,10 +68,7 @@ def scan_digits_of_accuracy(candidate, n: int, k: int, cap: int, guard: int) -> 
     width-10**-(cap + guard) bracket; d then steps up from 0 one power of
     ten at a time while that bound is below 10**-(d+1).
     """
-    scale = 10 ** (cap + guard)
-    lo = bisect_nth_root(k * scale**n, n)
-    candidate = Fraction(candidate)
-    err = max(abs(candidate - Fraction(lo, scale)), abs(candidate - Fraction(lo + 1, scale)))
+    err = farther_end_error(candidate, n, k, cap + guard)
     num, den = err.numerator, err.denominator
     d = 0
     while d < cap and num * 10 ** (d + 1) < den:

@@ -27,7 +27,7 @@ import pytest
 from ratroot.core import Params, PoleEncountered, ZeroVector
 from ratroot.engine import apply_power, companion_matrix, power_basis_coeffs
 from ratroot.oracle import (
-    digits_of_accuracy,
+    digits_of_ratio,
     integer_nth_root,
     log10_error_bound,
     nth_root_bracket,
@@ -100,8 +100,8 @@ def test_c5_rate_law_geometric_mean(n, k):
         params = Params(n, k)
         rho, _ = convergence_rate(params)
         traj = iterate_linear(params, ones(n), 150)
-        e50 = log10_error_bound(ratio(traj[50], 1), params, 90)
-        e150 = log10_error_bound(ratio(traj[150], 1), params, 90)
+        e50 = log10_error_bound(traj[50][0], traj[50][1], params, 90)
+        e150 = log10_error_bound(traj[150][0], traj[150][1], params, 90)
         measured = 10 ** ((e150 - e50) / 100)
         assert abs(measured - rho) <= 0.10 * rho, (measured, rho)
 
@@ -130,7 +130,7 @@ def test_c6_certified_convergence_at_t400(n, k):
         for steps, need in checks:
             state = apply_power(params, steps, ones(n))
             for i in range(1, n):
-                got = digits_of_accuracy(ratio(state, i), params, C6_DIGITS)
+                got = digits_of_ratio(*ratio(state, i).as_integer_ratio(), params, C6_DIGITS)
                 assert got >= need, (
                     f"index {i}: certified {got} digits at t={steps}, need "
                     f"{need}; t*dps = {steps * dps:.1f}"
@@ -143,8 +143,9 @@ def test_c7_negative_root_exclusion(k):
     # exact rational distance to the negative root's bracket midpoint > 1
     with reporting(f"C7 negative-root-exclusion (k={k})"):
         params = Params(2, k)
-        neg_mid = -nth_root_bracket(params, 30).midpoint
-        mn, md = neg_mid.numerator, neg_mid.denominator
+        # the midpoint (2*lo + 1) / (2 * 10**30) of the positive root's bracket, negated
+        lo = nth_root_bracket(params, 30)
+        mn, md = -(2 * lo + 1), 2 * 10**30
         rng = random.Random(57885161 + k)
         starts = 0
         while starts < 1000:
@@ -154,7 +155,7 @@ def test_c7_negative_root_exclusion(k):
                 continue
             starts += 1
             traj = iterate_linear(params, (x0, y0), 200)
-            assert digits_of_accuracy(ratio(traj[200], 1), params, 20) == 20, (
+            assert digits_of_ratio(*ratio(traj[200], 1).as_integer_ratio(), params, 20) == 20, (
                 x0,
                 y0,
             )
@@ -238,6 +239,6 @@ def test_c10_oracle_soundness():
             prev = nth_root_bracket(params, 0)
             for d in range(1, 51):
                 cur = nth_root_bracket(params, d)
-                assert prev.low <= cur.low and cur.high <= prev.high, (n, k, d)
-                assert cur.high - cur.low == Fraction(1, 10**d)
+                assert 10 * prev <= cur and cur + 1 <= 10 * (prev + 1), (n, k, d)
+                assert cur**n <= k * 10 ** (n * d) < (cur + 1) ** n, (n, k, d)
                 prev = cur

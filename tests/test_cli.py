@@ -301,9 +301,9 @@ def test_approx_degenerate_unit_radicand(capsys):
 def test_approx_certifies_thirty_digits():
     record = build_approx(Params(3, 2), 30)
     frac = Fraction(record.rows[0][1])
-    from ratroot.oracle import digits_of_accuracy
+    from ratroot.oracle import digits_of_ratio
 
-    assert digits_of_accuracy(frac, Params(3, 2), 30) == 30
+    assert digits_of_ratio(*frac.as_integer_ratio(), Params(3, 2), 30) == 30
 
 
 def test_approx_non_convergence_ceiling():

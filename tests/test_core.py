@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ratroot.cli import build_eig
 from ratroot.core import Matrix, Params, check_state
-from ratroot.oracle import nth_root_bracket
 from ratroot.spectral import decompose, eigenvalues
 
 
@@ -128,7 +127,6 @@ def test_value_types_survive_pickle_and_deepcopy():
     values = [
         Params(3, 5),
         Matrix(((1, 2), (3, 4))),
-        nth_root_bracket(Params(2, 2), 5),
         eigenvalues(Params(3, 2)),
         decompose(Params(2, 2), (1, 1)),
         build_eig(Params(3, 2)),

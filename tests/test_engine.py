@@ -203,9 +203,11 @@ def test_apply_power_zero_vector():
     assert exc.value.t == 1
 
 
-def test_apply_power_rejects_wrong_length():
+def test_apply_power_rejects_bad_arguments():
     with pytest.raises(ValueError):
         apply_power(Params(3, 2), 1, (1, 1))
+    with pytest.raises(ValueError, match="exponent must be nonnegative"):
+        apply_power(Params(3, 2), -1, (1, 1, 1))
 
 
 @given(params_st, st.integers(0, 50), st.lists(st.integers(-9, 9), min_size=2, max_size=6))

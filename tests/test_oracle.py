@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,14 +8,13 @@ from hypothesis import strategies as st
 from ratroot.core import Params
 from ratroot.oracle import (
     GUARD_DIGITS,
-    digits_of_accuracy,
     digits_of_ratio,
     integer_nth_root,
     log10_error_bound,
     nth_root_bracket,
 )
 
-from _helpers import bisect_nth_root, brute_floor_root, scan_digits_of_accuracy
+from _helpers import bisect_nth_root, brute_floor_root, farther_end_error, scan_digits_of_accuracy
 
 
 def test_integer_nth_root_examples():
@@ -105,22 +105,19 @@ def test_bracket_cache_is_bounded():
 
 
 def test_bracket_examples():
-    b = nth_root_bracket(Params(2, 2), 5)
-    assert (b.lo, b.scale) == (141421, 10**5)
-    # the lru_cache hands this same bracket to every caller
-    with pytest.raises(AttributeError):
-        b.lo = 0
-    assert nth_root_bracket(Params(3, 27), 4).lo == 30000
-    assert nth_root_bracket(Params(2, 2), 0).lo == 1
+    lo = nth_root_bracket(Params(2, 2), 5)
+    # an int, so the lru_cache hands every caller an immutable value
+    assert type(lo) is int and lo == 141421
+    assert nth_root_bracket(Params(3, 27), 4) == 30000
+    assert nth_root_bracket(Params(2, 2), 0) == 1
 
 
 @given(st.integers(2, 6), st.integers(1, 50), st.integers(0, 30))
 @settings(max_examples=150)
 def test_bracket_invariant_exact(n, k, d):
-    b = nth_root_bracket(Params(n, k), d)
+    lo = nth_root_bracket(Params(n, k), d)
     scaled = k * 10 ** (n * d)
-    assert b.lo**n <= scaled < (b.lo + 1) ** n
-    assert b.high - b.low == Fraction(1, 10**d)
+    assert lo**n <= scaled < (lo + 1) ** n
 
 
 @pytest.mark.parametrize("params", [Params(2, 2), Params(3, 17), Params(5, 7)])
@@ -128,26 +125,27 @@ def test_brackets_nest(params):
     prev = nth_root_bracket(params, 0)
     for d in range(1, 51):
         cur = nth_root_bracket(params, d)
-        assert prev.low <= cur.low
-        assert cur.high <= prev.high
+        # lo/10**d .. (lo+1)/10**d sits inside the bracket one digit coarser
+        assert 10 * prev <= cur
+        assert cur + 1 <= 10 * (prev + 1)
         prev = cur
 
 
 def test_digits_of_accuracy_examples():
     p22 = Params(2, 2)
-    assert digits_of_accuracy(Fraction(99, 70), p22, 40) == 4
-    assert digits_of_accuracy(Fraction(3, 2), p22, 40) == 1
-    assert digits_of_accuracy(Fraction(3, 1), Params(3, 27), 40) == 40
+    assert digits_of_ratio(99, 70, p22, 40) == 4
+    assert digits_of_ratio(3, 2, p22, 40) == 1
+    assert digits_of_ratio(3, 1, Params(3, 27), 40) == 40
 
 
 def test_digits_of_accuracy_zero_when_far():
-    assert digits_of_accuracy(Fraction(1, 1), Params(3, 2), 40) == 0
-    assert digits_of_accuracy(Fraction(10), Params(2, 2), 40) == 0
+    assert digits_of_ratio(1, 1, Params(3, 2), 40) == 0
+    assert digits_of_ratio(10, 1, Params(2, 2), 40) == 0
 
 
 def test_digits_of_accuracy_requires_positive_cap():
     with pytest.raises(ValueError):
-        digits_of_accuracy(Fraction(1), Params(2, 2), 0)
+        digits_of_ratio(1, 1, Params(2, 2), 0)
 
 
 @given(st.integers(1, 35))
@@ -155,8 +153,8 @@ def test_digits_of_accuracy_requires_positive_cap():
 def test_digits_of_accuracy_detects_planted_error(d):
     # candidate = root bracket bottom + 10**-(d+1) has error just under 10**-d
     params = Params(2, 2)
-    cand = nth_root_bracket(params, 60).low + Fraction(1, 10 ** (d + 1))
-    got = digits_of_accuracy(cand, params, 50)
+    cand = Fraction(nth_root_bracket(params, 60), 10**60) + Fraction(1, 10 ** (d + 1))
+    got = digits_of_ratio(*cand.as_integer_ratio(), params, 50)
     assert got in (d, d + 1)  # the planted offset dominates, up to bracket slack
 
 
@@ -175,11 +173,15 @@ def certificate_cases(draw):
     if kind == "far":
         cand = Fraction(draw(st.integers(-(10**9), 10**9)), draw(st.integers(1, 10**9)))
         return cand, params, cap
-    bracket = nth_root_bracket(params, cap + GUARD_DIGITS)
-    d = draw(st.integers(0, cap + GUARD_DIGITS + 2))
-    nudge = Fraction(draw(st.sampled_from((-1, 0, 1))), 10 ** (cap + GUARD_DIGITS + 3))
+    e = cap + GUARD_DIGITS
+    lo = nth_root_bracket(params, e)
+    d = draw(st.integers(0, e + 2))
+    nudge = Fraction(draw(st.sampled_from((-1, 0, 1))), 10 ** (e + 3))
     offset = Fraction(1, 10**d) + nudge
-    cand = bracket.low + offset if draw(st.booleans()) else bracket.high - offset
+    if draw(st.booleans()):
+        cand = Fraction(lo, 10**e) + offset
+    else:
+        cand = Fraction(lo + 1, 10**e) - offset
     return cand, params, cap
 
 
@@ -188,7 +190,7 @@ def certificate_cases(draw):
 def test_digits_of_accuracy_matches_step_scan(case):
     cand, params, cap = case
     want = scan_digits_of_accuracy(cand, params.n, params.k, cap, GUARD_DIGITS)
-    assert digits_of_accuracy(cand, params, cap) == want
+    assert digits_of_ratio(*cand.as_integer_ratio(), params, cap) == want
 
 
 @given(certificate_cases(), st.integers(1, 10**30))
@@ -196,28 +198,40 @@ def test_digits_of_accuracy_matches_step_scan(case):
 def test_digits_of_ratio_ignores_a_common_factor(case, g):
     cand, params, cap = case
     p, q = cand.numerator, cand.denominator
-    assert digits_of_ratio(g * p, g * q, params, cap) == digits_of_accuracy(cand, params, cap)
+    assert digits_of_ratio(g * p, g * q, params, cap) == digits_of_ratio(p, q, params, cap)
 
 
-@pytest.mark.parametrize("q", [0, -7])
-def test_digits_of_ratio_requires_positive_denominator(q):
+@given(certificate_cases(), st.integers(1, 10**30))
+@settings(max_examples=300, deadline=None)
+def test_log10_error_bound_matches_fraction_distance(case, g):
+    cand, params, cap = case
+    p, q = cand.numerator, cand.denominator
+    ref = cap + GUARD_DIGITS
+    err = farther_end_error(cand, params.n, params.k, ref)
+    want = math.log10(err.numerator) - math.log10(err.denominator)
+    assert abs(log10_error_bound(g * p, g * q, params, ref) - want) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "fn, q",
+    [(digits_of_ratio, 0), (digits_of_ratio, -7), (log10_error_bound, 0), (log10_error_bound, -7)],
+    ids=["0", "-7", "log10_error_bound-0", "log10_error_bound--7"],
+)
+def test_digits_of_ratio_requires_positive_denominator(fn, q):
     with pytest.raises(ValueError, match="denominator must be positive"):
-        digits_of_ratio(10, q, Params(2, 2), 5)
+        fn(10, q, Params(2, 2), 5)
 
 
 def test_digits_of_accuracy_monotone_in_cap():
-    cand = Fraction(99, 70)
     p = Params(2, 2)
-    assert digits_of_accuracy(cand, p, 2) == 2  # capped below true accuracy
-    assert digits_of_accuracy(cand, p, 4) == 4
-    assert digits_of_accuracy(cand, p, 80) == 4
+    assert digits_of_ratio(99, 70, p, 2) == 2  # capped below true accuracy
+    assert digits_of_ratio(99, 70, p, 4) == 4
+    assert digits_of_ratio(99, 70, p, 80) == 4
 
 
 def test_log10_error_bound_tracks_true_error():
-    import math
-
-    err = abs(Fraction(99, 70) - nth_root_bracket(Params(2, 2), 40).low)
+    err = abs(Fraction(99, 70) - Fraction(nth_root_bracket(Params(2, 2), 40), 10**40))
     expected = math.log10(err.numerator) - math.log10(err.denominator)
-    got = log10_error_bound(Fraction(99, 70), Params(2, 2), 40)
+    got = log10_error_bound(99, 70, Params(2, 2), 40)
     assert abs(got - expected) < 1e-9
     assert -4.2 < got < -4.0

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from ratroot.core import DivisionByZero, Params, PoleEncountered, ZeroVector
 from ratroot.engine import apply_power
-from ratroot.oracle import digits_of_accuracy, nth_root_bracket
+from ratroot.oracle import digits_of_ratio, nth_root_bracket
 from ratroot.recursion import iterate_linear, iterate_scalar_map, ratio
 
 
@@ -184,7 +184,7 @@ def test_digits_monotone_for_square_roots(k, start):
     # digits never drop once past a short burn-in
     params = Params(2, k)
     states = iterate_linear(params, start, 90)
-    digits = [digits_of_accuracy(ratio(s, 1), params, 75) for s in states[10:]]
+    digits = [digits_of_ratio(*ratio(s, 1).as_integer_ratio(), params, 75) for s in states[10:]]
     assert digits == sorted(digits)
 
 
@@ -194,7 +194,7 @@ def test_digits_monotone_with_stride_for_higher_roots(n, k):
     # digits occur; over a 30-step stride the trend always wins
     params = Params(n, k)
     states = iterate_linear(params, ones(n), 150)
-    digits = [digits_of_accuracy(ratio(s, 1), params, 75) for s in states]
+    digits = [digits_of_ratio(*ratio(s, 1).as_integer_ratio(), params, 75) for s in states]
     for t in range(10, 121):
         assert digits[t + 30] >= digits[t], (t, digits[t], digits[t + 30])
 
@@ -204,9 +204,9 @@ def test_sign_basin_prefers_positive_root(k):
     # integer starts cannot sit on the negative root's eigenvector (its slope
     # is irrational), so every trajectory leaves the negative root behind
     params = Params(2, k)
-    neg_mid = -nth_root_bracket(params, 30).midpoint
+    neg_mid = -Fraction(2 * nth_root_bracket(params, 30) + 1, 2 * 10**30)
     for start in [(-41, 29), (-50, 35), (7, -5), (-1, 1), (-49, -50)]:
         states = iterate_linear(params, start, 120)
-        assert digits_of_accuracy(ratio(states[120], 1), params, 20) == 20
+        assert digits_of_ratio(*ratio(states[120], 1).as_integer_ratio(), params, 20) == 20
         for t in range(50, 121):
             assert abs(ratio(states[t], 1) - neg_mid) > 1

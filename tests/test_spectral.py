@@ -5,8 +5,6 @@ import pytest
 
 from ratroot.core import DegenerateRate, IllConditioned, Params
 from ratroot.engine import apply_power, companion_matrix
-from ratroot.oracle import log10_error_bound
-from ratroot.recursion import iterate_linear, ratio
 from ratroot import spectral
 from ratroot.spectral import convergence_rate, decompose, eigenvalues
 
@@ -132,17 +130,6 @@ def test_convergence_rate_square_root_of_two():
 def test_convergence_rate_degenerate():
     with pytest.raises(DegenerateRate):
         convergence_rate(Params(2, 1))
-
-
-def test_convergence_rate_matches_measured_error_decay():
-    # geometric-mean per-step error shrinkage of a 200-step trajectory
-    params = Params(3, 2)
-    rho, _ = convergence_rate(params)
-    states = iterate_linear(params, (1, 1, 1), 200)
-    e50 = log10_error_bound(ratio(states[50], 1), params, 90)
-    e150 = log10_error_bound(ratio(states[150], 1), params, 90)
-    measured = 10 ** ((e150 - e50) / 100)
-    assert abs(measured - rho) <= 0.10 * rho
 
 
 def test_decompose_unit_start():
