@@ -293,12 +293,16 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
     or whose k**((n-1)/n) overflows a float, or a target whose step count
     passes the float range: no starting t can be chosen there.
 
-    Each attempt is certified on its unreduced entry pair, which has the
-    certificate of the reduced fraction; only the attempt that certifies
-    is reduced.
+    Only the first attempt runs the ladder for (1 + x)**t; each doubling
+    squares the last attempt's power, and each attempt's state is that
+    power times the all-ones start. Each attempt is certified on its
+    unreduced entry pair, which has the certificate of the reduced
+    fraction; only the attempt that certifies is reduced.
     """
     if target_digits < 1:
         raise ValueError(f"target digits must be >= 1, got {target_digits}")
+    if max_t < 0:
+        raise ValueError(f"max t must be >= 0, got {max_t}")
     meta = {
         "n": str(params.n),
         "k": str(params.k),
@@ -325,12 +329,17 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
                 f"{target_digits} digits: {why}"
             )
         t = math.ceil(target_digits / dps) + APPROX_BURN_IN
+        power = None
         while True:
             if t > max_t:
                 raise NonConvergence(
                     f"needed t={t} exceeds ceiling {max_t} for {target_digits} digits"
                 )
-            state = engine.apply_power(params, t, (1,) * params.n)
+            if power is None:
+                power = engine.ring_pow_one_plus_x(params, t)
+            else:
+                power = engine.square_ring(params, power)
+            state = engine.apply_ring_power(params, power, (1,) * params.n, t)
             p, q = state[0], state[1]
             if q == 0:
                 raise DivisionByZero(state, 1, t=t)

@@ -14,8 +14,12 @@ rule, x**m -> k*x**(m-n) (:func:`_fold`).
 
 Two power routes are kept on purpose. :func:`mat_pow`, repeated matrix
 multiplication, is the trusted reference, and the quotient-ring route is the
-production path used by :func:`apply_power`. They share no multiply and
-must agree exactly, always.
+production path. They share no multiply and must agree exactly, always.
+:func:`apply_power` runs the ring route in one shot; ``table``, ``selftest``
+and the engine-agreement check use it. ``approx`` keeps the ring power
+between its step-doubling attempts: it builds (1 + x)**t by the ladder
+once, squares it by :func:`square_ring` on each doubling, and forms each
+attempt's state by :func:`apply_ring_power`, the product apply_power uses.
 
 The ring route computes (1 + x)**t with a left-to-right ladder: per bit of t
 one square by the squaring kernel :func:`_sqrmod`, and on a set bit one
@@ -182,19 +186,38 @@ def primitive_pair(c) -> tuple[int, int]:
     return a >> s, b >> s
 
 
-def apply_power(params: Params, t: int, r0) -> tuple[int, ...]:
-    """Evolve the state r0 by t steps in one shot: M**t r0 via the quotient ring.
+def square_ring(params: Params, c) -> tuple[int, ...]:
+    """c*c in Z[x]/(x**n - k) by the ladder's squaring kernel.
+
+    For c = (1 + x)**t this is (1 + x)**(2t), what the ladder for 2t would
+    build from the same c: one square, no fresh ladder.
+    """
+    return tuple(_sqrmod(c, params.k))
+
+
+def apply_ring_power(params: Params, c, r0, t: int) -> tuple[int, ...]:
+    """M**t r0 from the ring power c = (1 + x)**t.
 
     r0 is any sequence of n ints, not all zero. Entry i of a state
-    corresponds to the coefficient of x**(i-1), so the result is (1 + x)**t
-    times the polynomial image of r0, read back as a tuple.
-    Raises ZeroVector if the result vanishes (singular M, even n with k=1).
+    corresponds to the coefficient of x**(i-1), so the result is c times
+    the polynomial image of r0, read back as a tuple.
+    Raises ZeroVector(t) if the result vanishes (singular M, even n with
+    k=1).
     """
-    r0 = check_state(r0, params.n)
-    pt = _mulmod(ring_pow_one_plus_x(params, t), r0, params.k)
+    pt = _mulmod(c, check_state(r0, params.n), params.k)
     if not any(pt):
         raise ZeroVector(t)
     return pt
+
+
+def apply_power(params: Params, t: int, r0) -> tuple[int, ...]:
+    """Evolve the state r0 by t steps in one shot: M**t r0 via the quotient ring.
+
+    r0 is checked first, then (1 + x)**t is built by the ladder and applied
+    by :func:`apply_ring_power`.
+    """
+    r0 = check_state(r0, params.n)
+    return apply_ring_power(params, ring_pow_one_plus_x(params, t), r0, t)
 
 
 def _to_power_basis(c) -> tuple[int, ...]:

@@ -223,12 +223,53 @@ BIG_INTEGER_DIGESTS = [
      "80446e41dd44482759f8cd3f7c7ea93d28f367ced612fe2736a257c45d367112"),
 ]
 
+# sha256 of stdout, pinned when every step-doubling attempt ran its own
+# ladder: approx requests that double t two and three times (t_used 1276
+# and 9296), so each attempt's power is the square of a squared power.
+STEP_DOUBLING_DIGESTS = [
+    (("approx", "--n", "3", "--k", "1000001", "--digits", "2"),
+     "ab4b85858748d4bef714005f70b460adf6629f0ec036a0b7dfaf5e497128add8"),
+    (("approx", "--n", "2", "--k", "1000001", "--digits", "1"),
+     "fd2c5c32742229575d58e892c5f8e540a44e842289762df1379b1258414eb142"),
+]
+
 
 @pytest.mark.parametrize("args,digest", BIG_INTEGER_DIGESTS)
 def test_big_integer_output_is_pinned(capsys, args, digest):
     rc, out, _ = run_cli(capsys, *args)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args,digest", STEP_DOUBLING_DIGESTS)
+def test_repeated_step_doubling_output_is_pinned(capsys, args, digest):
+    rc, out, _ = run_cli(capsys, *args)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,k,digits,t_used", [
+    (3, 9973, 150, 10170),  # one miss
+    (3, 1000001, 2, 1276),  # two misses
+    (2, 1000001, 1, 9296),  # three misses
+])
+def test_approx_runs_one_ladder_per_request(capsys, monkeypatch, n, k, digits, t_used):
+    # a miss squares the last attempt's power instead of rebuilding it
+    true_ladder = engine.ring_pow_one_plus_x
+    ladders = []
+
+    def counting_ladder(params, t):
+        ladders.append(t)
+        return true_ladder(params, t)
+
+    monkeypatch.setattr(engine, "ring_pow_one_plus_x", counting_ladder)
+    rc, out, err = run_cli(
+        capsys, "approx", "--n", str(n), "--k", str(k), "--digits", str(digits),
+        "--format", "json",
+    )
+    assert rc == 0, err
+    assert json.loads(out)["meta"]["t_used"] == str(t_used)
+    assert len(ladders) == 1 and ladders[0] < t_used, ladders
 
 
 def test_approx_reduces_only_the_certified_attempt(capsys, monkeypatch):
@@ -258,7 +299,7 @@ def test_approx_reduces_only_the_certified_attempt(capsys, monkeypatch):
 
 
 def test_approx_zero_denominator_is_domain_error(capsys, monkeypatch):
-    monkeypatch.setattr(engine, "apply_power", lambda params, t, r0: (1, 0))
+    monkeypatch.setattr(engine, "apply_ring_power", lambda params, c, r0, t: (1, 0))
     rc, out, err = run_cli(capsys, "approx", "--n", "2", "--k", "2", "--digits", "5")
     assert rc == 2 and out == ""
     assert "ratio 1/2 is undefined" in err, err
@@ -309,6 +350,25 @@ def test_approx_certifies_thirty_digits():
 def test_approx_non_convergence_ceiling():
     with pytest.raises(NonConvergence):
         build_approx(Params(3, 2), 30, max_t=50)
+
+
+@pytest.mark.parametrize("k", [2, 4], ids=["iterated", "perfect-power"])
+def test_approx_rejects_negative_ceiling(capsys, k):
+    # refused up front on both paths, like a digit target below 1
+    rc, out, err = run_cli(
+        capsys, "approx", "--n", "2", "--k", str(k), "--digits", "5", "--max-t", "-3"
+    )
+    assert rc == 1 and out == ""
+    assert err == "ratroot: error: max t must be >= 0, got -3\n", err
+
+
+def test_approx_zero_ceiling_still_means_no_steps(capsys):
+    argv = ("approx", "--n", "2", "--digits", "5", "--max-t", "0")
+    rc, out, _ = run_cli(capsys, *argv, "--k", "4")
+    assert rc == 0 and "# exact = true" in out
+    rc, out, err = run_cli(capsys, *argv, "--k", "2")
+    assert rc == 3 and out == ""
+    assert "exceeds ceiling 0" in err, err
 
 
 @pytest.mark.parametrize(

@@ -10,12 +10,14 @@ from ratroot.engine import (
     _mulmod,
     _sqrmod,
     apply_power,
+    apply_ring_power,
     companion_matrix,
     fib_power_chain,
     mat_pow,
     power_basis_coeffs,
     primitive_pair,
     ring_pow_one_plus_x,
+    square_ring,
     step_one_plus_x,
 )
 
@@ -186,6 +188,18 @@ def test_sqrmod_matches_general_multiply(a, k):
 def test_ring_pow_matches_repeated_step_at_t6000(n):
     params = Params(n, 7)
     assert ring_pow_one_plus_x(params, 6000) == step_pow_one_plus_x(params, 6000)
+
+
+@given(st.builds(Params, st.integers(2, 8), st.integers(1, 50)), st.integers(0, 150))
+@settings(max_examples=40, deadline=None)
+def test_square_ring_doubles_the_ladder(params, t):
+    # approx's step doubling: squaring (1 + x)**t is the ladder for 2t, and
+    # its state is the reference matrix power applied to the all-ones start
+    doubled = square_ring(params, ring_pow_one_plus_x(params, t))
+    assert doubled == ring_pow_one_plus_x(params, 2 * t)
+    ones = (1,) * params.n
+    state = apply_ring_power(params, doubled, ones, 2 * t)
+    assert state == mat_pow(companion_matrix(params), 2 * t).apply(ones)
 
 
 def test_apply_power_examples():
