@@ -25,7 +25,11 @@ rendered by ``format_int``, which equals ``str``. Up to ``INT_STR_CUTOVER``
 bits it is ``str``, quadratic in CPython 3.11; above it the integer is split
 in halves with shifts and recombined in exact ``decimal`` arithmetic (the
 radix conversion of Brent & Zimmermann, *Modern Computer Arithmetic*, 1.7),
-which is subquadratic and does no integer division.
+which is subquadratic and does no integer division. ``format_int`` is the
+only code that meets CPython's int/str digit limit (CVE-2020-10735): an
+integer that ``str`` refuses takes the ``decimal`` path, which the limit does
+not cover. The limit is never changed, so output is the same under any limit
+and argv is parsed under the one the interpreter has.
 
 ``selftest`` runs acceptance C1, C2, C4 and C5 (2,2) from the same code as
 the acceptance suite (the ``check_*`` functions here), at smaller sizes.
@@ -33,7 +37,6 @@ the acceptance suite (the ``check_*`` functions here), at smaller sizes.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import decimal
 import io
@@ -43,7 +46,7 @@ import random
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 
 from . import engine, oracle, recursion, spectral
 from .core import (
@@ -73,16 +76,20 @@ _DECIMAL_LEAF_BITS = 2048  # pieces this short go to Decimal(int) directly
 
 
 def format_int(n: int) -> str:
-    """str(n), in subquadratic time above INT_STR_CUTOVER bits.
+    """str(n), subquadratic above INT_STR_CUTOVER bits, under any digit limit.
 
-    Above the cutover |n| is split at half its bit length, each half is
-    converted to a Decimal the same way, and the halves are recombined as
+    Up to the cutover this is str(n), unless the int/str digit limit refuses
+    n. Otherwise |n| is split at half its bit length, each half is converted
+    to a Decimal the same way, and the halves are recombined as
     lo + hi * 2**w with 2**w memoised. The context has unbounded precision
     and traps Inexact, so every step is exact; no int/str digit limit
     applies there.
     """
     if n.bit_length() <= INT_STR_CUTOVER:
-        return str(n)
+        try:
+            return str(n)
+        except ValueError:  # past the int/str digit limit
+            pass
     powers: dict[int, decimal.Decimal] = {}
 
     def pow2(w: int) -> decimal.Decimal:
@@ -158,8 +165,6 @@ class OutputRecord(namedtuple("OutputRecord", "command meta columns rows")):
         lines.extend(f"# {key} = {value}" for key, value in self.meta.items())
         widths = [
             max(len(self.columns[i]), *(len(r[i]) for r in self.rows), 0)
-            if self.rows
-            else len(self.columns[i])
             for i in range(len(self.columns))
         ]
         def line(cells):
@@ -452,10 +457,8 @@ class _CliParser(argparse.ArgumentParser):
 def _add_command(subs, name: str, help: str, build):
     """Add command ``name`` with the common flags.
 
-    ``build(args, params)`` reads the command's flags and returns the job, a
-    zero-argument callable that makes its OutputRecord. argv text is
-    converted in ``build``, under the int/str digit limit; only the job runs
-    with the limit lifted.
+    ``build(args, params)`` reads the command's flags and returns its
+    OutputRecord.
     """
     sub = subs.add_parser(name, help=help)
     sub.set_defaults(build=build)
@@ -481,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = _add_command(subs, "approx", "certified approximation to a digit target",
-                     lambda a, params: partial(build_approx, params, a.digits, a.max_t))
+                     lambda a, params: build_approx(params, a.digits, a.max_t))
     p.add_argument("--digits", type=int, required=True, help="decimal digits to certify")
     p.add_argument(
         "--max-t",
@@ -491,12 +494,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = _add_command(subs, "table", "per-step convergents from the all-ones start",
-                     lambda a, params: partial(build_table, params, a.t0, a.t1, a.index))
+                     lambda a, params: build_table(params, a.t0, a.t1, a.index))
     p.add_argument("--t0", type=int, default=0, help="first step (default 0)")
     p.add_argument("--t1", type=int, default=10, help="last step (default 10)")
     p.add_argument("--index", type=int, default=1, help="adjacent-ratio index, 1..n-1")
 
-    p = _add_command(subs, "trace", "raw states or scalar-map iterates", _trace_job)
+    p = _add_command(subs, "trace", "raw states or scalar-map iterates", _build_trace)
     p.add_argument("--mode", choices=("linear", "scalar"), required=True)
     p.add_argument(
         "--start",
@@ -506,11 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=10, help="steps to iterate (default 10)")
 
     _add_command(subs, "eig", "eigenvalues, dominant pair, convergence rate",
-                 lambda a, params: partial(build_eig, params))
+                 lambda a, params: build_eig(params))
 
     p = _add_command(
         subs, "chpow", "matrix power expanded over I, M, ..., M**(n-1)",
-        lambda a, params: partial(build_chpow, params, 2 if a.t is None else a.t, a.fib),
+        lambda a, params: build_chpow(params, 2 if a.t is None else a.t, a.fib),
     )
     # --t defaults to None: argparse sees no conflict when a value is the default object
     exponent = p.add_mutually_exclusive_group()
@@ -526,11 +529,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _trace_job(args, params: Params):
+def _build_trace(args, params: Params) -> OutputRecord:
     if args.mode == "linear":
-        start = _parse_linear_start(args.start, params)
-        return partial(build_trace_linear, params, start, args.steps)
-    return partial(build_trace_scalar, params, _parse_scalar_start(args.start), args.steps)
+        return build_trace_linear(params, _parse_linear_start(args.start, params), args.steps)
+    return build_trace_scalar(params, _parse_scalar_start(args.start), args.steps)
 
 
 def _parse_linear_start(text: str | None, params: Params) -> tuple[int, ...]:
@@ -552,25 +554,6 @@ def _parse_scalar_start(text: str | None) -> Fraction:
         raise ValueError(f"bad scalar start {text!r}: {exc}") from None
 
 
-@contextlib.contextmanager
-def _int_str_limit_lifted():
-    """Lift CPython's int/str digit limit (CVE-2020-10735) for the block.
-
-    Only the program's own integers may be converted inside: argv text is
-    parsed before the block. Interpreters without the limit (CPython
-    before 3.10.7) have no setter, and nothing is changed there.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -582,9 +565,7 @@ def main(argv=None) -> int:
     if args.command == "selftest":
         return run_selftest()
     try:
-        job = args.build(args, Params(args.n, args.k))
-        with _int_str_limit_lifted():
-            payload = job().render(args.format)
+        payload = args.build(args, Params(args.n, args.k)).render(args.format)
     except (ZeroVector, PoleEncountered, DivisionByZero, OverflowError) as exc:
         print(f"ratroot: error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratroot import engine, recursion
+from ratroot import engine, oracle, recursion
 from ratroot.cli import (
     INT_STR_CUTOVER,
     build_approx,
@@ -236,9 +236,14 @@ STEP_DOUBLING_DIGESTS = [
 
 @pytest.mark.parametrize("args,digest", BIG_INTEGER_DIGESTS)
 def test_big_integer_output_is_pinned(capsys, args, digest):
-    rc, out, _ = run_cli(capsys, *args)
-    assert rc == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # the same bytes at the interpreter's limit and at the lowest one it takes
+    lowest = getattr(sys.int_info, "str_digits_check_threshold", None)
+    for limit in (_int_str_limit(), lowest):
+        with _int_str_limit_set(limit):
+            rc, out, _ = run_cli(capsys, *args)
+            assert _int_str_limit() == limit
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("args,digest", STEP_DOUBLING_DIGESTS)
@@ -569,13 +574,11 @@ def test_approx_renders_past_int_str_limit(capsys, default_int_str_limit, n, k, 
 
 
 def _assert_format_int_is_str(x):
-    # The reference str runs with the int/str limit lifted. Past the cutover
-    # format_int runs at the default limit: its decimal path needs no lift.
-    # At or below it format_int is str itself and runs lifted, as in main.
+    # The reference str runs with the int/str limit lifted; format_int runs
+    # at the default limit for every size, as it does in main.
     with _int_str_limit_set(0):
         want = str(x)
-    past = abs(x).bit_length() > INT_STR_CUTOVER
-    with _int_str_limit_set(getattr(sys.int_info, "default_max_str_digits", 0) if past else 0):
+    with _int_str_limit_set(getattr(sys.int_info, "default_max_str_digits", 0)):
         got = format_int(x)
     assert got == want, f"format_int differs from str at {x.bit_length()} bits"
 
@@ -588,6 +591,11 @@ def test_format_int_edges_match_str():
     # 10**9864 is the first power of ten past the cutover; 10**78900 is ~2**18 bits
     for m in (9863, 9864, 9865, 40000, 78900):
         values += [10**m - 1, 10**m, 10**m + 1]
+    # the default int/str limit is 4300 digits: str refuses 10**4300, and
+    # from 14,285 bits it converts in full before it refuses
+    values += [10**4300 - 1, 10**4300]
+    for bits in (14284, 14285):
+        values += [2**bits - 1, 1 << (bits - 1), rng.getrandbits(bits) | 1 << (bits - 1)]
     for x in values:
         _assert_format_int_is_str(x)
         _assert_format_int_is_str(-x)
@@ -598,6 +606,23 @@ def test_format_int_edges_match_str():
 def test_format_int_matches_str(bits, rng, negative):
     x = rng.getrandbits(bits)
     _assert_format_int_is_str(-x if negative else x)
+
+
+def test_oracle_runs_under_the_interpreters_limit(capsys, monkeypatch, default_int_str_limit):
+    # nothing lifts the int/str limit around the engine or the oracle
+    if default_int_str_limit is None:
+        pytest.skip("this interpreter has no int/str digit limit")
+    true_digits = oracle.digits_of_ratio
+    seen = []
+
+    def spy(*args):
+        seen.append(sys.get_int_max_str_digits())
+        return true_digits(*args)
+
+    monkeypatch.setattr(oracle, "digits_of_ratio", spy)
+    rc, _, err = run_cli(capsys, "approx", "--n", "3", "--k", "2", "--digits", "30")
+    assert rc == 0, err
+    assert seen and set(seen) == {default_int_str_limit}
 
 
 def test_table_jumps_to_large_t0(capsys, default_int_str_limit):
@@ -618,7 +643,7 @@ def test_table_jumps_to_large_t0(capsys, default_int_str_limit):
 
 
 def test_trace_start_stays_under_int_str_limit(capsys, default_int_str_limit):
-    # argv text is parsed before the limit is lifted for the program's own output
+    # argv text is parsed under the interpreter's limit, which main never changes
     if default_int_str_limit is None:
         pytest.skip("this interpreter has no int/str digit limit")
     start = "1" * (default_int_str_limit + 1)
