@@ -69,26 +69,40 @@ GROWTH_NOTE = "entry size grows ~ t*log2(1 + k**(1/n)) bits; t is bounded only b
 
 CONVERGENT_COLUMNS = ("t", "fraction", "decimal", "digits")
 
-# Bit length above which format_int leaves str(int). Below about 10k digits
-# the decimal conversion is slower than str; at 2**15 bits it is 1.25x faster.
+# Bit length above which format_int leaves str(int). timeit on CPython 3.11.7
+# (min of 9 x 20 calls, random ints): the decimal path costs 1.06-1.14x str
+# from 28,000 to 32,300 bits, then 0.78-0.85x from 32,350 to 40,000 bits
+# (0.79x at 2**15), so the crossover sits just below 2**15.
 INT_STR_CUTOVER = 2**15
 _DECIMAL_LEAF_BITS = 2048  # pieces this short go to Decimal(int) directly
+
+
+# The interpreter's int/str digit limit (0: none); one without the getter has
+# no limit to consult, and format_int's try of str stays the only check.
+_int_str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def format_int(n: int) -> str:
     """str(n), subquadratic above INT_STR_CUTOVER bits, under any digit limit.
 
     Up to the cutover this is str(n), unless the int/str digit limit refuses
-    n. Otherwise |n| is split at half its bit length, each half is converted
-    to a Decimal the same way, and the halves are recombined as
+    n, and str is not tried where the bit length shows it must. Otherwise
+    |n| is split at half its bit length, each half is converted to a
+    Decimal the same way, and the halves are recombined as
     lo + hi * 2**w with 2**w memoised. The context has unbounded precision
     and traps Inexact, so every step is exact; no int/str digit limit
     applies there.
     """
-    if n.bit_length() <= INT_STR_CUTOVER:
+    bits = n.bit_length()
+    # n >= 2**(bits - 1) has at least (bits - 1)*30102 // 100000 + 1 digits
+    # (30102/100000 < log10(2)). Past the limit str would convert n in full
+    # before refusing it, so it is not tried. No limit is below 640 digits
+    # (sys.int_info.str_digits_check_threshold), which 2126 bits never pass.
+    if bits <= 2126 or (bits <= INT_STR_CUTOVER
+                        and not 0 < _int_str_limit() <= (bits - 1) * 30102 // 100000):
         try:
             return str(n)
-        except ValueError:  # past the int/str digit limit
+        except ValueError:  # within a digit of the int/str digit limit
             pass
     powers: dict[int, decimal.Decimal] = {}
 

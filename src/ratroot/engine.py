@@ -21,14 +21,21 @@ between its step-doubling attempts: it builds (1 + x)**t by the ladder
 once, squares it by :func:`square_ring` on each doubling, and forms each
 attempt's state by :func:`apply_ring_power`, the product apply_power uses.
 
-The ring route computes (1 + x)**t with a left-to-right ladder: per bit of t
-one square by the squaring kernel :func:`_sqrmod`, and on a set bit one
-:func:`step_one_plus_x`. The kernel squares schoolbook up to SQR_CUTOVER
-coefficients (each cross product once, about half the products of a general
-multiply) and splits longer polynomials Karatsuba-style into three
-half-length squares, so every big-integer product stays at coefficient size.
+The ring route starts (1 + x)**t from a binomial row. I and S commute, so
+(I + S)**m = sum of C(m, j)*S**j, and with S**n = k*I coefficient i of
+(1 + x)**m is sum over l of C(m, i + l*n)*k**l: the binomial row folded once
+(:func:`_binomial_row`, small-factor steps and no coefficient products). The
+row covers m0, the longest leading run of the bits of t that passes
+:func:`_row_fits` (m0 <= n*n). A left-to-right ladder takes the remaining
+bits: per bit one square by the squaring kernel :func:`_sqrmod`, and on a
+set bit one :func:`step_one_plus_x`. The kernel squares schoolbook up to
+SQR_CUTOVER coefficients (each cross product once, about half the products
+of a general multiply) and splits longer polynomials Karatsuba-style into
+three half-length squares, so every big-integer product stays at
+coefficient size.
 The one general product, :func:`_mulmod`, is schoolbook; it applies a
-power to a start vector and composes the ``--fib`` chain.
+power to a start vector and composes the ``--fib`` chain past n*n (shorter
+entries of the chain are binomial rows).
 
 The power basis I, M, ..., M**(n-1) appears only at the output: a ring
 element is changed to it, x = y - 1, by one Taylor shift done with
@@ -150,20 +157,63 @@ def step_one_plus_x(c, k) -> list[int]:
     return [c[0] + k * c[-1], *map(add, c[1:], c)]
 
 
-def ring_pow_one_plus_x(params: Params, t: int) -> tuple[int, ...]:
-    """(1 + x)**t in Z[x]/(x**n - k), by a left-to-right ladder.
+def _row_fits(n: int, m: int) -> bool:
+    """Whether (1 + x)**m is built as a binomial row rather than by products.
 
-    For each bit of t from the top the accumulator is squared, and on a set
-    bit stepped once by :func:`step_one_plus_x`. Coefficient i is entry i+1
-    of M**t applied to the first standard basis vector.
+    The one place that decides it, for the ladder's start and for the
+    ``--fib`` chain. A row of m terms costs about m/2 exact divisions by
+    small ints and m Horner steps; each square it replaces costs about
+    n**1.585 coefficient products, which at short coefficients are bound
+    by interpreter overhead. BENCH_20.json records the sweep of the bound
+    (n**2, 2n**2, 4n**2 and n**3) on in-process chpow-wide engine time.
+    """
+    return m <= n * n
+
+
+def _binomial_row(n: int, k: int, m: int) -> list[int]:
+    """(1 + x)**m in Z[x]/(x**n - k), from the binomial row of (I + S)**m.
+
+    (1 + x)**m = sum of C(m, j)*x**j, and x**j folds to k**(j // n)*x**(j % n),
+    so coefficient i is sum over l of C(m, i + l*n)*k**l. The first half of
+    the row comes from C(m, j) = C(m, j-1)*(m - j + 1) // j, the rest is its
+    mirror, and each residue class j = i (mod n) is summed by Horner's
+    scheme in k from its top term down. No product of two coefficients is
+    formed.
+    """
+    half = [1]
+    c = 1
+    for j in range(1, m // 2 + 1):
+        c = c * (m - j + 1) // j
+        half.append(c)
+    row = half + half[:(m + 1) // 2][::-1]
+    acc = []
+    for i in range(n):
+        a = 0
+        for b in reversed(row[i::n]):
+            a = a * k + b
+        acc.append(a)
+    return acc
+
+
+def ring_pow_one_plus_x(params: Params, t: int) -> tuple[int, ...]:
+    """(1 + x)**t in Z[x]/(x**n - k): a binomial row, then a ladder.
+
+    The longest prefix m0 of the bits of t that passes :func:`_row_fits` is
+    built directly by :func:`_binomial_row`. For each remaining bit of t,
+    from the top, the accumulator is squared by :func:`_sqrmod`, and on a
+    set bit stepped once by :func:`step_one_plus_x`. Coefficient i is entry
+    i+1 of M**t applied to the first standard basis vector.
     """
     if t < 0:
         raise ValueError(f"exponent must be nonnegative, got {t}")
-    k = params.k
-    c = [1] + [0] * (params.n - 1)
-    for bit in f"{t:b}":
+    n, k = params.n, params.k
+    rest = 0
+    while not _row_fits(n, t >> rest):
+        rest += 1
+    c = _binomial_row(n, k, t >> rest)
+    for i in range(rest - 1, -1, -1):
         c = _sqrmod(c, k)
-        if bit == "1":
+        if t >> i & 1:
             c = step_one_plus_x(c, k)
     return tuple(c)
 
@@ -254,14 +304,21 @@ def fib_power_chain(
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Exponents 2, 3, 5, 8, ... with the basis coefficients of each M**F_i.
 
-    F_i = F_{i-1} + F_{i-2}. Each ring power (1 + x)**F_i past the first two
-    is the product of its two predecessors, never a fresh exponentiation;
-    each is then Taylor-shifted once into the power basis.
+    F_i = F_{i-1} + F_{i-2}. A ring power (1 + x)**F_i whose exponent passes
+    :func:`_row_fits` comes from :func:`ring_pow_one_plus_x`, which for such
+    an exponent is the binomial row alone; each longer one is the product of
+    its two predecessors. Each is then Taylor-shifted once into the power
+    basis.
     """
     if chain_length < 1:
         raise ValueError(f"chain length must be >= 1, got {chain_length}")
-    chain = [(e, ring_pow_one_plus_x(params, e)) for e in (2, 3)[:chain_length]]
-    while len(chain) < chain_length:
-        (e2, c2), (e1, c1) = chain[-2], chain[-1]
-        chain.append((e1 + e2, _mulmod(c1, c2, params.k)))
+    chain = []
+    e1, e2 = 2, 3
+    for _ in range(chain_length):
+        if _row_fits(params.n, e1):
+            c = ring_pow_one_plus_x(params, e1)
+        else:
+            c = _mulmod(chain[-1][1], chain[-2][1], params.k)
+        chain.append((e1, c))
+        e1, e2 = e2, e1 + e2
     return [(e, _to_power_basis(c)) for e, c in chain]

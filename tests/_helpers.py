@@ -91,12 +91,13 @@ def loop_format_decimal(f, places: int) -> str:
     return f"{sign}{whole}." + "".join(digits)
 
 
-def step_pow_one_plus_x(params, t: int) -> tuple[int, ...]:
-    """(1 + x)**t in Z[x]/(x**n - k) by t single multiplies by 1 + x.
+def step_pow_one_plus_x(params, t: int, c=None) -> tuple[int, ...]:
+    """c*(1 + x)**t in Z[x]/(x**n - k) by t single multiplies by 1 + x.
 
-    Each step maps c to (c0 + k*c[n-1], c1 + c0, ..., c[n-1] + c[n-2]).
+    c defaults to 1. Each step maps c to (c0 + k*c[n-1], c1 + c0, ...,
+    c[n-1] + c[n-2]).
     """
-    c = [1] + [0] * (params.n - 1)
+    c = list(c) if c is not None else [1] + [0] * (params.n - 1)
     for _ in range(t):
         c = [c[i] + (params.k * c[-1] if i == 0 else c[i - 1]) for i in range(params.n)]
     return tuple(c)

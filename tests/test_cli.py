@@ -176,7 +176,9 @@ def test_chpow_fib_chain(capsys):
 
 # sha256 of stdout, pinned from the schoolbook-only engine. The n values
 # straddle the squaring kernel's Karatsuba cutover (12): at it, one past it,
-# one past twice it, and two and three splits deep (33, 64).
+# one past twice it, and two and three splits deep (33, 64). The last three,
+# pinned from the square-only ladder, are binomial rows of 3000 and of
+# 4096 = n*n (no square at all), and a row of 2048 squared and stepped once.
 CHPOW_DIGESTS = [
     (("--n", "12", "--k", "7", "--t", "5000"),
      "09eed2a58f202f4ab8feea7cdb6b50db5e1705daba164821ef9dfdcadb5394ce"),
@@ -190,6 +192,12 @@ CHPOW_DIGESTS = [
      "f3d356f72ab6b5ffc33159daf4ead35836ff0229144eacc2a3b3c4a9c8391697"),
     (("--n", "64", "--k", "50", "--fib", "15", "--format", "csv"),
      "d29454b51da63cee6de2137a263bf5654dfb8ebb271616d2d3739c03b29c6910"),
+    (("--n", "64", "--k", "50", "--t", "3000"),
+     "f3dfe1f7c50ffbf033716cabe288f64789ea20b7a28ddb99d96020cfaaf65e45"),
+    (("--n", "64", "--k", "50", "--t", "4096"),
+     "85884d71330f4023102cf0bce5d9734e2b968f668fe35f15a1f90a97eb704c2e"),
+    (("--n", "64", "--k", "50", "--t", "4097"),
+     "64158185e2ba3d5f191d926aef238096685b55d5ea4b6478c6451995e118b87a"),
 ]
 
 
@@ -601,6 +609,42 @@ def test_format_int_edges_match_str():
         _assert_format_int_is_str(-x)
 
 
+def test_format_int_skips_str_past_the_digit_limit(monkeypatch, default_int_str_limit):
+    # str converts an int of 14,286 to about 14,430 bits in full before it
+    # refuses it at the default limit; format_int goes straight to decimal
+    if default_int_str_limit is None:
+        pytest.skip("this interpreter has no int/str digit limit")
+    from ratroot import cli
+
+    str_of_ints = []
+
+    def spy(obj):
+        if isinstance(obj, int):
+            str_of_ints.append(obj)
+        return str(obj)
+
+    monkeypatch.setattr(cli, "str", spy, raising=False)
+    skipped = []
+    for bits in range(14200, 14500):
+        x = 1 << (bits - 1)  # the fewest digits of its bit length
+        str_of_ints.clear()
+        format_int(x)
+        if not str_of_ints:
+            skipped.append(bits)
+            with pytest.raises(ValueError):  # a skip is always sound
+                str(x)
+    assert skipped == list(range(14286, 14500))
+    rng = random.Random(20261019)
+    values = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in (14286, 14290, 14400, 14430)]
+    str_of_ints.clear()
+    for x in values:
+        format_int(x)
+    assert str_of_ints == []
+    monkeypatch.undo()
+    for x in values:
+        _assert_format_int_is_str(x)
+
+
 @given(st.integers(0, 2**18), st.randoms(use_true_random=False), st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_format_int_matches_str(bits, rng, negative):
@@ -744,6 +788,22 @@ def test_selftest_catches_sabotaged_square(capsys, monkeypatch):
         return [out[0] + 1, *out[1:]]
 
     monkeypatch.setattr(engine, "_sqrmod", corrupt_sqr)
+    rc, out, _ = run_cli(capsys, "selftest")
+    assert rc == 3
+    assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())
+
+
+def test_selftest_catches_sabotaged_binomial_row(capsys, monkeypatch):
+    # a wrong binomial start of the ladder must trip the engine-agreement group
+    from ratroot import engine
+
+    true_row = engine._binomial_row
+
+    def corrupt_row(n, k, m):
+        out = true_row(n, k, m)
+        return [out[0] + 1, *out[1:]]
+
+    monkeypatch.setattr(engine, "_binomial_row", corrupt_row)
     rc, out, _ = run_cli(capsys, "selftest")
     assert rc == 3
     assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())

@@ -190,6 +190,17 @@ def test_ring_pow_matches_repeated_step_at_t6000(n):
     assert ring_pow_one_plus_x(params, 6000) == step_pow_one_plus_x(params, 6000)
 
 
+# the binomial start covers t up to n*n; past it the ladder takes over
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+@pytest.mark.parametrize("k", [1, 2, 10**6, 2**1024 + 1], ids=["1", "2", "1e6", "2**1024+1"])
+def test_ring_pow_matches_repeated_step_at_row_edges(n, k):
+    params = Params(n, k)
+    stepped, done = None, 0
+    for t in (n * n - 1, n * n, n * n + 1, 2 * n * n, 2 * n * n + 1):
+        stepped, done = step_pow_one_plus_x(params, t - done, stepped), t
+        assert ring_pow_one_plus_x(params, t) == stepped
+
+
 @given(st.builds(Params, st.integers(2, 8), st.integers(1, 50)), st.integers(0, 150))
 @settings(max_examples=40, deadline=None)
 def test_square_ring_doubles_the_ladder(params, t):
@@ -333,6 +344,13 @@ def test_fib_power_chain_matches_power_basis_composition(params, chain_length):
     assert chain == fib_chain_in_power_basis(params.n, params.k, chain_length)
     for e, a in chain:
         assert a == power_basis_coeffs(params, e)
+
+
+# at n = 64 all 15 exponents (up to 1597) are binomial rows; at n = 8 the
+# exponents past 64 are products of their predecessors
+@pytest.mark.parametrize("n,k", [(64, 50), (8, 2)])
+def test_fib_power_chain_matches_power_basis_composition_at_15(n, k):
+    assert fib_power_chain(Params(n, k), 15) == fib_chain_in_power_basis(n, k, 15)
 
 
 def test_fib_power_chain_rejects_empty():
