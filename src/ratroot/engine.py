@@ -26,16 +26,18 @@ The ring route starts (1 + x)**t from a binomial row. I and S commute, so
 (1 + x)**m is sum over l of C(m, i + l*n)*k**l: the binomial row folded once
 (:func:`_binomial_row`, small-factor steps and no coefficient products). The
 row covers m0, the longest leading run of the bits of t that passes
-:func:`_row_fits` (m0 <= n*n). A left-to-right ladder takes the remaining
-bits: per bit one square by the squaring kernel :func:`_sqrmod`, and on a
-set bit one :func:`step_one_plus_x`. The kernel squares schoolbook up to
-SQR_CUTOVER coefficients (each cross product once, about half the products
-of a general multiply) and splits longer polynomials Karatsuba-style into
-three half-length squares, so every big-integer product stays at
-coefficient size.
+:func:`_row_fits` (m0 <= 2*n*n). A left-to-right ladder takes the
+remaining bits: per bit one square by the squaring kernel :func:`_sqrmod`,
+and on a set bit one :func:`step_one_plus_x`. The kernel squares schoolbook
+up to SQR_CUTOVER coefficients and splits longer polynomials
+Karatsuba-style into three half-length squares. Its schoolbook leaves form
+squares only, each cross term 2*ai*aj as (ai + aj)**2 - ai**2 - aj**2, as
+CPython squares a big int in about 0.57-0.74 of the time of a general
+product of the same size (1 to 120 kbit, BENCH_21.json). So every
+big-integer product of the ladder is a square at coefficient size.
 The one general product, :func:`_mulmod`, is schoolbook; it applies a
-power to a start vector and composes the ``--fib`` chain past n*n (shorter
-entries of the chain are binomial rows).
+power to a start vector and composes the ``--fib`` chain past 2*n*n
+(shorter entries of the chain are binomial rows).
 
 The power basis I, M, ..., M**(n-1) appears only at the output: a ring
 element is changed to it, x = y - 1, by one Taylor shift done with
@@ -99,33 +101,36 @@ def _mulmod(a, b, k) -> tuple[int, ...]:
 
 
 # Squares of at most this many coefficients run schoolbook; longer ones split.
-# The ladder time is flat for cutovers 8-16 (BENCH_9.json); splitting down to
-# 4 coefficients is slower, as the split's extra additions and calls then
-# cost more than the products they save.
-SQR_CUTOVER = 12
+# In-process chpow-wide ring time is lowest at 8, within 2.5% for cutovers
+# 6-10, 1-5% higher at 12 and 14, and higher again at 16 (BENCH_21.json): a
+# leaf's cross term costs three additions beside its square, so splitting
+# pays from shorter lengths than it did with products at the leaves (flat for
+# 8-16, BENCH_9.json).
+SQR_CUTOVER = 8
 
 
 def _square(a) -> list[int]:
     """The full 2n - 1 coefficients of a*a for a length-n sequence a.
 
-    Up to SQR_CUTOVER coefficients, schoolbook: each cross product ai*aj
-    (i < j) formed once and doubled, plus the diagonal ai**2. Above it,
-    Karatsuba: with h = ceil(n/2), a = lo + x**h * hi, and
+    Up to SQR_CUTOVER coefficients, schoolbook with squares only: the n
+    squares ai**2 are formed once, and each cross term 2*ai*aj (i < j) is
+    (ai + aj)**2 - ai**2 - aj**2, so n(n+1)/2 squares and no general
+    product. Above it, Karatsuba, by the same identity on halves: with
+    h = ceil(n/2), a = lo + x**h * hi, and
     a*a = lo**2 + x**h * ((lo + hi)**2 - lo**2 - hi**2) + x**(2h) * hi**2.
     The middle term costs a third half-length square instead of a general
-    product lo*hi, so about n**1.585 coefficient products are formed instead
+    product lo*hi, so about n**1.585 coefficient squares are formed instead
     of n(n+1)/2, each still at coefficient size.
     """
     n = len(a)
     if n <= SQR_CUTOVER:
+        sq = [ai * ai for ai in a]
         prod = [0] * (2 * n - 1)
         for i, ai in enumerate(a):
-            if ai:
-                for j in range(i + 1, n):
-                    prod[i + j] += ai * a[j]
-        prod = [c + c for c in prod]
-        for i, ai in enumerate(a):
-            prod[2 * i] += ai * ai
+            for j in range(i + 1, n):
+                s = ai + a[j]
+                prod[i + j] += s * s - sq[i] - sq[j]
+            prod[2 * i] += sq[i]
         return prod
     h = (n + 1) // 2
     lo, hi = a[:h], a[h:]
@@ -142,9 +147,9 @@ def _square(a) -> list[int]:
 def _sqrmod(a, k) -> list[int]:
     """a*a in Z[x]/(x**n - k) for a length-n sequence a.
 
-    The full square comes from :func:`_square` (schoolbook up to
-    SQR_CUTOVER coefficients, Karatsuba above) and is reduced by
-    :func:`_fold`.
+    The full square comes from :func:`_square` (Karatsuba above
+    SQR_CUTOVER coefficients, down to schoolbook leaves that form squares
+    only) and is reduced by :func:`_fold`.
     """
     return _fold(_square(a), k)
 
@@ -163,11 +168,12 @@ def _row_fits(n: int, m: int) -> bool:
     The one place that decides it, for the ladder's start and for the
     ``--fib`` chain. A row of m terms costs about m/2 exact divisions by
     small ints and m Horner steps; each square it replaces costs about
-    n**1.585 coefficient products, which at short coefficients are bound
-    by interpreter overhead. BENCH_20.json records the sweep of the bound
-    (n**2, 2n**2, 4n**2 and n**3) on in-process chpow-wide engine time.
+    n**1.585 coefficient squares, which at short coefficients are bound
+    by interpreter overhead. In-process chpow-wide ring time is lowest at
+    2n**2 (BENCH_21.json sweeps n**2, 1.5n**2, 2n**2, 3n**2 and 4n**2);
+    the ``--fib`` chains are flat across them.
     """
-    return m <= n * n
+    return m <= 2 * n * n
 
 
 def _binomial_row(n: int, k: int, m: int) -> list[int]:

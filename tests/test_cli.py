@@ -175,10 +175,14 @@ def test_chpow_fib_chain(capsys):
 
 
 # sha256 of stdout, pinned from the schoolbook-only engine. The n values
-# straddle the squaring kernel's Karatsuba cutover (12): at it, one past it,
-# one past twice it, and two and three splits deep (33, 64). The last three,
-# pinned from the square-only ladder, are binomial rows of 3000 and of
-# 4096 = n*n (no square at all), and a row of 2048 squared and stepped once.
+# straddled the squaring kernel's Karatsuba cutover when it was 12: at it,
+# one past it, one past twice it, and two and three splits deep (33, 64); at
+# the cutover of 8 they are one (12, 13), two (25) and three (33, 64) splits
+# deep. The last five were pinned from older engines: 3000, 4096 and 4097
+# from the square-only ladder, 8192 and 8193 from the n*n binomial start.
+# The binomial start now covers t up to 2n**2 (8192 at n = 64), so at n = 64
+# every t here up to 8192 is a row alone (5000 at k = 7 too); 8193 is a row
+# of 4096 squared once, three splits deep, and stepped.
 CHPOW_DIGESTS = [
     (("--n", "12", "--k", "7", "--t", "5000"),
      "09eed2a58f202f4ab8feea7cdb6b50db5e1705daba164821ef9dfdcadb5394ce"),
@@ -198,6 +202,10 @@ CHPOW_DIGESTS = [
      "85884d71330f4023102cf0bce5d9734e2b968f668fe35f15a1f90a97eb704c2e"),
     (("--n", "64", "--k", "50", "--t", "4097"),
      "64158185e2ba3d5f191d926aef238096685b55d5ea4b6478c6451995e118b87a"),
+    (("--n", "64", "--k", "50", "--t", "8192"),
+     "48e6f48b614c46b0cf5e78986f2ad6be276fb3bcadc68929fe7cac17d3ad2301"),
+    (("--n", "64", "--k", "50", "--t", "8193"),
+     "ff19ebfbfd2efbce4cd2d8c305764c16de2bee02ed69210307f11e10183f4f5c"),
 ]
 
 

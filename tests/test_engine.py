@@ -174,11 +174,24 @@ sqr_n_st = st.one_of(
 edge = 10**300
 
 
+def _cycle(pattern, n):
+    return (pattern * n)[:n]
+
+
+# the schoolbook leaves form each cross term as (ai + aj)**2 - ai**2 - aj**2:
+# sums that cancel (ai = -aj), equal coefficients, and zeros between large
+# coefficients of both signs, each at the leaf's longest length and at 2
 @given(sqr_n_st.flatmap(lambda n: st.lists(big_coeff_st, min_size=n, max_size=n)),
        st.integers(1, 10**6))
 @example([edge] * SQR_CUTOVER, 10**6)
 @example([-edge, edge] * (SQR_CUTOVER // 2) + [-edge], 10**6)
 @example([edge, 0, -1] * SQR_CUTOVER, 1)
+@example(_cycle([edge, -edge], SQR_CUTOVER), 10**6)
+@example([-edge, edge], 10**6)
+@example([-edge] * SQR_CUTOVER, 3)
+@example([edge, edge], 3)
+@example(_cycle([edge, 0, 0, -edge - 1, 0], SQR_CUTOVER), 2)
+@example([0, -edge], 2)
 @settings(max_examples=150, deadline=None)
 def test_sqrmod_matches_general_multiply(a, k):
     assert _sqrmod(a, k) == list(_mulmod(a, a, k))
@@ -190,13 +203,15 @@ def test_ring_pow_matches_repeated_step_at_t6000(n):
     assert ring_pow_one_plus_x(params, 6000) == step_pow_one_plus_x(params, 6000)
 
 
-# the binomial start covers t up to n*n; past it the ladder takes over
+# the binomial start covers t up to 2*n*n; past it the ladder takes over
+# (2n**2 + 1 is one square and a step past a row of n**2, 4n**2 + 1 the same
+# past a row of 2n**2)
 @pytest.mark.parametrize("n", [2, 3, 8, 64])
 @pytest.mark.parametrize("k", [1, 2, 10**6, 2**1024 + 1], ids=["1", "2", "1e6", "2**1024+1"])
 def test_ring_pow_matches_repeated_step_at_row_edges(n, k):
     params = Params(n, k)
     stepped, done = None, 0
-    for t in (n * n - 1, n * n, n * n + 1, 2 * n * n, 2 * n * n + 1):
+    for t in (n * n, 2 * n * n - 1, 2 * n * n, 2 * n * n + 1, 4 * n * n + 1):
         stepped, done = step_pow_one_plus_x(params, t - done, stepped), t
         assert ring_pow_one_plus_x(params, t) == stepped
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from ratroot.core import DivisionByZero, Params, PoleEncountered, ZeroVector
 from ratroot.engine import apply_power
-from ratroot.oracle import digits_of_ratio, nth_root_bracket
+from ratroot.oracle import digits_of_ratio, log10_error_bound, nth_root_bracket
 from ratroot.recursion import iterate_linear, iterate_scalar_map, ratio
 
 
@@ -167,6 +168,21 @@ def test_higher_order_systems_differ():
     assert scal[2] == Fraction(14, 13)
     assert ratio(states[2], 1) == Fraction(7, 5)
     assert scal[2] != ratio(states[2], 1)
+
+
+def test_scalar_map_attracts_only_below_the_derivative_bound():
+    # r* = k**(1/n) attracts only when u = k**((n-1)/n) < 2/(n-2); for n = 3
+    # that is k < 2**1.5. At (3, 3) the map from 1 is an exact 2-cycle.
+    assert iterate_scalar_map(Params(3, 3), Fraction(1), 4) == (1, 2, 1, 2, 1)
+    # at (3, 2) the error falls by log10 of |(1 - 2u) / (1 + u)|, about
+    # 0.075 digits a step, from 1 (-0.585 to -1.636 over 14 steps)
+    params = Params(3, 2)
+    errors = [log10_error_bound(r.numerator, r.denominator, params, 60)
+              for r in iterate_scalar_map(params, Fraction(1), 14)]
+    assert all(b < a for a, b in zip(errors, errors[1:]))
+    u = 2 ** (2 / 3)
+    rate = math.log10(abs((1 - 2 * u) / (1 + u)))
+    assert abs((errors[-1] - errors[0]) / 14 - rate) < 0.005
 
 
 @given(st.integers(1, 9), st.integers(2, 5))

@@ -12,9 +12,10 @@
 # at n 16 and 33, the last ratio index of three tables, and five traces
 # from explicit starts (three of them refused), ten n = 2 convergents
 # (five approx, the last refused because its rate rounds to 1, and five
-# tables), and five chpow runs at n 48 and 64 whose ring power starts from
-# a binomial row of up to n*n (t 4096 is that row alone, 4097 one square
-# past a row of 2048): 262 commands in all. It takes about a minute.
+# tables), and seven chpow runs at n 48 and 64 whose ring power starts from
+# a binomial row of up to 2n**2 (at n 64, t 4096, 4097 and 6000 are rows
+# alone; t 4609 at n 48 and 8193 at n 64 are one square past a row of
+# n**2): 264 commands in all. It takes about a minute.
 #
 # It runs the first python3 on PATH. To diff interpreters, put another one
 # first: PATH=/other/python/bin:$PATH tools/identity_grid.sh, or under
@@ -66,8 +67,10 @@ run table --n 2 --k 4 --t1 30 --format csv
 run table --n 2 --k 9 --t0 3 --t1 50 --format json
 run table --n 2 --k 7531 --t0 1000 --t1 1010
 run table --n 2 --k 2311 --t1 300 --format csv
-run chpow --n 48 --k 30 --t 6000
-for t in 4096 4097 6000; do
+for t in 4609 6000; do
+    run chpow --n 48 --k 30 --t $t
+done
+for t in 4096 4097 6000 8193; do
     run chpow --n 64 --k 50 --t $t
 done
 run chpow --n 64 --k 50 --fib 15 --format json
