@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratroot import engine, oracle, recursion
+from ratroot import cli, engine, oracle
 from ratroot.cli import (
     INT_STR_CUTOVER,
     build_approx,
@@ -27,7 +28,7 @@ from ratroot.cli import (
     format_int,
     main,
 )
-from ratroot.core import NonConvergence, Params
+from ratroot.core import DivisionByZero, NonConvergence, Params
 from ratroot.engine import apply_power
 from ratroot.recursion import ratio
 
@@ -295,20 +296,16 @@ def test_approx_runs_one_ladder_per_request(capsys, monkeypatch, n, k, digits, t
 
 def test_approx_reduces_only_the_certified_attempt(capsys, monkeypatch):
     # (3, 9973): t = 5085 misses the target and t = 10170 certifies; only it
-    # is reduced. (2, 9366): t = 14717 misses and t = 29434 certifies, and
-    # the n = 2 pair is reduced by shifts, so none goes through ratio.
-    true_ratio = recursion.ratio
+    # is reduced. (2, 9366): t = 14717 misses and t = 29434 certifies.
+    true_reduced_pair = cli._reduced_pair
     reduced = []
 
-    def counting_ratio(state, i=1):
-        reduced.append(state)
-        return true_ratio(state, i)
+    def counting_reduced_pair(state, index):
+        reduced.append(tuple(state))
+        return true_reduced_pair(state, index)
 
-    monkeypatch.setattr(recursion, "ratio", counting_ratio)
-    for n, k, digits, t_used, want in (
-        (3, 9973, 150, 10170, [apply_power(Params(3, 9973), 10170, (1, 1, 1))]),
-        (2, 9366, 132, 29434, []),
-    ):
+    monkeypatch.setattr(cli, "_reduced_pair", counting_reduced_pair)
+    for n, k, digits, t_used in ((3, 9973, 150, 10170), (2, 9366, 132, 29434)):
         reduced.clear()
         rc, out, err = run_cli(
             capsys, "approx", "--n", str(n), "--k", str(k), "--digits", str(digits),
@@ -316,7 +313,23 @@ def test_approx_reduces_only_the_certified_attempt(capsys, monkeypatch):
         )
         assert rc == 0, err
         assert json.loads(out)["meta"]["t_used"] == str(t_used)
-        assert reduced == want, (n, k)
+        assert reduced == [apply_power(Params(n, k), t_used, (1,) * n)], (n, k)
+
+
+@given(
+    st.lists(st.integers(-10**30, 10**30), min_size=3, max_size=6),
+    st.integers(1, 5),
+)
+def test_reduced_pair_matches_fraction(state, index):
+    # n >= 3 pairs are reduced by a gcd, to the terms and sign Fraction gives
+    index = min(index, len(state) - 1)
+    p, q = state[index - 1], state[index]
+    if q == 0:
+        with pytest.raises(DivisionByZero):
+            cli._reduced_pair(state, index)
+    else:
+        frac = Fraction(p, q)
+        assert cli._reduced_pair(state, index) == (frac.numerator, frac.denominator)
 
 
 def test_approx_zero_denominator_is_domain_error(capsys, monkeypatch):
@@ -913,6 +926,37 @@ def test_out_flag_writes_payload_verbatim(tmp_path, capsys):
     assert out == ""  # payload redirected
     rc, expected, _ = run_cli(capsys, "table", "--n", "2", "--k", "2", "--t1", "5", "--format", "csv")
     assert target.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--n", "2", "--k", "2", "--t1", "3000"],
+    ["table", "--n", "3", "--k", "7", "--t1", "3000", "--format", "csv"],
+    ["table", "--n", "2", "--k", "2", "--t1", "3000", "--format", "json"],
+], ids=["plain", "csv", "json"])
+def test_payload_is_written_without_a_whole_copy(tmp_path, capsys, argv):
+    # the rows are held once as cells and written line by line; a payload
+    # joined into one string before writing would peak at over 3x the file
+    target = tmp_path / "out.txt"
+    tracemalloc.start()
+    try:
+        rc = main([*argv, "--out", str(target)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0, capsys.readouterr().err
+    size = target.stat().st_size
+    assert peak <= 2 * size, (peak, size)
+
+
+def test_failed_run_writes_nothing(tmp_path, capsys):
+    target = tmp_path / "x"
+    rc, out, err = run_cli(
+        capsys, "trace", "--mode", "linear", "--n", "2", "--k", "1",
+        "--start=-1,1", "--steps", "3", "--out", str(target),
+    )
+    assert rc == 2 and out == ""
+    assert "zero vector" in err, err
+    assert not target.exists()
 
 
 def test_out_flag_unwritable_path_exits_1(tmp_path, capsys):

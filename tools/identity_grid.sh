@@ -15,7 +15,9 @@
 # tables), and seven chpow runs at n 48 and 64 whose ring power starts from
 # a binomial row of up to 2n**2 (at n 64, t 4096, 4097 and 6000 are rows
 # alone; t 4609 at n 48 and 8193 at n 64 are one square past a row of
-# n**2): 264 commands in all. It takes about a minute.
+# n**2), then four large outputs, one in each format and from the n >= 3
+# reduction, each written line by line: 268 commands in all. It takes about
+# a minute.
 #
 # It runs the first python3 on PATH. To diff interpreters, put another one
 # first: PATH=/other/python/bin:$PATH tools/identity_grid.sh, or under
@@ -74,3 +76,7 @@ for t in 4096 4097 6000 8193; do
     run chpow --n 64 --k 50 --t $t
 done
 run chpow --n 64 --k 50 --fib 15 --format json
+run table --n 2 --k 2 --t1 3000 --format json
+run table --n 3 --k 7 --t1 2000 --format csv
+run table --n 5 --k 40 --t1 1500 --index 3
+run trace --mode linear --n 2 --k 3 --steps 2000 --format json
