@@ -12,7 +12,7 @@ change ring powers to the basis I, M, ..., M**(n-1) at the output.
 ``companion_matrix`` and ``mat_pow`` are the matrix reference.
 
 A state is a plain tuple of n ints. ``iterate_linear`` returns the tuple of
-states t = 0, 1, ..., t_max, ``iterate_scalar_map`` the tuple of its
+states t = 0, 1, ..., steps, ``iterate_scalar_map`` the tuple of its
 Fraction iterates, and ``ratio`` reads one adjacent-entry ratio off a state.
 
 The oracle is integer-only: ``nth_root_bracket`` gives the int

@@ -38,18 +38,22 @@ and argv is parsed under the one the interpreter has.
 
 ``selftest`` runs acceptance C1, C2, C4 and C5 (2,2) from the same code as
 the acceptance suite (the ``check_*`` functions here), at smaller sizes.
+
+Start-up: ``import ratroot.cli`` loads ``argparse`` and the package. Five
+stdlib modules are imported where they are first used: ``json`` by
+``--format json``, ``csv`` by ``--format csv``, ``decimal`` by
+``format_int`` for an integer that ``str`` does not render (past the
+cutover or the digit limit), ``fractions`` (which loads ``decimal``) by
+``trace --mode scalar``, and ``random`` by ``selftest``. A plain
+``approx``, ``table`` or ``chpow`` of integers up to the cutover loads
+none of them.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import decimal
-import json
 import math
-import random
 import sys
 from collections import namedtuple
-from fractions import Fraction
 from functools import cache
 
 from . import engine, oracle, recursion, spectral
@@ -108,6 +112,8 @@ def format_int(n: int) -> str:
             return str(n)
         except ValueError:  # within a digit of the int/str digit limit
             pass
+    import decimal
+
     powers: dict[int, decimal.Decimal] = {}
 
     def pow2(w: int) -> decimal.Decimal:
@@ -198,11 +204,15 @@ class OutputRecord(namedtuple("OutputRecord", "command meta columns rows")):
             out.write(line(row))
 
     def _write_csv(self, out) -> None:
+        import csv
+
         writer = csv.writer(out)
         writer.writerow(self.columns)
         writer.writerows(self.rows)
 
     def _write_json(self, out) -> None:
+        import json
+
         obj = {
             "command": self.command,
             "meta": self.meta,
@@ -408,6 +418,8 @@ def check_cayley_hamilton(n_max: int):
 
 def check_engine_agreement(seed: int, cases: int):
     """Naive matrix and ring powers agree exactly on random (n, k, t, r0)."""
+    import random
+
     rng = random.Random(seed)
     done = 0
     while done < cases:
@@ -569,6 +581,8 @@ def _parse_linear_start(text: str | None, params: Params) -> tuple[int, ...]:
 
 
 def _parse_scalar_start(text: str | None) -> Fraction:
+    from fractions import Fraction
+
     if text is None:
         return Fraction(1)
     try:

@@ -16,13 +16,11 @@ digits a step; elsewhere r* repels, and (3, 3) from 1 is the 2-cycle
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .core import DivisionByZero, Params, PoleEncountered, ZeroVector, check_state
 from .engine import step_one_plus_x
 
 
-def iterate_linear(params: Params, r0, t_max: int) -> tuple[tuple[int, ...], ...]:
+def iterate_linear(params: Params, r0, steps: int) -> tuple[tuple[int, ...], ...]:
     """Evolve r0 step by step; state t of the result is M**t r0.
 
     r0 is any sequence of n ints, not all zero, and each state is a tuple.
@@ -32,10 +30,10 @@ def iterate_linear(params: Params, r0, t_max: int) -> tuple[tuple[int, ...], ...
     requires a singular matrix: even n with k = 1.
     """
     state = check_state(r0, params.n)
-    if t_max < 0:
-        raise ValueError(f"t_max must be nonnegative, got {t_max}")
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
     states = [state]
-    for t in range(1, t_max + 1):
+    for t in range(1, steps + 1):
         state = tuple(step_one_plus_x(state, params.k))
         if not any(state):
             raise ZeroVector(t)
@@ -50,6 +48,8 @@ def ratio(state, i: int = 1) -> Fraction:
     num, den = state[i - 1], state[i]
     if den == 0:
         raise DivisionByZero(state, i)
+    from fractions import Fraction
+
     return Fraction(num, den)
 
 
@@ -63,6 +63,8 @@ def iterate_scalar_map(params: Params, r0: Fraction, steps: int) -> tuple[Fracti
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
+    from fractions import Fraction
+
     n, k = params.n, params.k
     r = Fraction(r0)
     ratios = [r]

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -548,6 +549,13 @@ def test_cli_exit_codes(capsys):
         capsys, "approx", "--n", "3", "--k", "2", "--digits", "30", "--max-t", "10"
     )
     assert rc == 3 and "ceiling" in err
+    # usage: negative step count, named the same in both trace modes
+    for mode in ("linear", "scalar"):
+        rc, out, err = run_cli(
+            capsys, "trace", "--mode", mode, "--n", "2", "--k", "2", "--steps", "-3"
+        )
+        assert rc == 1 and out == ""
+        assert "ratroot: error: steps must be nonnegative, got -3" in err, err
     # usage: bench is no longer a command
     rc, out, err = run_cli(capsys, "bench", "--n", "3", "--k", "2")
     assert rc == 1 and out == ""
@@ -729,14 +737,48 @@ def test_cli_help_exits_zero(capsys):
     assert "approx" in out
 
 
-def test_cli_import_leaves_heavy_modules_unloaded():
-    # -S: site itself may import pathlib; only what ratroot.cli loads counts
+# stdlib modules that ratroot.cli imports only on the paths that use them
+# (fractions also loads numbers and decimal)
+DEFERRED_MODULES = ("json", "csv", "decimal", "fractions", "numbers", "random")
+
+
+def _run_bare(code):
+    """stdout of code run by a fresh ``python -S`` with ratroot on its path.
+
+    -S: site itself may import pathlib; only what ratroot loads counts.
+    """
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    code = ("import sys, ratroot.cli; "
-            "print(sorted({'numpy', 'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True)
-    assert out.stdout == "[]\n", out.stderr
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    heavy = {"numpy", "dataclasses", "inspect", "pathlib", *DEFERRED_MODULES}
+    code = f"import sys, ratroot.cli; print(sorted({heavy!r} & set(sys.modules)))"
+    assert _run_bare(code) == "[]\n"
+
+
+def test_hot_paths_leave_deferred_modules_unloaded():
+    # plain output of integers at or below INT_STR_CUTOVER needs none of them;
+    # --digits 20000 renders integers past the cutover, so decimal loads
+    code = textwrap.dedent(f"""
+        import io, sys
+        from ratroot.cli import main
+        stdout, sys.stdout = sys.stdout, io.StringIO()
+        def loaded(*argvs):
+            for argv in argvs:
+                assert main(argv.split()) == 0, argv
+            print(*(m for m in {DEFERRED_MODULES!r} if m in sys.modules), file=stdout)
+        loaded("approx --n 3 --k 2 --digits 30", "table --n 2 --k 2 --t1 40",
+               "chpow --n 5 --k 7 --fib 12")
+        loaded("approx --n 2 --k 2 --digits 20000")
+    """)
+    small, large = (set(line.split()) for line in _run_bare(code).splitlines())
+    assert small == set()
+    assert "decimal" in large
+    assert not {"json", "csv", "fractions", "random"} & large
 
 
 def test_cli_import_builds_no_parser():
