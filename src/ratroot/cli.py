@@ -15,15 +15,16 @@ the rows are then written line by line and never joined into one string.
 ``table --n 2 --k 2 --t1 10000`` (a 77 MB answer) peaks at about 56 MB RSS
 this way, against 276 MB joined (CPython 3.11.7).
 Exit codes: 0 success, 1 usage error, 2 domain error (zero vector, scalar-map
-pole, undefined ratio, ``eig`` past the float range), 3 non-convergence or
-self-test failure. Every command is byte-deterministic: the same argv gives
-the same stdout and exit code.
+pole, ``eig`` past the float range), 3 non-convergence or self-test failure.
+Every command is byte-deterministic: the same argv gives the same stdout and
+exit code.
 
 ``approx`` and ``table`` print each convergent as a reduced pair (p, q),
 and the row formatters take that pair. For n = 2 the common factor of the
 two entries is a power of two, shifted off by ``engine.primitive_pair``,
 so no gcd of full-size entries runs. For n >= 3 the pair is divided by its
-gcd, with the sign taken so that q > 0. Neither builds a ``Fraction``.
+gcd. Neither builds a ``Fraction``. Both see only states M**t (1, ..., 1),
+whose entries are all positive, so no ratio they print is undefined.
 
 Every integer in a fraction, decimal, ``chpow`` or ``trace`` cell is
 rendered by ``format_int``, which equals ``str``. Up to ``INT_STR_CUTOVER``
@@ -57,14 +58,7 @@ from collections import namedtuple
 from functools import cache
 
 from . import engine, oracle, recursion, spectral
-from .core import (
-    DivisionByZero,
-    Matrix,
-    NonConvergence,
-    Params,
-    PoleEncountered,
-    ZeroVector,
-)
+from .core import Matrix, NonConvergence, Params, PoleEncountered, ZeroVector
 
 TABLE_DECIMAL_PLACES = 6
 TABLE_DIGITS_CAP = 40
@@ -85,32 +79,20 @@ INT_STR_CUTOVER = 2**15
 _DECIMAL_LEAF_BITS = 2048  # pieces this short go to Decimal(int) directly
 
 
-# The interpreter's int/str digit limit (0: none); one without the getter has
-# no limit to consult, and format_int's try of str stays the only check.
-_int_str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
-
 def format_int(n: int) -> str:
     """str(n), subquadratic above INT_STR_CUTOVER bits, under any digit limit.
 
     Up to the cutover this is str(n), unless the int/str digit limit refuses
-    n, and str is not tried where the bit length shows it must. Otherwise
-    |n| is split at half its bit length, each half is converted to a
-    Decimal the same way, and the halves are recombined as
+    n. Otherwise |n| is split at half its bit length, each half is converted
+    to a Decimal the same way, and the halves are recombined as
     lo + hi * 2**w with 2**w memoised. The context has unbounded precision
     and traps Inexact, so every step is exact; no int/str digit limit
     applies there.
     """
-    bits = n.bit_length()
-    # n >= 2**(bits - 1) has at least (bits - 1)*30102 // 100000 + 1 digits
-    # (30102/100000 < log10(2)). Past the limit str would convert n in full
-    # before refusing it, so it is not tried. No limit is below 640 digits
-    # (sys.int_info.str_digits_check_threshold), which 2126 bits never pass.
-    if bits <= 2126 or (bits <= INT_STR_CUTOVER
-                        and not 0 < _int_str_limit() <= (bits - 1) * 30102 // 100000):
+    if n.bit_length() <= INT_STR_CUTOVER:
         try:
             return str(n)
-        except ValueError:  # within a digit of the int/str digit limit
+        except ValueError:  # past the int/str digit limit
             pass
     import decimal
 
@@ -147,9 +129,7 @@ def format_fraction(p: int, q: int) -> str:
 
 
 def format_decimal(p: int, q: int, places: int) -> str:
-    """Exact decimal expansion of p/q, q > 0, truncated (not rounded) toward zero."""
-    if places < 0:
-        raise ValueError(f"places must be nonnegative, got {places}")
+    """Exact decimal expansion of p/q, q > 0, places >= 0, truncated (not rounded) toward zero."""
     sign = "-" if p < 0 else ""
     digits = format_int(abs(p) * 10**places // q).zfill(places + 1)
     if places == 0:
@@ -163,13 +143,15 @@ def _convergent_row(t: int, p: int, q: int, places: int, digits: int) -> list[st
 
 
 def _reduced_pair(state, index: int) -> tuple[int, int]:
-    """state[index-1] / state[index] in lowest terms with q > 0, for a state M**t (1, ..., 1)."""
+    """state[index-1] / state[index] in lowest terms, for a state M**t (1, ..., 1).
+
+    M is nonnegative with a unit diagonal, so every entry of such a state is
+    positive: q > 0 and the gcd needs no sign.
+    """
     if len(state) == 2:
         return engine.primitive_pair(state)
     p, q = state[index - 1], state[index]
-    if q == 0:
-        raise DivisionByZero(state, index)
-    g = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
+    g = math.gcd(p, q)
     return p // g, q // g
 
 
@@ -179,15 +161,16 @@ class OutputRecord(namedtuple("OutputRecord", "command meta columns rows")):
     __slots__ = ()
 
     def write(self, fmt: str, out) -> None:
-        """Write the payload in format fmt to the text stream out, a line at a time."""
+        """Write the payload to the text stream out, a line at a time.
+
+        fmt is one of the --format choices, which argparse has checked.
+        """
         if fmt == "plain":
             self._write_plain(out)
         elif fmt == "csv":
             self._write_csv(out)
-        elif fmt == "json":
-            self._write_json(out)
         else:
-            raise ValueError(f"unknown format {fmt!r}")
+            self._write_json(out)
 
     def _write_plain(self, out) -> None:
         out.write(f"# command = {self.command}\n")
@@ -378,10 +361,7 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
             else:
                 power = engine.square_ring(params, power)
             state = engine.apply_ring_power(params, power, (1,) * params.n, t)
-            p, q = state[0], state[1]
-            if q == 0:
-                raise DivisionByZero(state, 1, t=t)
-            achieved = oracle.digits_of_ratio(p, q, params, target_digits)
+            achieved = oracle.digits_of_ratio(state[0], state[1], params, target_digits)
             if achieved >= target_digits:
                 break
             t *= 2
@@ -603,7 +583,7 @@ def main(argv=None) -> int:
         return run_selftest()
     try:
         record = args.build(args, Params(args.n, args.k))
-    except (ZeroVector, PoleEncountered, DivisionByZero, OverflowError) as exc:
+    except (ZeroVector, PoleEncountered, OverflowError) as exc:
         print(f"ratroot: error: {exc}", file=sys.stderr)
         return 2
     except NonConvergence as exc:

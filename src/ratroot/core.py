@@ -26,13 +26,11 @@ class ZeroVector(ArithmeticError):
 class DivisionByZero(ZeroDivisionError):
     """An adjacent-entry ratio was requested where the lower entry is 0."""
 
-    def __init__(self, entries, index: int, t: int | None = None):
+    def __init__(self, entries, index: int):
         self.entries = tuple(entries)
         self.index = index
-        self.t = t
-        where = f" at t={t}" if t is not None else ""
         super().__init__(
-            f"entry {index + 1} of state {self.entries}{where} is zero; "
+            f"entry {index + 1} of state {self.entries} is zero; "
             f"ratio {index}/{index + 1} is undefined"
         )
 

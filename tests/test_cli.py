@@ -29,7 +29,7 @@ from ratroot.cli import (
     format_int,
     main,
 )
-from ratroot.core import DivisionByZero, NonConvergence, Params
+from ratroot.core import NonConvergence, Params
 from ratroot.engine import apply_power
 from ratroot.recursion import ratio
 
@@ -318,26 +318,15 @@ def test_approx_reduces_only_the_certified_attempt(capsys, monkeypatch):
 
 
 @given(
-    st.lists(st.integers(-10**30, 10**30), min_size=3, max_size=6),
+    st.lists(st.integers(1, 10**30), min_size=3, max_size=6),
     st.integers(1, 5),
 )
 def test_reduced_pair_matches_fraction(state, index):
-    # n >= 3 pairs are reduced by a gcd, to the terms and sign Fraction gives
+    # n >= 3 pairs are reduced by a gcd, to the terms Fraction gives; the
+    # states M**t (1, ..., 1) it is given have positive entries only
     index = min(index, len(state) - 1)
-    p, q = state[index - 1], state[index]
-    if q == 0:
-        with pytest.raises(DivisionByZero):
-            cli._reduced_pair(state, index)
-    else:
-        frac = Fraction(p, q)
-        assert cli._reduced_pair(state, index) == (frac.numerator, frac.denominator)
-
-
-def test_approx_zero_denominator_is_domain_error(capsys, monkeypatch):
-    monkeypatch.setattr(engine, "apply_ring_power", lambda params, c, r0, t: (1, 0))
-    rc, out, err = run_cli(capsys, "approx", "--n", "2", "--k", "2", "--digits", "5")
-    assert rc == 2 and out == ""
-    assert "ratio 1/2 is undefined" in err, err
+    frac = Fraction(state[index - 1], state[index])
+    assert cli._reduced_pair(state, index) == (frac.numerator, frac.denominator)
 
 
 def test_approx_reaches_target(capsys):
@@ -562,6 +551,131 @@ def test_cli_exit_codes(capsys):
     assert "invalid choice: 'bench'" in err, err
 
 
+# The CLI exit contract: a valid request exits 0, 2 (domain error) or 3
+# (non-convergence), never 1; malformed argv exits 1. Every nonzero exit
+# prints nothing to stdout and exactly one "ratroot: error:" line to stderr.
+# main runs in-process with stdout and stderr redirected, not through capsys,
+# which hypothesis would share between examples.
+
+HUGE_K = 2**1024 + 1  # past the float range: approx exits 3
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _assert_one_error_line(out, err):
+    assert out == ""
+    assert err.startswith("ratroot: error: ") and err.endswith("\n"), err
+    assert err.count("\n") == 1, err
+
+
+_valid_n = st.integers(2, 8)
+_valid_k = st.one_of(st.integers(1, 10**4), st.just(HUGE_K))
+_format = st.sampled_from(("plain", "csv", "json"))
+
+
+def _common_flags(n, k, fmt):
+    return [f"--n={n}", f"--k={k}", f"--format={fmt}"]
+
+
+@st.composite
+def _valid_argv(draw):
+    n = draw(_valid_n)
+    common = _common_flags(n, draw(_valid_k), draw(_format))
+    command = draw(st.sampled_from(
+        ("approx", "table", "linear", "scalar", "eig", "chpow-t", "chpow-fib")
+    ))
+    if command == "approx":
+        flags = ["approx", f"--digits={draw(st.integers(1, 60))}"]
+    elif command == "table":
+        t1 = draw(st.integers(0, 80))
+        flags = ["table", f"--t0={draw(st.integers(0, t1))}", f"--t1={t1}",
+                 f"--index={draw(st.integers(1, n - 1))}"]
+    elif command == "linear":
+        start = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
+        flags = ["trace", "--mode=linear", "--start=" + ",".join(map(str, start)),
+                 f"--steps={draw(st.integers(0, 6))}"]
+    elif command == "scalar":
+        p, q = draw(st.integers(-5, 5)), draw(st.integers(1, 5))
+        flags = ["trace", "--mode=scalar", f"--start={p}/{q}",
+                 f"--steps={draw(st.integers(0, 5))}"]
+    elif command == "eig":
+        flags = ["eig"]
+    elif command == "chpow-t":
+        flags = ["chpow", f"--t={draw(st.integers(0, 500))}"]
+    else:
+        flags = ["chpow", f"--fib={draw(st.integers(1, 12))}"]
+    return flags + common
+
+
+@given(_valid_argv())
+@settings(max_examples=100, deadline=None)
+def test_valid_requests_keep_the_exit_contract(argv):
+    rc, out, err = _run_captured(argv)
+    assert rc in (0, 2, 3), (rc, err)
+    if rc:
+        _assert_one_error_line(out, err)
+    else:
+        assert out and err == ""
+
+
+@st.composite
+def _malformed_argv(draw):
+    case = draw(st.sampled_from((
+        "n", "k", "t0>t1", "index", "zero-start", "start-length", "linear-text",
+        "scalar-text", "digits", "max-t", "t", "steps", "fib",
+    )))
+    n = draw(st.integers(-3, 1) if case == "n" else _valid_n)
+    k = draw(st.integers(-3, 0) if case == "k" else _valid_k)
+    common = _common_flags(n, k, draw(_format))
+    if case in ("n", "k"):
+        command = draw(st.sampled_from((
+            ["approx", "--digits=5"], ["table"], ["trace", "--mode=linear"],
+            ["trace", "--mode=scalar"], ["eig"], ["chpow"],
+        )))
+        return command + common
+    if case == "t0>t1":
+        t1 = draw(st.integers(0, 80))
+        return ["table", f"--t0={draw(st.integers(t1 + 1, t1 + 5))}", f"--t1={t1}"] + common
+    if case == "index":
+        index = draw(st.one_of(st.integers(-3, 0), st.integers(n, n + 3)))
+        return ["table", f"--index={index}"] + common
+    if case == "zero-start":
+        zeros = ",".join("0" * draw(st.integers(1, 9)))
+        return ["trace", "--mode=linear", f"--start={zeros}"] + common
+    if case == "start-length":
+        length = draw(st.integers(1, 9).filter(lambda m: m != n))
+        return ["trace", "--mode=linear", "--start=" + ",".join("1" * length)] + common
+    if case == "linear-text":
+        text = draw(st.sampled_from(("", "x", "1,,1", "1.5,1", "1/2,1")))
+        return ["trace", "--mode=linear", f"--start={text}"] + common
+    if case == "scalar-text":
+        text = draw(st.sampled_from(("", "x", "1/0", "1//2", "1,1")))
+        return ["trace", "--mode=scalar", f"--start={text}"] + common
+    if case == "digits":
+        return ["approx", f"--digits={draw(st.integers(-3, 0))}"] + common
+    if case == "max-t":
+        return ["approx", "--digits=5", f"--max-t={draw(st.integers(-9, -1))}"] + common
+    if case == "t":
+        return ["chpow", f"--t={draw(st.integers(-9, -1))}"] + common
+    if case == "steps":
+        mode = draw(st.sampled_from(("linear", "scalar")))
+        return ["trace", f"--mode={mode}", f"--steps={draw(st.integers(-9, -1))}"] + common
+    return ["chpow", f"--fib={draw(st.integers(-3, 0))}"] + common
+
+
+@given(_malformed_argv())
+@settings(max_examples=100, deadline=None)
+def test_malformed_requests_exit_1(argv):
+    rc, out, err = _run_captured(argv)
+    assert rc == 1, (rc, err)
+    _assert_one_error_line(out, err)
+
+
 def _int_str_limit():
     """The interpreter's int/str digit limit, or None where it has none."""
     get = getattr(sys, "get_int_max_str_digits", None)
@@ -628,50 +742,15 @@ def test_format_int_edges_match_str():
     # 10**9864 is the first power of ten past the cutover; 10**78900 is ~2**18 bits
     for m in (9863, 9864, 9865, 40000, 78900):
         values += [10**m - 1, 10**m, 10**m + 1]
-    # the default int/str limit is 4300 digits: str refuses 10**4300, and
-    # from 14,285 bits it converts in full before it refuses
+    # the default int/str limit is 4300 digits: str refuses 10**4300. It
+    # converts an int of 14,286 to 14,400 bits in full before it refuses it,
+    # and refuses one of 14,401 bits or more without converting it
     values += [10**4300 - 1, 10**4300]
-    for bits in (14284, 14285):
+    for bits in (14284, 14285, 14286, 14400, 14401):
         values += [2**bits - 1, 1 << (bits - 1), rng.getrandbits(bits) | 1 << (bits - 1)]
     for x in values:
         _assert_format_int_is_str(x)
         _assert_format_int_is_str(-x)
-
-
-def test_format_int_skips_str_past_the_digit_limit(monkeypatch, default_int_str_limit):
-    # str converts an int of 14,286 to about 14,430 bits in full before it
-    # refuses it at the default limit; format_int goes straight to decimal
-    if default_int_str_limit is None:
-        pytest.skip("this interpreter has no int/str digit limit")
-    from ratroot import cli
-
-    str_of_ints = []
-
-    def spy(obj):
-        if isinstance(obj, int):
-            str_of_ints.append(obj)
-        return str(obj)
-
-    monkeypatch.setattr(cli, "str", spy, raising=False)
-    skipped = []
-    for bits in range(14200, 14500):
-        x = 1 << (bits - 1)  # the fewest digits of its bit length
-        str_of_ints.clear()
-        format_int(x)
-        if not str_of_ints:
-            skipped.append(bits)
-            with pytest.raises(ValueError):  # a skip is always sound
-                str(x)
-    assert skipped == list(range(14286, 14500))
-    rng = random.Random(20261019)
-    values = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in (14286, 14290, 14400, 14430)]
-    str_of_ints.clear()
-    for x in values:
-        format_int(x)
-    assert str_of_ints == []
-    monkeypatch.undo()
-    for x in values:
-        _assert_format_int_is_str(x)
 
 
 @given(st.integers(0, 2**18), st.randoms(use_true_random=False), st.booleans())
