@@ -9,7 +9,8 @@ The engine computes in one ring, Z[x]/(x**n - k), whose elements are plain
 tuples of n ints: ``ring_pow_one_plus_x`` gives (1 + x)**t, ``apply_power``
 applies M**t to a state, and ``power_basis_coeffs`` and ``fib_power_chain``
 change ring powers to the basis I, M, ..., M**(n-1) at the output.
-``companion_matrix`` and ``mat_pow`` are the matrix reference.
+``companion_matrix`` and ``mat_pow`` are the matrix reference; a matrix is a
+plain tuple of row tuples of ints.
 
 A state is a plain tuple of n ints. ``iterate_linear`` returns the tuple of
 states t = 0, 1, ..., steps, ``iterate_scalar_map`` the tuple of its
@@ -26,7 +27,6 @@ from .core import (
     DegenerateRate,
     DivisionByZero,
     IllConditioned,
-    Matrix,
     NonConvergence,
     Params,
     PoleEncountered,
@@ -66,7 +66,6 @@ __all__ = [
     "DegenerateRate",
     "DivisionByZero",
     "IllConditioned",
-    "Matrix",
     "NonConvergence",
     "Params",
     "PoleEncountered",

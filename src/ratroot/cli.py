@@ -46,8 +46,10 @@ stdlib modules are imported where they are first used: ``json`` by
 ``format_int`` for an integer that ``str`` does not render (past the
 cutover or the digit limit), ``fractions`` (which loads ``decimal``) by
 ``trace --mode scalar``, and ``random`` by ``selftest``. A plain
-``approx``, ``table`` or ``chpow`` of integers up to the cutover loads
-none of them.
+``approx``, ``table`` or ``chpow`` loads none of them unless it renders an
+integer past the int/str digit limit or the cutover. At the default limit
+``str`` refuses integers from about 14,300 bits, so ``approx --n 2 --k 2
+--digits 6000`` loads ``decimal`` for its 6,001-digit decimal cell.
 """
 from __future__ import annotations
 
@@ -58,7 +60,7 @@ from collections import namedtuple
 from functools import cache
 
 from . import engine, oracle, recursion, spectral
-from .core import Matrix, NonConvergence, Params, PoleEncountered, ZeroVector
+from .core import NonConvergence, Params, PoleEncountered, ZeroVector
 
 TABLE_DECIMAL_PLACES = 6
 TABLE_DIGITS_CAP = 40
@@ -390,8 +392,9 @@ def check_cayley_hamilton(n_max: int):
     for n in range(2, n_max + 1):
         for k in (1, 2, 3, 5, 10, 16):
             m = engine.companion_matrix(Params(n, k))
-            got = engine.mat_pow(m - Matrix.identity(n), n)
-            assert got == Matrix.identity(n).scale(k), (
+            s = tuple(tuple(a - (i == j) for j, a in enumerate(row)) for i, row in enumerate(m))
+            k_id = tuple(tuple(k * (i == j) for j in range(n)) for i in range(n))
+            assert engine.mat_pow(s, n) == k_id, (
                 f"(M - I)**{n} != {k}*I at n={n}, k={k}"
             )
 
@@ -412,7 +415,8 @@ def check_engine_agreement(seed: int, cases: int):
         params = Params(n, k)
         m = engine.companion_matrix(params)
         try:
-            naive = engine.mat_pow(m, t).apply(entries)  # trusted reference
+            power = engine.mat_pow(m, t)  # trusted reference
+            naive = tuple(sum(a * x for a, x in zip(row, entries)) for row in power)
             ring = engine.apply_power(params, t, entries)
         except ZeroVector:
             continue  # singular matrix annihilated this start; excluded
@@ -465,8 +469,11 @@ class _UsageError(Exception):
 
 
 class _CliParser(argparse.ArgumentParser):
+    """Reports argparse's own usage errors with the prefix of every other
+    nonzero exit, ``ratroot: error:``, not the subparser's ``prog``."""
+
     def error(self, message):
-        raise _UsageError(f"{self.prog}: error: {message}")
+        raise _UsageError(f"ratroot: error: {message}")
 
 
 def _add_command(subs, name: str, help: str, build):

@@ -89,69 +89,3 @@ def check_state(r0, n: int) -> tuple[int, ...]:
         raise ValueError(f"state length {len(r0)} != n={n}")
     return r0
 
-
-class Matrix:
-    """Immutable square matrix of exact integers, row-major."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
-        if not rows or any(len(r) != len(rows) for r in rows):
-            raise ValueError("matrix must be square and nonempty")
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot set or delete {name!r}: Matrix is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        # pickle and deepcopy rebuild through __init__, not the frozen slot
-        return Matrix, (self.rows,)
-
-    def __eq__(self, other):
-        return self.rows == other.rows if isinstance(other, Matrix) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"Matrix(rows={self.rows!r})"
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_dims(other)
-        return Matrix(
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        self._check_dims(other)
-        cols = tuple(zip(*other.rows))
-        return Matrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows)
-        )
-
-    def scale(self, c: int) -> "Matrix":
-        return Matrix(tuple(tuple(c * a for a in row) for row in self.rows))
-
-    def apply(self, entries) -> tuple[int, ...]:
-        """Matrix-vector product on a plain sequence of ints."""
-        if len(entries) != self.n:
-            raise ValueError(f"vector length {len(entries)} != matrix size {self.n}")
-        return tuple(sum(a * x for a, x in zip(row, entries)) for row in self.rows)
-
-    def _check_dims(self, other: "Matrix"):
-        if not isinstance(other, Matrix):
-            raise TypeError(f"expected Matrix, got {type(other).__name__}")
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-

@@ -14,7 +14,8 @@ rule, x**m -> k*x**(m-n) (:func:`_fold`).
 
 Two power routes are kept on purpose. :func:`mat_pow`, repeated matrix
 multiplication, is the trusted reference, and the quotient-ring route is the
-production path. They share no multiply and must agree exactly, always.
+production path. They share no multiply and must agree exactly, always. A
+matrix is a plain tuple of row tuples of ints (:func:`companion_matrix`).
 :func:`apply_power` runs the ring route in one shot; ``table``, ``selftest``
 and the engine-agreement check use it. ``approx`` keeps the ring power
 between its step-doubling attempts: it builds (1 + x)**t by the ladder
@@ -53,10 +54,10 @@ from __future__ import annotations
 
 from operator import add, sub
 
-from .core import Matrix, Params, ZeroVector, check_state
+from .core import Params, ZeroVector, check_state
 
 
-def companion_matrix(params: Params) -> Matrix:
+def companion_matrix(params: Params) -> tuple[tuple[int, ...], ...]:
     """Iteration matrix M: ones on diagonal and first subdiagonal, k top-right."""
     n, k = params.n, params.k
     rows = [[0] * n for _ in range(n)]
@@ -65,16 +66,24 @@ def companion_matrix(params: Params) -> Matrix:
     for i in range(1, n):
         rows[i][i - 1] = 1
     rows[0][n - 1] += k
-    return Matrix(tuple(tuple(r) for r in rows))
+    return tuple(tuple(r) for r in rows)
 
 
-def mat_pow(a: Matrix, t: int) -> Matrix:
-    """a**t exactly, by t repeated multiplications: the trusted reference."""
+def mat_pow(a, t: int) -> tuple[tuple[int, ...], ...]:
+    """a**t exactly, by t repeated multiplications: the trusted reference.
+
+    a is a square, nonempty tuple of row tuples, and so is the result; the
+    products start from the identity.
+    """
     if t < 0:
         raise ValueError(f"exponent must be nonnegative, got {t}")
-    acc = Matrix.identity(a.n)
+    n = len(a)
+    if not n or any(len(r) != n for r in a):
+        raise ValueError("matrix must be square and nonempty")
+    acc = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    cols = tuple(zip(*a))
     for _ in range(t):
-        acc = acc * a
+        acc = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in acc)
     return acc
 
 

@@ -27,6 +27,23 @@ def bareiss_det(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def identity(n: int) -> tuple[tuple[int, ...], ...]:
+    """The n x n identity as a tuple of row tuples."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def mat_apply(a, v) -> tuple[int, ...]:
+    """The matrix-vector product a v, for a matrix a given as a tuple of row tuples."""
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def mat_comb(terms) -> tuple[tuple[int, ...], ...]:
+    """The sum of c*a over the pairs (c, a), square matrices of one size."""
+    terms = list(terms)
+    n = len(terms[0][1])
+    return tuple(tuple(sum(c * a[i][j] for c, a in terms) for j in range(n)) for i in range(n))
+
+
 def brute_floor_root(m: int, n: int) -> int:
     """Exhaustive floor(m**(1/n)): walk r upward until (r+1)**n exceeds m."""
     r = 0

@@ -41,6 +41,8 @@ from ratroot.cli import (
     check_rate_slope,
 )
 
+from _helpers import mat_apply
+
 
 @contextmanager
 def reporting(criterion: str):
@@ -217,7 +219,7 @@ def test_c9_spectral_fidelity():
                 state = ones(n)
                 m = companion_matrix(params)
                 for t in range(1, 31):
-                    state = m.apply(state)
+                    state = mat_apply(m, state)
                     predicted = dec.predict(t)
                     for i in range(n):
                         rel = abs(predicted[i].real - state[i]) / abs(state[i])

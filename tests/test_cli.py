@@ -109,6 +109,14 @@ def test_trace_linear_single_step():
     assert record.rows == [["0", "1", "1"], ["1", "3", "2"]]
 
 
+def test_trace_linear_json_columns(capsys):
+    rc, out, _ = run_cli(
+        capsys, "trace", "--mode", "linear", "--n", "3", "--k", "2", "--format", "json"
+    )
+    assert rc == 0
+    assert json.loads(out)["columns"] == ["t", "x1", "x2", "x3"]
+
+
 def test_trace_scalar_fixed_point(capsys):
     rc, out, _ = run_cli(
         capsys, "trace", "--mode", "scalar", "--n", "2", "--k", "4",
@@ -384,6 +392,19 @@ def test_approx_rejects_negative_ceiling(capsys, k):
     )
     assert rc == 1 and out == ""
     assert err == "ratroot: error: max t must be >= 0, got -3\n", err
+
+
+def test_approx_ceiling_admits_its_own_t_used(capsys):
+    # --max-t at the t that certifies changes nothing; one below it refuses
+    argv = ("approx", "--n", "3", "--k", "2", "--digits", "30")
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    t_used = int(out.split("# t_used = ", 1)[1].split("\n", 1)[0])
+    rc, at_ceiling, err = run_cli(capsys, *argv, "--max-t", str(t_used))
+    assert rc == 0 and at_ceiling == out, err
+    rc, below, err = run_cli(capsys, *argv, "--max-t", str(t_used - 1))
+    assert rc == 3 and below == ""
+    assert f"exceeds ceiling {t_used - 1}" in err, err
 
 
 def test_approx_zero_ceiling_still_means_no_steps(capsys):
@@ -676,6 +697,20 @@ def test_malformed_requests_exit_1(argv):
     _assert_one_error_line(out, err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["approx", "--n", "2", "--k", "2"],
+    ["approx", "--n", "x", "--k", "2", "--digits", "5"],
+    ["table", "--n", "2", "--k", "2", "--bogus"],
+    ["chpow", "--n", "2", "--k", "2", "--t", "5", "--fib", "3"],
+    ["bogus", "--n", "2", "--k", "2"],
+], ids=["missing-digits", "n-not-int", "unknown-flag", "t-and-fib", "unknown-command"])
+def test_argparse_usage_errors_exit_1_with_the_one_prefix(argv):
+    # argv that argparse itself refuses, in a subparser or at the top level
+    rc, out, err = _run_captured(argv)
+    assert rc == 1, (rc, err)
+    _assert_one_error_line(out, err)
+
+
 def _int_str_limit():
     """The interpreter's int/str digit limit, or None where it has none."""
     get = getattr(sys, "get_int_max_str_digits", None)
@@ -954,14 +989,12 @@ def test_selftest_catches_sabotaged_binomial_row(capsys, monkeypatch):
 def test_selftest_catches_sabotaged_companion_matrix(capsys, monkeypatch):
     # a wrong iteration matrix must trip the cayley-hamilton group
     from ratroot import engine
-    from ratroot.core import Matrix
 
     true_companion = engine.companion_matrix
 
     def corrupt_companion(params):
-        rows = [list(row) for row in true_companion(params).rows]
-        rows[0][0] += 1
-        return Matrix(rows)
+        (m00, *row0), *rows = true_companion(params)
+        return ((m00 + 1, *row0), *rows)
 
     monkeypatch.setattr(engine, "companion_matrix", corrupt_companion)
     rc, out, _ = run_cli(capsys, "selftest")
@@ -1003,20 +1036,32 @@ def test_selftest_catches_sabotaged_step(capsys, monkeypatch):
 
 def test_selftest_catches_sabotaged_matrix_power(capsys, monkeypatch):
     # a wrong matrix reference must trip both checks that reach it
-    from ratroot.core import Matrix
-
     true_pow = engine.mat_pow
 
     def corrupt_pow(a, t):
-        rows = [list(row) for row in true_pow(a, t).rows]
-        rows[0][0] += 1
-        return Matrix(rows)
+        (p00, *row0), *rows = true_pow(a, t)
+        return ((p00 + 1, *row0), *rows)
 
     monkeypatch.setattr(engine, "mat_pow", corrupt_pow)
     rc, out, _ = run_cli(capsys, "selftest")
     assert rc == 3
     failed = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL ")]
     assert failed == ["FAIL cayley-hamilton", "FAIL engine-agreement"]
+
+
+def test_cayley_hamilton_check_reaches_n_max(monkeypatch):
+    # a reference wrong only at n = n_max must fail the check: a loop that
+    # stopped one n early would pass it
+    true_pow = engine.mat_pow
+
+    def corrupt_at_n_max(a, t):
+        (p00, *row0), *rows = true_pow(a, t)
+        return ((p00 + (len(a) == 5), *row0), *rows)
+
+    monkeypatch.setattr(engine, "mat_pow", corrupt_at_n_max)
+    cli.check_cayley_hamilton(4)
+    with pytest.raises(AssertionError, match="at n=5, k=1"):
+        cli.check_cayley_hamilton(5)
 
 
 def test_output_is_deterministic(capsys):

@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ratroot.cli import build_eig
-from ratroot.core import Matrix, Params, check_state
+from ratroot.core import Params, check_state
+from ratroot.engine import mat_pow
 from ratroot.spectral import decompose, eigenvalues
 
 
@@ -83,50 +84,20 @@ def test_fraction_always_canonical(num, den):
     assert Fraction(f.numerator, f.denominator) == f
 
 
-def test_matrix_identity_and_shape():
-    i3 = Matrix.identity(3)
-    assert i3.n == 3
-    assert i3.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
 def test_matrix_rejects_non_square():
-    with pytest.raises(ValueError):
-        Matrix(((1, 2),))
-    with pytest.raises(ValueError):
-        Matrix(())
-
-
-def test_matrix_arithmetic():
-    a = Matrix(((1, 2), (3, 4)))
-    b = Matrix(((5, 6), (7, 8)))
-    assert (b - a).rows == ((4, 4), (4, 4))
-    assert (a * b).rows == ((19, 22), (43, 50))
-    assert a.scale(-2).rows == ((-2, -4), (-6, -8))
-    assert a.apply((1, 10)) == (21, 43)
-
-
-def test_matrix_dimension_mismatch():
-    a = Matrix(((1,),))
-    b = Matrix.identity(2)
-    with pytest.raises(ValueError):
-        a * b
-    with pytest.raises(ValueError):
-        b.apply((1, 2, 3))
-
-
-def test_matrix_is_value_type():
-    assert Matrix.identity(2) == Matrix(((1, 0), (0, 1)))
-    assert hash(Matrix.identity(2)) == hash(Matrix(((1, 0), (0, 1))))
-    assert repr(Matrix.identity(2)) == "Matrix(rows=((1, 0), (0, 1)))"
-    with pytest.raises(AttributeError):
-        Matrix.identity(2).rows = ((2,),)
+    # a matrix is a tuple of row tuples; the reference power checks its shape
+    with pytest.raises(ValueError, match="square and nonempty"):
+        mat_pow(((1, 2),), 1)
+    with pytest.raises(ValueError, match="square and nonempty"):
+        mat_pow(((1, 2), (3,)), 1)
+    with pytest.raises(ValueError, match="square and nonempty"):
+        mat_pow((), 0)
 
 
 def test_value_types_survive_pickle_and_deepcopy():
     # values may be shared between processes, so each must round-trip
     values = [
         Params(3, 5),
-        Matrix(((1, 2), (3, 4))),
         eigenvalues(Params(3, 2)),
         decompose(Params(2, 2), (1, 1)),
         build_eig(Params(3, 2)),

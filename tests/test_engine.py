@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ratroot.core import Matrix, Params, ZeroVector
+from ratroot.core import Params, ZeroVector
 from ratroot.engine import (
     SQR_CUTOVER,
     _mulmod,
@@ -25,46 +25,54 @@ from _helpers import (
     alternating_binomial_transform,
     bareiss_det,
     fib_chain_in_power_basis,
+    identity,
+    mat_apply,
+    mat_comb,
     step_pow_one_plus_x,
 )
 
 params_st = st.builds(Params, st.integers(2, 6), st.integers(1, 20))
 
 
+def cyclic_matrix(params):
+    """S = M - I, the k-weighted cyclic shift."""
+    return mat_comb([(1, companion_matrix(params)), (-1, identity(params.n))])
+
+
 def test_companion_matrix_examples():
-    assert companion_matrix(Params(2, 2)).rows == ((1, 2), (1, 1))
-    assert companion_matrix(Params(3, 5)).rows == ((1, 0, 5), (1, 1, 0), (0, 1, 1))
-    assert companion_matrix(Params(2, 1)).rows == ((1, 1), (1, 1))
+    assert companion_matrix(Params(2, 2)) == ((1, 2), (1, 1))
+    assert companion_matrix(Params(3, 5)) == ((1, 0, 5), (1, 1, 0), (0, 1, 1))
+    assert companion_matrix(Params(2, 1)) == ((1, 1), (1, 1))
 
 
 def test_cyclic_matrix_examples():
-    assert (companion_matrix(Params(2, 2)) - Matrix.identity(2)).rows == ((0, 2), (1, 0))
-    assert (companion_matrix(Params(2, 1)) - Matrix.identity(2)).rows == ((0, 1), (1, 0))
+    assert cyclic_matrix(Params(2, 2)) == ((0, 2), (1, 0))
+    assert cyclic_matrix(Params(2, 1)) == ((0, 1), (1, 0))
 
 
 def test_cyclic_cubed_is_k_times_identity():
-    s = companion_matrix(Params(3, 2)) - Matrix.identity(3)
-    assert (s * s * s).rows == ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+    s = cyclic_matrix(Params(3, 2))
+    assert mat_pow(s, 3) == ((2, 0, 0), (0, 2, 0), (0, 0, 2))
 
 
 @given(params_st)
 @settings(max_examples=60)
 def test_cyclic_nth_power_property(params):
-    s = companion_matrix(params) - Matrix.identity(params.n)
-    assert mat_pow(s, params.n) == Matrix.identity(params.n).scale(params.k)
+    s = cyclic_matrix(params)
+    assert mat_pow(s, params.n) == mat_comb([(params.k, identity(params.n))])
 
 
 def test_mat_pow_examples():
     m = companion_matrix(Params(2, 2))
-    assert mat_pow(m, 0) == Matrix.identity(2)
-    assert mat_pow(m, 2).rows == ((3, 4), (2, 3))
+    assert mat_pow(m, 0) == ((1, 0), (0, 1))
+    assert mat_pow(m, 2) == ((3, 4), (2, 3))
     p5 = mat_pow(m, 5)
-    assert p5.rows == ((41, 58), (29, 41))
-    assert p5.apply((1, 1)) == (99, 70)
+    assert p5 == ((41, 58), (29, 41))
+    assert mat_apply(p5, (1, 1)) == (99, 70)
 
 
 def test_mat_pow_rejects_bad_arguments():
-    m = Matrix.identity(2)
+    m = identity(2)
     with pytest.raises(ValueError):
         mat_pow(m, -1)
 
@@ -99,12 +107,12 @@ def test_mulmod_matches_cyclic_shift_sum(ab, k):
     # a*b = sum(a_i * S**i b): S = M - I is multiplication by x
     a, b = ab
     n = len(a)
-    s = companion_matrix(Params(n, k)) - Matrix.identity(n)
+    s = cyclic_matrix(Params(n, k))
     want = [0] * n
     shifted = tuple(b)
     for ai in a:
         want = [w + ai * c for w, c in zip(want, shifted)]
-        shifted = s.apply(shifted)
+        shifted = mat_apply(s, shifted)
     assert _mulmod(a, b, k) == tuple(want)
 
 
@@ -112,17 +120,17 @@ def test_ring_pow_examples():
     assert ring_pow_one_plus_x(Params(3, 9), 0) == (1, 0, 0)
     # (1+x)**5 with x**2 = 2 equals the first column of M**5
     assert ring_pow_one_plus_x(Params(2, 2), 5) == (41, 29)
-    assert mat_pow(companion_matrix(Params(2, 2)), 5).apply((1, 0)) == (41, 29)
+    assert mat_apply(mat_pow(companion_matrix(Params(2, 2)), 5), (1, 0)) == (41, 29)
     # degree < n, no reduction: (1+x)**2 at n=3
     assert ring_pow_one_plus_x(Params(3, 2), 2) == (1, 2, 1)
-    assert mat_pow(companion_matrix(Params(3, 2)), 2).apply((1, 0, 0)) == (1, 2, 1)
+    assert mat_apply(mat_pow(companion_matrix(Params(3, 2)), 2), (1, 0, 0)) == (1, 2, 1)
 
 
 @given(params_st, st.integers(0, 50))
 @settings(max_examples=60, deadline=None)
 def test_ring_pow_matches_matrix_first_column(params, t):
     e1 = (1,) + (0,) * (params.n - 1)
-    column = mat_pow(companion_matrix(params), t).apply(e1)
+    column = mat_apply(mat_pow(companion_matrix(params), t), e1)
     assert ring_pow_one_plus_x(params, t) == column
 
 
@@ -225,7 +233,7 @@ def test_square_ring_doubles_the_ladder(params, t):
     assert doubled == ring_pow_one_plus_x(params, 2 * t)
     ones = (1,) * params.n
     state = apply_ring_power(params, doubled, ones, 2 * t)
-    assert state == mat_pow(companion_matrix(params), 2 * t).apply(ones)
+    assert state == mat_apply(mat_pow(companion_matrix(params), 2 * t), ones)
 
 
 def test_apply_power_examples():
@@ -261,7 +269,7 @@ def test_engine_agreement_random(params, t, entries):
         via_ring = apply_power(params, t, entries)
     except ZeroVector:
         return  # singular matrix annihilated the start; nothing to compare
-    assert via_ring == mat_pow(m, t).apply(entries)
+    assert via_ring == mat_apply(mat_pow(m, t), entries)
 
 
 @given(params_st, st.lists(st.integers(1, 9), min_size=2, max_size=6), st.integers(0, 60))
@@ -277,26 +285,23 @@ def test_cayley_hamilton_rearranged_form(n, k):
     # M**n - sum_i C(n,i) (-1)**(n-1-i) M**i - ((-1)**(n-1) + k) I = 0
     params = Params(n, k)
     m = companion_matrix(params)
-    acc = mat_pow(m, n)
-    for i in range(1, n):
-        coeff = comb(n, i) * (-1) ** (n - 1 - i)
-        acc = acc - mat_pow(m, i).scale(coeff)
-    acc = acc - Matrix.identity(n).scale((-1) ** (n - 1) + k)
-    assert acc == Matrix.identity(n).scale(0)
+    rest = [(comb(n, i) * (-1) ** (n - 1 - i), mat_pow(m, i)) for i in range(1, n)]
+    rest.append(((-1) ** (n - 1) + k, identity(n)))
+    assert mat_pow(m, n) == mat_comb(rest)
 
 
 @given(params_st, st.lists(st.integers(-(10**30), 10**30), min_size=6, max_size=6))
 @settings(max_examples=100)
 def test_step_one_plus_x_is_one_matrix_step(params, entries):
     c = tuple(entries[: params.n])
-    assert tuple(step_one_plus_x(c, params.k)) == companion_matrix(params).apply(c)
+    assert tuple(step_one_plus_x(c, params.k)) == mat_apply(companion_matrix(params), c)
 
 
 @given(params_st)
 @settings(max_examples=60)
 def test_determinant_closed_form(params):
     m = companion_matrix(params)
-    assert bareiss_det(m.rows) == 1 + (-1) ** (params.n + 1) * params.k
+    assert bareiss_det(m) == 1 + (-1) ** (params.n + 1) * params.k
 
 
 def test_power_basis_coeffs_small_exponents_are_delta():
@@ -311,11 +316,8 @@ def test_power_basis_coeffs_small_exponents_are_delta():
 def test_power_basis_reconstruction(params, t):
     m = companion_matrix(params)
     coeffs = power_basis_coeffs(params, t)
-    # M**t - sum_i a_i M**i = 0
-    acc = mat_pow(m, t)
-    for i, a in enumerate(coeffs):
-        acc = acc - mat_pow(m, i).scale(a)
-    assert acc == Matrix.identity(params.n).scale(0)
+    # M**t = sum_i a_i M**i
+    assert mat_pow(m, t) == mat_comb((a, mat_pow(m, i)) for i, a in enumerate(coeffs))
 
 
 @given(st.builds(Params, st.integers(2, 64), st.integers(1, 10**6)), ladder_t_st)

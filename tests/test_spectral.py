@@ -8,6 +8,8 @@ from ratroot.engine import apply_power, companion_matrix
 from ratroot import spectral
 from ratroot.spectral import convergence_rate, decompose, eigenvalues
 
+from _helpers import mat_apply
+
 
 def charpoly(params, lam):
     return (1 - lam) ** params.n + (-1) ** (params.n + 1) * params.k
@@ -62,9 +64,7 @@ def test_eigen_residual_bound():
             params = Params(n, k)
             m = companion_matrix(params)
             for pair in eigenvalues(params).pairs:
-                image = [
-                    sum(a * v for a, v in zip(row, pair.vector)) for row in m.rows
-                ]
+                image = mat_apply(m, pair.vector)
                 residual = max(
                     abs(image[i] - pair.value * pair.vector[i]) for i in range(n)
                 )
@@ -161,6 +161,13 @@ def test_decompose_reconstruction_residual():
             assert residual < 1e-9
 
 
+def test_decompose_needs_its_refinement_step():
+    # the docstring's case: the closed-form solve alone leaves a residual of
+    # 1.4e-9, past the 1e-9 bound, and raises IllConditioned; the refinement
+    # step brings it to 6e-11
+    decompose(Params(9, 10**6), tuple(range(1, 10)))
+
+
 def test_decompose_validates_length():
     with pytest.raises(ValueError):
         decompose(Params(3, 2), (1, 1))
@@ -170,7 +177,8 @@ def test_decompose_residual_gate_can_trip(monkeypatch):
     monkeypatch.setattr(spectral, "RESIDUAL_BOUND", 1e-22)
     with pytest.raises(IllConditioned) as exc:
         decompose(Params(6, 19), (1, 1, 1, 1, 1, 1))
-    assert exc.value.cond > 1
+    # cond_2(V) = r**(n-1), r = 19**(1/6)
+    assert exc.value.cond == pytest.approx(19 ** (5 / 6))
 
 
 def test_prediction_matches_exact_trajectory():
