@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from collections import namedtuple
 from functools import cache
@@ -470,7 +471,18 @@ class _UsageError(Exception):
 
 class _CliParser(argparse.ArgumentParser):
     """Reports argparse's own usage errors with the prefix of every other
-    nonzero exit, ``ratroot: error:``, not the subparser's ``prog``."""
+    nonzero exit, ``ratroot: error:``, not the subparser's ``prog``.
+
+    argparse reads a token that starts with "-" as an option unless it
+    looks like a negative number, and its own pattern admits only plain ints
+    and decimals. Here "-" then a digit (or ".digit") is a value, so
+    ``--start -1,1`` and ``--start -5/1`` parse as with ``--start=``.
+    Subparsers are made by this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise _UsageError(f"ratroot: error: {message}")

@@ -26,23 +26,23 @@ The ring route starts (1 + x)**t from a binomial row. I and S commute, so
 (I + S)**m = sum of C(m, j)*S**j, and with S**n = k*I coefficient i of
 (1 + x)**m is sum over l of C(m, i + l*n)*k**l: the binomial row folded once
 (:func:`_binomial_row`, small-factor steps and no coefficient products). The
-row covers m0, the longest leading run of the bits of t that passes
-:func:`_row_fits` (m0 <= 2*n*n). A left-to-right ladder takes the
-remaining bits: per bit one square by the squaring kernel :func:`_sqrmod`,
-and on a set bit one :func:`step_one_plus_x`. The kernel squares schoolbook
+row covers m0, the longest leading run of the bits of t with m0 <= 2*n*n.
+A left-to-right ladder takes the remaining bits: per bit one square by the
+squaring kernel :func:`_sqrmod`, and on a set bit one
+:func:`step_one_plus_x`. The kernel squares schoolbook
 up to SQR_CUTOVER coefficients and splits longer polynomials
 Karatsuba-style into three half-length squares. Its schoolbook leaves form
 squares only, each cross term 2*ai*aj as (ai + aj)**2 - ai**2 - aj**2, as
 CPython squares a big int in about 0.57-0.74 of the time of a general
 product of the same size (1 to 120 kbit, BENCH_21.json). So every
-big-integer product of the ladder is a square at coefficient size.
-The one general product, :func:`_mulmod`, is schoolbook; it applies a
-power to a start vector and composes the ``--fib`` chain past 2*n*n
-(shorter entries of the chain are binomial rows).
+big-integer product of the ladder is a square at coefficient size, and no
+power is formed as the product of two others: each entry of the ``--fib``
+chain runs its own ladder. The one general product, :func:`_mulmod`, is
+schoolbook; it applies a power to a start vector.
 
 The power basis I, M, ..., M**(n-1) appears only at the output: a ring
 element is changed to it, x = y - 1, by one Taylor shift done with
-subtractions only (:func:`power_basis_coeffs`, and once per entry of
+subtractions only (:func:`power_basis_coeffs`, once per entry of
 :func:`fib_power_chain`).
 
 For n = 2 the coefficient pair is the whole ring element, and ``approx``
@@ -171,20 +171,6 @@ def step_one_plus_x(c, k) -> list[int]:
     return [c[0] + k * c[-1], *map(add, c[1:], c)]
 
 
-def _row_fits(n: int, m: int) -> bool:
-    """Whether (1 + x)**m is built as a binomial row rather than by products.
-
-    The one place that decides it, for the ladder's start and for the
-    ``--fib`` chain. A row of m terms costs about m/2 exact divisions by
-    small ints and m Horner steps; each square it replaces costs about
-    n**1.585 coefficient squares, which at short coefficients are bound
-    by interpreter overhead. In-process chpow-wide ring time is lowest at
-    2n**2 (BENCH_21.json sweeps n**2, 1.5n**2, 2n**2, 3n**2 and 4n**2);
-    the ``--fib`` chains are flat across them.
-    """
-    return m <= 2 * n * n
-
-
 def _binomial_row(n: int, k: int, m: int) -> list[int]:
     """(1 + x)**m in Z[x]/(x**n - k), from the binomial row of (I + S)**m.
 
@@ -213,8 +199,8 @@ def _binomial_row(n: int, k: int, m: int) -> list[int]:
 def ring_pow_one_plus_x(params: Params, t: int) -> tuple[int, ...]:
     """(1 + x)**t in Z[x]/(x**n - k): a binomial row, then a ladder.
 
-    The longest prefix m0 of the bits of t that passes :func:`_row_fits` is
-    built directly by :func:`_binomial_row`. For each remaining bit of t,
+    The longest prefix m0 of the bits of t with m0 <= 2*n*n is built
+    directly by :func:`_binomial_row`. For each remaining bit of t,
     from the top, the accumulator is squared by :func:`_sqrmod`, and on a
     set bit stepped once by :func:`step_one_plus_x`. Coefficient i is entry
     i+1 of M**t applied to the first standard basis vector.
@@ -222,8 +208,13 @@ def ring_pow_one_plus_x(params: Params, t: int) -> tuple[int, ...]:
     if t < 0:
         raise ValueError(f"exponent must be nonnegative, got {t}")
     n, k = params.n, params.k
+    # A row of m terms costs about m/2 exact divisions by small ints and m
+    # Horner steps; each square it replaces costs about n**1.585 coefficient
+    # squares, which at short coefficients are bound by interpreter overhead.
+    # In-process chpow-wide ring time is lowest at 2n**2 (BENCH_21.json sweeps
+    # n**2, 1.5n**2, 2n**2, 3n**2 and 4n**2).
     rest = 0
-    while not _row_fits(n, t >> rest):
+    while t >> rest > 2 * n * n:
         rest += 1
     c = _binomial_row(n, k, t >> rest)
     for i in range(rest - 1, -1, -1):
@@ -285,18 +276,22 @@ def apply_power(params: Params, t: int, r0) -> tuple[int, ...]:
     return apply_ring_power(params, ring_pow_one_plus_x(params, t), r0, t)
 
 
-def _to_power_basis(c) -> tuple[int, ...]:
-    """Ring coefficients c of p(x) to the coefficients of p(y - 1).
+def power_basis_coeffs(params: Params, t: int) -> tuple[int, ...]:
+    """Coefficients a with M**t = sum(a[i] * M**i for i < n).
 
-    With x = S = M - I this expands p(S) over I, M, ..., M**(n-1). It is
-    the alternating binomial transform
+    The ring coefficients c of (1 + x)**t = p(x) are changed to those of
+    p(y - 1): with x = S = M - I this expands p(S) over I, M, ..., M**(n-1).
+    It is the alternating binomial transform
 
         a[m] = sum over i >= m of c[i] * C(i, m) * (-1)**(i - m),
 
     computed as an in-place Taylor shift by -1 (Horner's scheme, one pass
-    per degree): n(n-1)/2 subtractions and no multiplications.
+    per degree): n(n-1)/2 subtractions and no multiplications. The result
+    equals the remainder of y**t modulo the monic characteristic polynomial
+    (y - 1)**n - k, the unique such expansion since M has n distinct
+    eigenvalues.
     """
-    a = list(c)
+    a = list(ring_pow_one_plus_x(params, t))
     n = len(a)
     for j in range(n - 1):
         for i in range(n - 2, j - 1, -1):
@@ -304,36 +299,19 @@ def _to_power_basis(c) -> tuple[int, ...]:
     return tuple(a)
 
 
-def power_basis_coeffs(params: Params, t: int) -> tuple[int, ...]:
-    """Coefficients a with M**t = sum(a[i] * M**i for i < n).
-
-    The Taylor shift of (1 + x)**t. The result equals the remainder of y**t
-    modulo the monic characteristic polynomial (y - 1)**n - k, the unique
-    such expansion since M has n distinct eigenvalues.
-    """
-    return _to_power_basis(ring_pow_one_plus_x(params, t))
-
-
 def fib_power_chain(
     params: Params, chain_length: int
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Exponents 2, 3, 5, 8, ... with the basis coefficients of each M**F_i.
 
-    F_i = F_{i-1} + F_{i-2}. A ring power (1 + x)**F_i whose exponent passes
-    :func:`_row_fits` comes from :func:`ring_pow_one_plus_x`, which for such
-    an exponent is the binomial row alone; each longer one is the product of
-    its two predecessors. Each is then Taylor-shifted once into the power
-    basis.
+    F_i = F_{i-1} + F_{i-2}. Each entry is :func:`power_basis_coeffs` of
+    its exponent: its own ladder, not a product of its two predecessors.
     """
     if chain_length < 1:
         raise ValueError(f"chain length must be >= 1, got {chain_length}")
     chain = []
     e1, e2 = 2, 3
     for _ in range(chain_length):
-        if _row_fits(params.n, e1):
-            c = ring_pow_one_plus_x(params, e1)
-        else:
-            c = _mulmod(chain[-1][1], chain[-2][1], params.k)
-        chain.append((e1, c))
+        chain.append((e1, power_basis_coeffs(params, e1)))
         e1, e2 = e2, e1 + e2
-    return [(e, _to_power_basis(c)) for e, c in chain]
+    return chain

@@ -603,6 +603,11 @@ def _common_flags(n, k, fmt):
     return [f"--n={n}", f"--k={k}", f"--format={fmt}"]
 
 
+def _start_flag(draw, text):
+    """--start as one token or two: a negative start parses either way."""
+    return [f"--start={text}"] if draw(st.booleans()) else ["--start", text]
+
+
 @st.composite
 def _valid_argv(draw):
     n = draw(_valid_n)
@@ -618,11 +623,11 @@ def _valid_argv(draw):
                  f"--index={draw(st.integers(1, n - 1))}"]
     elif command == "linear":
         start = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
-        flags = ["trace", "--mode=linear", "--start=" + ",".join(map(str, start)),
+        flags = ["trace", "--mode=linear", *_start_flag(draw, ",".join(map(str, start))),
                  f"--steps={draw(st.integers(0, 6))}"]
     elif command == "scalar":
         p, q = draw(st.integers(-5, 5)), draw(st.integers(1, 5))
-        flags = ["trace", "--mode=scalar", f"--start={p}/{q}",
+        flags = ["trace", "--mode=scalar", *_start_flag(draw, f"{p}/{q}"),
                  f"--steps={draw(st.integers(0, 5))}"]
     elif command == "eig":
         flags = ["eig"]
@@ -642,6 +647,19 @@ def test_valid_requests_keep_the_exit_contract(argv):
         _assert_one_error_line(out, err)
     else:
         assert out and err == ""
+
+
+@pytest.mark.parametrize("mode,n,start", [
+    ("linear", 2, "-1,1"), ("linear", 3, "-2,0,1"), ("scalar", 3, "-5/1"), ("scalar", 2, "-.5"),
+])
+def test_negative_start_after_a_space_parses_as_with_equals(mode, n, start):
+    # argparse's own negative-number pattern admits only plain ints and
+    # decimals, so "-1,1" and "-5/1" after a space read as options
+    common = ["trace", "--mode", mode, "--n", str(n), "--k", "2", "--steps", "2"]
+    spaced = _run_captured(common + ["--start", start])
+    joined = _run_captured(common + [f"--start={start}"])
+    assert spaced == joined
+    assert spaced[0] == 0 and spaced[1] and spaced[2] == ""
 
 
 @st.composite

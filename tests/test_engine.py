@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ratroot import engine
 from ratroot.core import Params, ZeroVector
 from ratroot.engine import (
     SQR_CUTOVER,
@@ -364,10 +365,19 @@ def test_fib_power_chain_matches_power_basis_composition(params, chain_length):
 
 
 # at n = 64 all 15 exponents (up to 1597) are binomial rows; at n = 8 the
-# exponents past 64 are products of their predecessors
+# exponents past 2*n*n = 128 are a binomial row and then a ladder of squares
 @pytest.mark.parametrize("n,k", [(64, 50), (8, 2)])
 def test_fib_power_chain_matches_power_basis_composition_at_15(n, k):
     assert fib_power_chain(Params(n, k), 15) == fib_chain_in_power_basis(n, k, 15)
+
+
+def test_fib_power_chain_forms_no_general_product(monkeypatch):
+    # each entry runs its own ladder, even past the binomial row's 2*n*n
+    def no_product(a, b, k):
+        raise AssertionError("fib_power_chain formed a general product")
+
+    monkeypatch.setattr(engine, "_mulmod", no_product)
+    assert fib_power_chain(Params(8, 2), 15) == fib_chain_in_power_basis(8, 2, 15)
 
 
 def test_fib_power_chain_rejects_empty():

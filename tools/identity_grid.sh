@@ -1,7 +1,8 @@
 #!/bin/sh
 # Byte-identity grid: run a fixed set of ratroot commands and print, for
-# each, a "### <command>" header, its stdout and its exit code. Run it in two
-# checkouts and diff the outputs; any difference is a change in behaviour.
+# each, a "### <command>" header, its stdout, each line of its stderr marked
+# "stderr> ", and its exit code. Run it in two checkouts and diff the
+# outputs; any difference is a change in behaviour.
 #
 #   tools/identity_grid.sh [CHECKOUT] > grid.txt
 #
@@ -9,24 +10,28 @@
 # imported from its src/. The grid is 224 commands (n 2-8, k in 1 2 7 1000,
 # eight command forms), then every --help, selftest, five heavy commands
 # whose integers pass the 2**15-bit rendering cutover, two --fib chains
-# at n 16 and 33, the last ratio index of three tables, and five traces
-# from explicit starts (three of them refused), ten n = 2 convergents
-# (five approx, the last refused because its rate rounds to 1, and five
-# tables), and seven chpow runs at n 48 and 64 whose ring power starts from
-# a binomial row of up to 2n**2 (at n 64, t 4096, 4097 and 6000 are rows
-# alone; t 4609 at n 48 and 8193 at n 64 are one square past a row of
-# n**2), then four large outputs, one in each format and from the n >= 3
-# reduction, each written line by line: 268 commands in all. It takes about
-# a minute.
+# at n 16 and 33, the last ratio index of three tables, five traces from
+# explicit starts (three of them refused), five argv that argparse itself
+# refuses, ten n = 2 convergents (five approx, the last refused because its
+# rate rounds to 1, and five tables), and seven chpow runs at n 48 and 64
+# whose ring power starts from a binomial row of up to 2n**2 (at n 64, t
+# 4096, 4097 and 6000 are rows alone; t 4609 at n 48 and 8193 at n 64 are
+# one square past a row of n**2), then four large outputs, one in each
+# format and from the n >= 3 reduction, each written line by line: 273
+# commands in all. It takes about a minute.
 #
 # It runs the first python3 on PATH. To diff interpreters, put another one
 # first: PATH=/other/python/bin:$PATH tools/identity_grid.sh, or under
 # pyenv PYENV_VERSION=3.12.1 tools/identity_grid.sh.
 root=${1:-$(dirname "$0")/..}
+err=$(mktemp)
+trap 'rm -f "$err"' EXIT
 run() {
     echo "### $*"
-    PYTHONPATH="$root/src" python3 -m ratroot.cli "$@" 2>/dev/null
-    echo "rc=$?"
+    PYTHONPATH="$root/src" python3 -m ratroot.cli "$@" 2>"$err"
+    rc=$?
+    sed 's/^/stderr> /' "$err"
+    echo "rc=$rc"
 }
 for n in 2 3 4 5 6 7 8; do
     for k in 1 2 7 1000; do
@@ -59,6 +64,11 @@ run trace --mode linear --n 2 --k 1 --start=-1,1 --steps 3
 run trace --mode linear --n 2 --k 2 --start 0,0
 run trace --mode linear --n 3 --k 2 --start 1,1
 run trace --mode scalar --n 3 --k 2 --start 3/7 --steps 5 --format json
+run approx --n 2 --k 2
+run approx --n x --k 2 --digits 5
+run table --n 2 --k 2 --bogus
+run chpow --n 2 --k 2 --t 5 --fib 3
+run bogus --n 2 --k 2
 for a in "--k 7531 --digits 145" "--k 2311 --digits 200 --format json" \
          "--k 1000001 --digits 3" "--k 3 --digits 20000" \
          "--k 100000000000000000000000000000001 --digits 5"; do
