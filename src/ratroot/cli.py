@@ -31,11 +31,14 @@ rendered by ``format_int``, which equals ``str``. Up to ``INT_STR_CUTOVER``
 bits it is ``str``, quadratic in CPython 3.11; above it the integer is split
 in halves with shifts and recombined in exact ``decimal`` arithmetic (the
 radix conversion of Brent & Zimmermann, *Modern Computer Arithmetic*, 1.7),
-which is subquadratic and does no integer division. ``format_int`` is the
-only code that meets CPython's int/str digit limit (CVE-2020-10735): an
-integer that ``str`` refuses takes the ``decimal`` path, which the limit does
-not cover. The limit is never changed, so output is the same under any limit
-and argv is parsed under the one the interpreter has.
+which is subquadratic and does no integer division. ``format_fraction``
+sends both halves of a fraction whose wider half passes the cutover down
+that path together, split at the same widths, so they share one table of
+powers of two. ``format_int`` is the only code that meets CPython's int/str
+digit limit (CVE-2020-10735): an integer that ``str`` refuses takes the
+``decimal`` path, which the limit does not cover. The limit is never
+changed, so output is the same under any limit and argv is parsed under the
+one the interpreter has.
 
 ``selftest`` runs acceptance C1, C2, C4 and C5 (2,2) from the same code as
 the acceptance suite (the ``check_*`` functions here), at smaller sizes.
@@ -86,17 +89,26 @@ def format_int(n: int) -> str:
     """str(n), subquadratic above INT_STR_CUTOVER bits, under any digit limit.
 
     Up to the cutover this is str(n), unless the int/str digit limit refuses
-    n. Otherwise |n| is split at half its bit length, each half is converted
-    to a Decimal the same way, and the halves are recombined as
-    lo + hi * 2**w with 2**w memoised. The context has unbounded precision
-    and traps Inexact, so every step is exact; no int/str digit limit
-    applies there.
+    n. Otherwise n takes :func:`_decimal_strs` at its own bit length.
     """
     if n.bit_length() <= INT_STR_CUTOVER:
         try:
             return str(n)
         except ValueError:  # past the int/str digit limit
             pass
+    return _decimal_strs((n,), n.bit_length())[0]
+
+
+def _decimal_strs(ints, width: int) -> list[str]:
+    """str of each int in ints, all of magnitude below 2**width, via decimal.
+
+    Each magnitude is split at half the width, each half is converted to a
+    Decimal the same way, and the halves are recombined as lo + hi * 2**w.
+    Every int is split at the same widths, so the powers 2**w are formed
+    once, in one dict, for all of them. The context has unbounded precision
+    and traps Inexact, so every step is exact; no int/str digit limit
+    applies there.
+    """
     import decimal
 
     powers: dict[int, decimal.Decimal] = {}
@@ -122,13 +134,18 @@ def format_int(n: int) -> str:
         ctx.Emax = decimal.MAX_EMAX
         ctx.Emin = decimal.MIN_EMIN
         ctx.traps[decimal.Inexact] = True
-        digits = str(convert(abs(n), n.bit_length()))
-    return "-" + digits if n < 0 else digits
+        return [("-" if m < 0 else "") + str(convert(abs(m), width)) for m in ints]
 
 
 def format_fraction(p: int, q: int) -> str:
-    """p/q as written; the pair is not reduced here."""
-    return f"{format_int(p)}/{format_int(q)}"
+    """p/q as written; the pair is not reduced here.
+
+    Past INT_STR_CUTOVER bits both halves are rendered at the width of the
+    wider one, so q reuses every power of two that p's conversion formed.
+    """
+    if p.bit_length() <= INT_STR_CUTOVER >= q.bit_length():
+        return f"{format_int(p)}/{format_int(q)}"
+    return "/".join(_decimal_strs((p, q), max(p.bit_length(), q.bit_length())))
 
 
 def format_decimal(p: int, q: int, places: int) -> str:
@@ -145,15 +162,14 @@ def _convergent_row(t: int, p: int, q: int, places: int, digits: int) -> list[st
     return [str(t), format_fraction(p, q), format_decimal(p, q, places), str(digits)]
 
 
-def _reduced_pair(state, index: int) -> tuple[int, int]:
-    """state[index-1] / state[index] in lowest terms, for a state M**t (1, ..., 1).
+def _reduced_pair(p: int, q: int, n: int) -> tuple[int, int]:
+    """p/q in lowest terms, for two adjacent entries of a state M**t (1, ..., 1).
 
     M is nonnegative with a unit diagonal, so every entry of such a state is
     positive: q > 0 and the gcd needs no sign.
     """
-    if len(state) == 2:
-        return engine.primitive_pair(state)
-    p, q = state[index - 1], state[index]
+    if n == 2:
+        return engine.primitive_pair((p, q))
     g = math.gcd(p, q)
     return p // g, q // g
 
@@ -224,7 +240,7 @@ def build_table(params: Params, t0: int, t1: int, index: int) -> OutputRecord:
     for t in range(t0, t1 + 1):
         if t > t0:
             entries = engine.step_one_plus_x(entries, params.k)
-        p, q = _reduced_pair(entries, index)
+        p, q = _reduced_pair(entries[index - 1], entries[index], params.n)
         digits = oracle.digits_of_ratio(p, q, params, TABLE_DIGITS_CAP)
         rows.append(_convergent_row(t, p, q, TABLE_DECIMAL_PLACES, digits))
     meta = {
@@ -318,10 +334,10 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
     passes the float range: no starting t can be chosen there.
 
     Only the first attempt runs the ladder for (1 + x)**t; each doubling
-    squares the last attempt's power, and each attempt's state is that
-    power times the all-ones start. Each attempt is certified on its
-    unreduced entry pair, which has the certificate of the reduced
-    fraction; only the attempt that certifies is reduced.
+    squares the last attempt's power, and each attempt's entry pair is read
+    off that power by ``engine.ones_pair``. Each attempt is certified on
+    its unreduced pair, which has the certificate of the reduced fraction;
+    only the attempt that certifies is reduced.
     """
     if target_digits < 1:
         raise ValueError(f"target digits must be >= 1, got {target_digits}")
@@ -363,12 +379,12 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
                 power = engine.ring_pow_one_plus_x(params, t)
             else:
                 power = engine.square_ring(params, power)
-            state = engine.apply_ring_power(params, power, (1,) * params.n, t)
-            achieved = oracle.digits_of_ratio(state[0], state[1], params, target_digits)
+            p, q = engine.ones_pair(params, power)
+            achieved = oracle.digits_of_ratio(p, q, params, target_digits)
             if achieved >= target_digits:
                 break
             t *= 2
-        p, q = _reduced_pair(state, 1)
+        p, q = _reduced_pair(p, q, params.n)
         meta.update({"exact": "false", "rho": repr(rho), "digits_per_step": repr(dps)})
     meta.update({"t_used": str(t), "achieved": str(achieved)})
     rows = [_convergent_row(t, p, q, target_digits, achieved)]

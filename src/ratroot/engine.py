@@ -19,8 +19,11 @@ matrix is a plain tuple of row tuples of ints (:func:`companion_matrix`).
 :func:`apply_power` runs the ring route in one shot; ``table``, ``selftest``
 and the engine-agreement check use it. ``approx`` keeps the ring power
 between its step-doubling attempts: it builds (1 + x)**t by the ladder
-once, squares it by :func:`square_ring` on each doubling, and forms each
-attempt's state by :func:`apply_ring_power`, the product apply_power uses.
+once, squares it by :func:`square_ring` on each doubling, and reads each
+attempt's convergent off that power by :func:`ones_pair`. The all-ones
+start is 1 + x + ... + x**(n-1), so entries 1 and 2 of M**t (1, ..., 1)
+are two sums of the coefficients of (1 + x)**t, formed in O(n) with one
+product by k each; the other n - 2 entries are never formed.
 
 The ring route starts (1 + x)**t from a binomial row. I and S commute, so
 (I + S)**m = sum of C(m, j)*S**j, and with S**n = k*I coefficient i of
@@ -38,7 +41,7 @@ product of the same size (1 to 120 kbit, BENCH_21.json). So every
 big-integer product of the ladder is a square at coefficient size, and no
 power is formed as the product of two others: each entry of the ``--fib``
 chain runs its own ladder. The one general product, :func:`_mulmod`, is
-schoolbook; it applies a power to a start vector.
+schoolbook; :func:`apply_power` applies a power to a start vector with it.
 
 The power basis I, M, ..., M**(n-1) appears only at the output: a ring
 element is changed to it, x = y - 1, by one Taylor shift done with
@@ -251,29 +254,34 @@ def square_ring(params: Params, c) -> tuple[int, ...]:
     return tuple(_sqrmod(c, params.k))
 
 
-def apply_ring_power(params: Params, c, r0, t: int) -> tuple[int, ...]:
-    """M**t r0 from the ring power c = (1 + x)**t.
+def ones_pair(params: Params, c) -> tuple[int, int]:
+    """Entries 1 and 2 of M**t (1, ..., 1), from the ring power c = (1 + x)**t.
 
-    r0 is any sequence of n ints, not all zero. Entry i of a state
-    corresponds to the coefficient of x**(i-1), so the result is c times
-    the polynomial image of r0, read back as a tuple.
-    Raises ZeroVector(t) if the result vanishes (singular M, even n with
-    k=1).
+    The all-ones start is 1 + x + ... + x**(n-1), and with x**n = k its
+    product by c has coefficient 0 equal to c0 + k*(c1 + ... + c(n-1)) and
+    coefficient 1 equal to c0 + c1 + k*(c2 + ... + c(n-1)). Both are
+    positive, as every entry of M**t (1, ..., 1) is.
     """
-    pt = _mulmod(c, check_state(r0, params.n), params.k)
-    if not any(pt):
-        raise ZeroVector(t)
-    return pt
+    k = params.k
+    c0, c1, *rest = c
+    tail = sum(rest)
+    return c0 + k * (c1 + tail), c0 + c1 + k * tail
 
 
 def apply_power(params: Params, t: int, r0) -> tuple[int, ...]:
     """Evolve the state r0 by t steps in one shot: M**t r0 via the quotient ring.
 
-    r0 is checked first, then (1 + x)**t is built by the ladder and applied
-    by :func:`apply_ring_power`.
+    r0 is any sequence of n ints, not all zero; it is checked first. Entry
+    i of a state corresponds to the coefficient of x**(i-1), so the result
+    is (1 + x)**t, built by the ladder, times the polynomial image of r0,
+    read back as a tuple. Raises ZeroVector(t) if the result vanishes
+    (singular M, even n with k=1).
     """
     r0 = check_state(r0, params.n)
-    return apply_ring_power(params, ring_pow_one_plus_x(params, t), r0, t)
+    pt = _mulmod(ring_pow_one_plus_x(params, t), r0, params.k)
+    if not any(pt):
+        raise ZeroVector(t)
+    return pt
 
 
 def power_basis_coeffs(params: Params, t: int) -> tuple[int, ...]:

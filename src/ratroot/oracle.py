@@ -1,12 +1,13 @@
 """Ground truth for accuracy claims, independent of the iteration machinery.
 
 Everything here is scaled integer arithmetic: the n-th root of k is pinned
-between consecutive integers at a power-of-ten scale (an integer Newton
-root, or ``math.isqrt`` for square roots), and a candidate p/q, any
-integer pair with q > 0, is measured by one integer distance to the
-farther end of that bracket. ``digits_of_ratio`` certifies digits by exact
-comparison of that distance, so no floating point decides a certificate
-at any digit count; ``log10_error_bound`` takes its logarithm for rate fits.
+between consecutive integers at a power-of-ten scale (``math.isqrt`` once
+per factor 2 of n, then an integer Newton root of the odd order left), and
+a candidate p/q, any integer pair with q > 0, is measured by one integer
+distance to the farther end of that bracket. ``digits_of_ratio`` certifies
+digits by exact comparison of that distance, so no floating point decides a
+certificate at any digit count; ``log10_error_bound`` takes its logarithm
+for rate fits.
 
 The Newton root doubles its precision (Brent & Zimmermann, *Modern
 Computer Arithmetic*, 1.5.2): the floor root of m with its low n*s bits
@@ -25,7 +26,11 @@ GUARD_DIGITS = 5  # bracket is kept this much finer than any tested threshold
 
 
 def integer_nth_root(m: int, n: int) -> int:
-    """floor(m**(1/n)): ``math.isqrt`` for n = 2, integer Newton for n >= 3.
+    """floor(m**(1/n)): one ``math.isqrt`` per factor 2 of n, then integer Newton.
+
+    For n = 2b, floor(m**(1/n)) = floor(isqrt(m)**(1/b)), since an integer
+    r has r**b <= isqrt(m) exactly when r**(2b) <= m. So each factor 2 of n
+    is one ``math.isqrt``, and integer Newton takes only an odd order n >= 3.
 
     Newton starts above the root. With s = bit_length(m) // (2n) and
     r = floor((m >> n*s)**(1/n)), found recursively, the start is
@@ -39,10 +44,10 @@ def integer_nth_root(m: int, n: int) -> int:
         raise ValueError(f"radicand must be nonnegative, got {m}")
     if n < 1:
         raise ValueError(f"root order must be >= 1, got {n}")
+    while not n & 1:
+        m, n = math.isqrt(m), n >> 1
     if m < 2 or n == 1:
         return m
-    if n == 2:
-        return math.isqrt(m)
     return _newton_root(m, n)
 
 

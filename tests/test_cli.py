@@ -309,9 +309,9 @@ def test_approx_reduces_only_the_certified_attempt(capsys, monkeypatch):
     true_reduced_pair = cli._reduced_pair
     reduced = []
 
-    def counting_reduced_pair(state, index):
-        reduced.append(tuple(state))
-        return true_reduced_pair(state, index)
+    def counting_reduced_pair(p, q, n):
+        reduced.append((p, q, n))
+        return true_reduced_pair(p, q, n)
 
     monkeypatch.setattr(cli, "_reduced_pair", counting_reduced_pair)
     for n, k, digits, t_used in ((3, 9973, 150, 10170), (2, 9366, 132, 29434)):
@@ -322,7 +322,8 @@ def test_approx_reduces_only_the_certified_attempt(capsys, monkeypatch):
         )
         assert rc == 0, err
         assert json.loads(out)["meta"]["t_used"] == str(t_used)
-        assert reduced == [apply_power(Params(n, k), t_used, (1,) * n)], (n, k)
+        state = apply_power(Params(n, k), t_used, (1,) * n)
+        assert reduced == [(state[0], state[1], n)], (n, k)
 
 
 @given(
@@ -333,8 +334,9 @@ def test_reduced_pair_matches_fraction(state, index):
     # n >= 3 pairs are reduced by a gcd, to the terms Fraction gives; the
     # states M**t (1, ..., 1) it is given have positive entries only
     index = min(index, len(state) - 1)
-    frac = Fraction(state[index - 1], state[index])
-    assert cli._reduced_pair(state, index) == (frac.numerator, frac.denominator)
+    p, q = state[index - 1], state[index]
+    frac = Fraction(p, q)
+    assert cli._reduced_pair(p, q, len(state)) == (frac.numerator, frac.denominator)
 
 
 def test_approx_reaches_target(capsys):
@@ -811,6 +813,69 @@ def test_format_int_edges_match_str():
 def test_format_int_matches_str(bits, rng, negative):
     x = rng.getrandbits(bits)
     _assert_format_int_is_str(-x if negative else x)
+
+
+def _fraction_pairs_past_the_cutover():
+    rng = random.Random(20261019)
+
+    def draw(bits):
+        return rng.getrandbits(bits) | 1 << (bits - 1)
+
+    b = INT_STR_CUTOVER + 5000
+    return {
+        "widths-equal": (draw(b), draw(b)),
+        "p-1-bit-wider": (draw(b + 1), draw(b)),
+        "q-63-bits-wider": (draw(b), draw(b + 63)),
+        "p-63-bits-wider": (draw(2 * b + 63), draw(2 * b)),
+        "straddles-2**b": (2**b - 1, 2**b + 1),
+        "straddles-the-cutover": (draw(INT_STR_CUTOVER), draw(INT_STR_CUTOVER + 1)),
+        "negative-numerator": (-draw(b + 63), draw(b)),
+    }
+
+
+FRACTION_PAIRS_PAST_THE_CUTOVER = _fraction_pairs_past_the_cutover()
+
+
+@pytest.fixture
+def decimal_strs_calls(monkeypatch):
+    """The (ints, width) of every cli._decimal_strs call made in the test."""
+    true_decimal_strs = cli._decimal_strs
+    calls = []
+
+    def spy(ints, width):
+        calls.append((tuple(ints), width))
+        return true_decimal_strs(ints, width)
+
+    monkeypatch.setattr(cli, "_decimal_strs", spy)
+    return calls
+
+
+@pytest.mark.parametrize("case", FRACTION_PAIRS_PAST_THE_CUTOVER)
+def test_format_fraction_shares_one_width_past_the_cutover(decimal_strs_calls, case):
+    # both halves go through one decimal conversion at the wider half's
+    # width, so q reuses every power of two p formed; the output is str's
+    # at any int/str digit limit
+    p, q = FRACTION_PAIRS_PAST_THE_CUTOVER[case]
+    with _int_str_limit_set(0):
+        want = f"{p}/{q}"
+    for limit in (640, getattr(sys.int_info, "default_max_str_digits", 0)):
+        decimal_strs_calls.clear()
+        with _int_str_limit_set(limit):
+            got = format_fraction(p, q)
+        assert got == want, limit
+        assert decimal_strs_calls == [((p, q), max(p.bit_length(), q.bit_length()))], limit
+
+
+def test_format_fraction_below_the_cutover_renders_each_half_alone(decimal_strs_calls):
+    # below the cutover each half is format_int's; at limit 640 str refuses
+    # both, and each takes the decimal path at its own width
+    p, q = 3**20000, -(7**9000)
+    assert max(p.bit_length(), q.bit_length()) <= INT_STR_CUTOVER
+    with _int_str_limit_set(0):
+        want = f"{p}/{q}"
+    with _int_str_limit_set(640):
+        assert format_fraction(p, q) == want
+    assert decimal_strs_calls == [((p,), p.bit_length()), ((q,), q.bit_length())]
 
 
 def test_oracle_runs_under_the_interpreters_limit(capsys, monkeypatch, default_int_str_limit):

@@ -11,10 +11,10 @@ from ratroot.engine import (
     _mulmod,
     _sqrmod,
     apply_power,
-    apply_ring_power,
     companion_matrix,
     fib_power_chain,
     mat_pow,
+    ones_pair,
     power_basis_coeffs,
     primitive_pair,
     ring_pow_one_plus_x,
@@ -229,12 +229,38 @@ def test_ring_pow_matches_repeated_step_at_row_edges(n, k):
 @settings(max_examples=40, deadline=None)
 def test_square_ring_doubles_the_ladder(params, t):
     # approx's step doubling: squaring (1 + x)**t is the ladder for 2t, and
-    # its state is the reference matrix power applied to the all-ones start
+    # the pair read off it is the first two entries of the reference matrix
+    # power applied to the all-ones start
     doubled = square_ring(params, ring_pow_one_plus_x(params, t))
     assert doubled == ring_pow_one_plus_x(params, 2 * t)
     ones = (1,) * params.n
-    state = apply_ring_power(params, doubled, ones, 2 * t)
-    assert state == mat_apply(mat_pow(companion_matrix(params), 2 * t), ones)
+    state = mat_apply(mat_pow(companion_matrix(params), 2 * t), ones)
+    assert ones_pair(params, doubled) == state[:2]
+
+
+def _edge_exponents(n):
+    # 0, 1, 2**j +- 1 (2**j + 1 ends the ladder on a step after a square),
+    # 2*n*n (the longest row-only t) and 2*n*n + 1 (one square past a row)
+    edges = {0, 1, 2 * n * n, 2 * n * n + 1}
+    edges.update(2**j + d for j in range(1, 12) for d in (-1, 1))
+    return st.sampled_from(sorted(edges))
+
+
+@given(
+    st.builds(Params, st.integers(2, 12), st.integers(1, 10**6)).flatmap(
+        lambda p: st.tuples(st.just(p), st.integers(0, 3000) | _edge_exponents(p.n))
+    )
+)
+@example((Params(2, 1), 0))
+@example((Params(12, 10**6), 3000))
+@settings(max_examples=80, deadline=None)
+def test_ones_pair_is_the_head_of_the_all_ones_state(case):
+    # the pair approx certifies: entries 1 and 2 of M**t (1, ..., 1), read
+    # off (1 + x)**t in O(n) instead of the full product apply_power forms
+    params, t = case
+    ones = (1,) * params.n
+    pair = ones_pair(params, ring_pow_one_plus_x(params, t))
+    assert pair == apply_power(params, t, ones)[:2]
 
 
 def test_apply_power_examples():

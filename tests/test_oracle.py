@@ -49,7 +49,9 @@ def test_integer_nth_root_matches_exhaustive_search():
             assert integer_nth_root(m, n) == brute_floor_root(m, n), (m, n)
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 12])
+# even n takes one isqrt per factor 2, then Newton for the odd part (none
+# for 2, 4, 8 and 16; 3 for 6, 12 and 24)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12, 16, 24])
 def test_integer_nth_root_at_powers_past_100k_bits(n):
     r = 3 ** (100_000 // n) + 12345  # r**n has over 158k bits
     for delta, want in ((-1, r - 1), (0, r), (1, r)):

@@ -17,8 +17,10 @@
 # whose ring power starts from a binomial row of up to 2n**2 (at n 64, t
 # 4096, 4097 and 6000 are rows alone; t 4609 at n 48 and 8193 at n 64 are
 # one square past a row of n**2), then four large outputs, one in each
-# format and from the n >= 3 reduction, each written line by line: 273
-# commands in all. It takes about a minute.
+# format and from the n >= 3 reduction, each written line by line, and four
+# heavy approx answers whose roots take one or more isqrt steps (n 4, 6 and
+# 8) or none (n 5), with fractions of about 40 kbit at n 6: 277 commands in
+# all. It takes about a minute.
 #
 # It runs the first python3 on PATH. To diff interpreters, put another one
 # first: PATH=/other/python/bin:$PATH tools/identity_grid.sh, or under
@@ -90,3 +92,7 @@ run table --n 2 --k 2 --t1 3000 --format json
 run table --n 3 --k 7 --t1 2000 --format csv
 run table --n 5 --k 40 --t1 1500 --index 3
 run trace --mode linear --n 2 --k 3 --steps 2000 --format json
+for a in "--n 4 --k 7 --digits 1500" "--n 6 --k 42 --digits 1499" \
+         "--n 8 --k 3 --digits 1200" "--n 5 --k 21 --digits 1399"; do
+    run approx $a
+done
