@@ -13,8 +13,10 @@ change ring powers to the basis I, M, ..., M**(n-1) at the output.
 plain tuple of row tuples of ints.
 
 A state is a plain tuple of n ints. ``iterate_linear`` returns the tuple of
-states t = 0, 1, ..., steps, ``iterate_scalar_map`` the tuple of its
-Fraction iterates, and ``ratio`` reads one adjacent-entry ratio off a state.
+states t = 0, 1, ..., steps, and ``iterate_scalar_map`` the tuple of its
+Fraction iterates. An adjacent-entry ratio of a state is the raw pair
+``state[i - 1], state[i]``, which the oracle takes as it is; the CLI reduces
+the convergents it prints with ``engine.reduced_pair``.
 
 The oracle is integer-only: ``nth_root_bracket`` gives the int
 floor(k**(1/n) * 10**d), and ``digits_of_ratio(p, q, params, cap)`` and
@@ -25,7 +27,6 @@ with q > 0, reduced or not; a Fraction f is passed as
 
 from .core import (
     DegenerateRate,
-    DivisionByZero,
     IllConditioned,
     NonConvergence,
     Params,
@@ -49,7 +50,6 @@ from .oracle import (
 from .recursion import (
     iterate_linear,
     iterate_scalar_map,
-    ratio,
 )
 from .spectral import (
     Decomposition,
@@ -64,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DegenerateRate",
-    "DivisionByZero",
     "IllConditioned",
     "NonConvergence",
     "Params",
@@ -82,7 +81,6 @@ __all__ = [
     "nth_root_bracket",
     "iterate_linear",
     "iterate_scalar_map",
-    "ratio",
     "Decomposition",
     "EigenPair",
     "SpectralData",

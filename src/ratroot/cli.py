@@ -15,16 +15,19 @@ the rows are then written line by line and never joined into one string.
 ``table --n 2 --k 2 --t1 10000`` (a 77 MB answer) peaks at about 56 MB RSS
 this way, against 276 MB joined (CPython 3.11.7).
 Exit codes: 0 success, 1 usage error, 2 domain error (zero vector, scalar-map
-pole, ``eig`` past the float range), 3 non-convergence or self-test failure.
+pole, ``eig`` past the float range), 3 non-convergence or self-test failure,
+141 stdout closed by its reader before the answer was written (the status a
+shell reports for a process ended by SIGPIPE; nothing goes to stderr).
 Every command is byte-deterministic: the same argv gives the same stdout and
 exit code.
 
 ``approx`` and ``table`` print each convergent as a reduced pair (p, q),
-and the row formatters take that pair. For n = 2 the common factor of the
-two entries is a power of two, shifted off by ``engine.primitive_pair``,
-so no gcd of full-size entries runs. For n >= 3 the pair is divided by its
-gcd. Neither builds a ``Fraction``. Both see only states M**t (1, ..., 1),
-whose entries are all positive, so no ratio they print is undefined.
+and the row formatters take that pair. ``engine.reduced_pair`` reduces it:
+for n = 2 the common factor of the two entries is a power of two and is
+shifted off, so no gcd of full-size entries runs; for n >= 3 the pair is
+divided by its gcd. Neither command builds a ``Fraction``. Both see only
+states M**t (1, ..., 1), whose entries are all positive, so no ratio they
+print is undefined.
 
 Every integer in a fraction, decimal, ``chpow`` or ``trace`` cell is
 rendered by ``format_int``, which equals ``str``. Up to ``INT_STR_CUTOVER``
@@ -58,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from collections import namedtuple
@@ -162,18 +166,6 @@ def _convergent_row(t: int, p: int, q: int, places: int, digits: int) -> list[st
     return [str(t), format_fraction(p, q), format_decimal(p, q, places), str(digits)]
 
 
-def _reduced_pair(p: int, q: int, n: int) -> tuple[int, int]:
-    """p/q in lowest terms, for two adjacent entries of a state M**t (1, ..., 1).
-
-    M is nonnegative with a unit diagonal, so every entry of such a state is
-    positive: q > 0 and the gcd needs no sign.
-    """
-    if n == 2:
-        return engine.primitive_pair((p, q))
-    g = math.gcd(p, q)
-    return p // g, q // g
-
-
 class OutputRecord(namedtuple("OutputRecord", "command meta columns rows")):
     """Ready-to-write payload: run metadata plus stringified rows."""
 
@@ -240,7 +232,7 @@ def build_table(params: Params, t0: int, t1: int, index: int) -> OutputRecord:
     for t in range(t0, t1 + 1):
         if t > t0:
             entries = engine.step_one_plus_x(entries, params.k)
-        p, q = _reduced_pair(entries[index - 1], entries[index], params.n)
+        p, q = engine.reduced_pair(entries[index - 1], entries[index], params.n)
         digits = oracle.digits_of_ratio(p, q, params, TABLE_DIGITS_CAP)
         rows.append(_convergent_row(t, p, q, TABLE_DECIMAL_PLACES, digits))
     meta = {
@@ -378,13 +370,13 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
             if power is None:
                 power = engine.ring_pow_one_plus_x(params, t)
             else:
-                power = engine.square_ring(params, power)
+                power = engine.square_ring(power, params.k)
             p, q = engine.ones_pair(params, power)
             achieved = oracle.digits_of_ratio(p, q, params, target_digits)
             if achieved >= target_digits:
                 break
             t *= 2
-        p, q = _reduced_pair(p, q, params.n)
+        p, q = engine.reduced_pair(p, q, params.n)
         meta.update({"exact": "false", "rho": repr(rho), "digits_per_step": repr(dps)})
     meta.update({"t_used": str(t), "achieved": str(achieved)})
     rows = [_convergent_row(t, p, q, target_digits, achieved)]
@@ -635,7 +627,16 @@ def main(argv=None) -> int:
             print(f"ratroot: error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return 1
     else:
-        record.write(args.format, sys.stdout)
+        try:
+            record.write(args.format, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader is gone. Point stdout at devnull so that the flush
+            # at interpreter exit does not raise again, and end as SIGPIPE.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 141
     return 0
 
 

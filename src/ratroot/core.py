@@ -1,9 +1,11 @@
 """Exact-arithmetic domain types shared by every other module.
 
-Arbitrary-precision integers are plain Python ``int``; reduced fractions are
-``fractions.Fraction`` (always canonical: positive denominator, gcd 1). A
-state of the linear iteration is a plain tuple of n ints, entries listed top
-to bottom; :func:`check_state` is the one check of a start state.
+Arbitrary-precision integers are plain Python ``int``. A state of the linear
+iteration is a plain tuple of n ints, entries listed top to bottom;
+:func:`check_state` is the one check of a start state. An adjacent-entry
+ratio is never formed as a fraction: it stays the integer pair of its two
+entries, and ``engine.reduced_pair`` reduces it where it is printed. Only
+the scalar map's iterates are ``fractions.Fraction``.
 Everything here is immutable and hashable, so values can be shared freely
 between threads or processes.
 """
@@ -21,18 +23,6 @@ class ZeroVector(ArithmeticError):
     def __init__(self, t: int):
         self.t = t
         super().__init__(f"state became the zero vector at t={t}")
-
-
-class DivisionByZero(ZeroDivisionError):
-    """An adjacent-entry ratio was requested where the lower entry is 0."""
-
-    def __init__(self, entries, index: int):
-        self.entries = tuple(entries)
-        self.index = index
-        super().__init__(
-            f"entry {index + 1} of state {self.entries} is zero; "
-            f"ratio {index}/{index + 1} is undefined"
-        )
 
 
 class PoleEncountered(ArithmeticError):

@@ -31,16 +31,15 @@ The ring route starts (1 + x)**t from a binomial row. I and S commute, so
 (:func:`_binomial_row`, small-factor steps and no coefficient products). The
 row covers m0, the longest leading run of the bits of t with m0 <= 2*n*n.
 A left-to-right ladder takes the remaining bits: per bit one square by the
-squaring kernel :func:`_sqrmod`, and on a set bit one
-:func:`step_one_plus_x`. The kernel squares schoolbook
-up to SQR_CUTOVER coefficients and splits longer polynomials
-Karatsuba-style into three half-length squares. Its schoolbook leaves form
-squares only, each cross term 2*ai*aj as (ai + aj)**2 - ai**2 - aj**2, as
-CPython squares a big int in about 0.57-0.74 of the time of a general
-product of the same size (1 to 120 kbit, BENCH_21.json). So every
-big-integer product of the ladder is a square at coefficient size, and no
-power is formed as the product of two others: each entry of the ``--fib``
-chain runs its own ladder. The one general product, :func:`_mulmod`, is
+squaring kernel :func:`square_ring`, and on a set bit one
+:func:`step_one_plus_x`. The kernel squares schoolbook up to SQR_CUTOVER
+coefficients and splits longer polynomials Karatsuba-style into three
+half-length squares. Its schoolbook leaves form squares only, each cross
+term 2*ai*aj as (ai + aj)**2 - ai**2 - aj**2, as CPython squares a big int
+in about 0.57-0.74 of the time of a general product of the same size (1 to
+120 kbit, BENCH_21.json). So every big-integer product of the ladder is a
+square at coefficient size, and no power is formed as the product of two
+others: each entry of the ``--fib`` chain runs its own ladder. The one general product, :func:`_mulmod`, is
 schoolbook; :func:`apply_power` applies a power to a start vector with it.
 
 The power basis I, M, ..., M**(n-1) appears only at the output: a ring
@@ -48,13 +47,15 @@ element is changed to it, x = y - 1, by one Taylor shift done with
 subtractions only (:func:`power_basis_coeffs`, once per entry of
 :func:`fib_power_chain`).
 
-For n = 2 the coefficient pair is the whole ring element, and ``approx``
-and ``table`` print it reduced. The content of (1 + x)**t is a power of
-two, so :func:`primitive_pair` reduces it by shifts, and no gcd of
-full-size entries is ever taken.
+``approx`` and ``table`` print each convergent reduced by
+:func:`reduced_pair`, the one reducer. For n >= 3 it divides by the gcd.
+For n = 2 the coefficient pair is the whole ring element, whose content is
+a power of two, so it is reduced by shifts and no gcd of full-size entries
+is ever taken.
 """
 from __future__ import annotations
 
+import math
 from operator import add, sub
 
 from .core import Params, ZeroVector, check_state
@@ -156,14 +157,15 @@ def _square(a) -> list[int]:
     return prod
 
 
-def _sqrmod(a, k) -> list[int]:
-    """a*a in Z[x]/(x**n - k) for a length-n sequence a.
+def square_ring(c, k) -> list[int]:
+    """c*c in Z[x]/(x**n - k) for a length-n sequence c: the ladder's square.
 
     The full square comes from :func:`_square` (Karatsuba above
     SQR_CUTOVER coefficients, down to schoolbook leaves that form squares
-    only) and is reduced by :func:`_fold`.
+    only) and is reduced by :func:`_fold`. For c = (1 + x)**t this is
+    (1 + x)**(2t), what the ladder for 2t would build from the same c.
     """
-    return _fold(_square(a), k)
+    return _fold(_square(c), k)
 
 
 def step_one_plus_x(c, k) -> list[int]:
@@ -204,7 +206,7 @@ def ring_pow_one_plus_x(params: Params, t: int) -> tuple[int, ...]:
 
     The longest prefix m0 of the bits of t with m0 <= 2*n*n is built
     directly by :func:`_binomial_row`. For each remaining bit of t,
-    from the top, the accumulator is squared by :func:`_sqrmod`, and on a
+    from the top, the accumulator is squared by :func:`square_ring`, and on a
     set bit stepped once by :func:`step_one_plus_x`. Coefficient i is entry
     i+1 of M**t applied to the first standard basis vector.
     """
@@ -221,37 +223,34 @@ def ring_pow_one_plus_x(params: Params, t: int) -> tuple[int, ...]:
         rest += 1
     c = _binomial_row(n, k, t >> rest)
     for i in range(rest - 1, -1, -1):
-        c = _sqrmod(c, k)
+        c = square_ring(c, k)
         if t >> i & 1:
             c = step_one_plus_x(c, k)
     return tuple(c)
 
 
-def primitive_pair(c) -> tuple[int, int]:
-    """(a, b) / gcd(a, b) for a + b*x = (1 + x)**t in Z[x]/(x**2 - k).
+def reduced_pair(p: int, q: int, n: int) -> tuple[int, int]:
+    """p/q in lowest terms, for two adjacent entries of M**t (1, ..., 1).
 
-    For n = 2 the state M**t (1, 1) is (1 + x)**(t + 1), so this is the
-    reduced convergent a/b. The content of (1 + x)**t is a power of two, so
-    it is shifted off (the smaller trailing-zero count of a and b) and no
-    gcd of full-size entries runs. Proof: if an odd prime p divided both a
-    and b, then (1 + x)**t would vanish modulo p, and so would its norm
-    (1 - k)**t; so p divides k - 1. But then x**2 = 1 modulo p, so
-    (1 + x)**2 = 2*(1 + x) and (1 + x)**t = 2**(t-1)*(1 + x) for t >= 1,
-    which does not vanish modulo p (nor does 1 at t = 0).
+    The one reducer of a convergent. Every entry of such a state is
+    positive, as M is nonnegative with a unit diagonal, so q > 0 and no sign
+    needs fixing. For n >= 3 the pair is divided by its gcd.
+
+    For n = 2 the state is p + q*x = (1 + x)**(t + 1) in Z[x]/(x**2 - k),
+    and the content of (1 + x)**m is a power of two, so it is shifted off
+    (the smaller trailing-zero count of p and q) and no gcd of full-size
+    entries runs. Proof: if an odd prime r divided both coefficients of
+    (1 + x)**m, then (1 + x)**m would vanish modulo r, and so would its norm
+    (1 - k)**m; so r divides k - 1. But then x**2 = 1 modulo r, so
+    (1 + x)**2 = 2*(1 + x) and (1 + x)**m = 2**(m-1)*(1 + x) for m >= 1,
+    which does not vanish modulo r (nor does 1 at m = 0).
     """
-    a, b = c
-    low = a | b
-    s = (low & -low).bit_length() - 1
-    return a >> s, b >> s
-
-
-def square_ring(params: Params, c) -> tuple[int, ...]:
-    """c*c in Z[x]/(x**n - k) by the ladder's squaring kernel.
-
-    For c = (1 + x)**t this is (1 + x)**(2t), what the ladder for 2t would
-    build from the same c: one square, no fresh ladder.
-    """
-    return tuple(_sqrmod(c, params.k))
+    if n == 2:
+        low = p | q
+        s = (low & -low).bit_length() - 1
+        return p >> s, q >> s
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 def ones_pair(params: Params, c) -> tuple[int, int]:

@@ -3,7 +3,9 @@
 The linear iteration evolves an integer vector one matrix application at a
 time; ratios of adjacent entries converge to k**(1/n). A state is a tuple of
 n ints and a trajectory is the tuple of states t = 0, 1, ..., so the index
-of a state is its step. The scalar iteration applies the rational map
+of a state is its step. Ratio i of a state is the raw pair
+(state[i-1], state[i]): the oracle takes it unreduced, and
+``engine.reduced_pair`` reduces it where it is printed. The scalar iteration applies the rational map
 r -> (r + k) / (r**(n-1) + 1), whose fixed points satisfy r**n = k, and
 returns its iterates as a tuple of Fractions. For n = 2 the two produce
 identical ratio sequences; for n >= 3 they are genuinely different systems,
@@ -16,7 +18,7 @@ digits a step; elsewhere r* repels, and (3, 3) from 1 is the 2-cycle
 """
 from __future__ import annotations
 
-from .core import DivisionByZero, Params, PoleEncountered, ZeroVector, check_state
+from .core import Params, PoleEncountered, ZeroVector, check_state
 from .engine import step_one_plus_x
 
 
@@ -39,18 +41,6 @@ def iterate_linear(params: Params, r0, steps: int) -> tuple[tuple[int, ...], ...
             raise ZeroVector(t)
         states.append(state)
     return tuple(states)
-
-
-def ratio(state, i: int = 1) -> Fraction:
-    """Reduced fraction state[i-1] / state[i], with 1-based index i."""
-    if not 1 <= i <= len(state) - 1:
-        raise ValueError(f"ratio index must be in 1..{len(state) - 1}, got {i}")
-    num, den = state[i - 1], state[i]
-    if den == 0:
-        raise DivisionByZero(state, i)
-    from fractions import Fraction
-
-    return Fraction(num, den)
 
 
 def iterate_scalar_map(params: Params, r0: Fraction, steps: int) -> tuple[Fraction, ...]:

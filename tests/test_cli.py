@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -31,7 +32,6 @@ from ratroot.cli import (
 )
 from ratroot.core import NonConvergence, Params
 from ratroot.engine import apply_power
-from ratroot.recursion import ratio
 
 from _helpers import loop_format_decimal
 
@@ -303,17 +303,23 @@ def test_approx_runs_one_ladder_per_request(capsys, monkeypatch, n, k, digits, t
     assert len(ladders) == 1 and ladders[0] < t_used, ladders
 
 
+def _count_reductions(monkeypatch):
+    """Patch engine.reduced_pair to record each (p, q, n) it is given."""
+    true_reducer = engine.reduced_pair
+    reduced = []
+
+    def counting_reducer(p, q, n):
+        reduced.append((p, q, n))
+        return true_reducer(p, q, n)
+
+    monkeypatch.setattr(engine, "reduced_pair", counting_reducer)
+    return reduced
+
+
 def test_approx_reduces_only_the_certified_attempt(capsys, monkeypatch):
     # (3, 9973): t = 5085 misses the target and t = 10170 certifies; only it
     # is reduced. (2, 9366): t = 14717 misses and t = 29434 certifies.
-    true_reduced_pair = cli._reduced_pair
-    reduced = []
-
-    def counting_reduced_pair(p, q, n):
-        reduced.append((p, q, n))
-        return true_reduced_pair(p, q, n)
-
-    monkeypatch.setattr(cli, "_reduced_pair", counting_reduced_pair)
+    reduced = _count_reductions(monkeypatch)
     for n, k, digits, t_used in ((3, 9973, 150, 10170), (2, 9366, 132, 29434)):
         reduced.clear()
         rc, out, err = run_cli(
@@ -326,6 +332,19 @@ def test_approx_reduces_only_the_certified_attempt(capsys, monkeypatch):
         assert reduced == [(state[0], state[1], n)], (n, k)
 
 
+@pytest.mark.parametrize("n, k, index", [(2, 2, 1), (4, 7, 3)])
+def test_table_reduces_each_row_once(capsys, monkeypatch, n, k, index):
+    # one reduction per row, of the row's own adjacent entries
+    reduced = _count_reductions(monkeypatch)
+    rc, _, err = run_cli(
+        capsys, "table", "--n", str(n), "--k", str(k), "--t0", "3", "--t1", "9",
+        "--index", str(index),
+    )
+    assert rc == 0, err
+    states = [apply_power(Params(n, k), t, (1,) * n) for t in range(3, 10)]
+    assert reduced == [(s[index - 1], s[index], n) for s in states]
+
+
 @given(
     st.lists(st.integers(1, 10**30), min_size=3, max_size=6),
     st.integers(1, 5),
@@ -336,7 +355,7 @@ def test_reduced_pair_matches_fraction(state, index):
     index = min(index, len(state) - 1)
     p, q = state[index - 1], state[index]
     frac = Fraction(p, q)
-    assert cli._reduced_pair(p, q, len(state)) == (frac.numerator, frac.denominator)
+    assert engine.reduced_pair(p, q, len(state)) == (frac.numerator, frac.denominator)
 
 
 def test_approx_reaches_target(capsys):
@@ -909,7 +928,7 @@ def test_table_jumps_to_large_t0(capsys, default_int_str_limit):
     with _int_str_limit_set(0):
         for row in obj["rows"]:
             t = int(row[0])
-            assert Fraction(row[1]) == ratio(apply_power(params, t, ones), 1)
+            assert Fraction(row[1]) == Fraction(*apply_power(params, t, ones))
 
 
 def test_trace_start_stays_under_int_str_limit(capsys, default_int_str_limit):
@@ -1041,13 +1060,13 @@ def test_selftest_catches_sabotaged_square(capsys, monkeypatch):
     # a wrong squaring kernel must trip the engine-agreement group
     from ratroot import engine
 
-    true_sqr = engine._sqrmod
+    true_sqr = engine.square_ring
 
-    def corrupt_sqr(a, k):
-        out = true_sqr(a, k)
+    def corrupt_sqr(c, k):
+        out = true_sqr(c, k)
         return [out[0] + 1, *out[1:]]
 
-    monkeypatch.setattr(engine, "_sqrmod", corrupt_sqr)
+    monkeypatch.setattr(engine, "square_ring", corrupt_sqr)
     rc, out, _ = run_cli(capsys, "selftest")
     assert rc == 3
     assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())
@@ -1214,3 +1233,44 @@ def test_out_flag_unwritable_path_exits_1(tmp_path, capsys):
     assert rc == 1 and out == ""
     assert err.startswith(f"ratroot: error: cannot write {target}"), err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_closed_stdout_pipe_exits_141_silently(fmt):
+    # a 7 MB answer whose reader stops after one line: the write fails with
+    # EPIPE, which ends the run as SIGPIPE would, with no traceback
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = ["table", "--n", "2", "--k", "2", "--t1", "3000", "--format", fmt]
+    proc = subprocess.Popen([sys.executable, "-m", "ratroot.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+def _readme_cli_lines():
+    """The ``ratroot ...`` lines of the sh block under "## CLI", as argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("ratroot ")]
+
+
+def test_readme_cli_examples_run_as_written(capsys):
+    argvs = _readme_cli_lines()
+    assert len(argvs) == 8
+    rows = {}
+    for argv in argvs:
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 0, (argv, err)
+        # plain output: "# key = value" lines, the column header, then rows
+        rows[" ".join(argv)] = [line.split() for line in out.splitlines()
+                                if not line.startswith("#")][1:]
+    # the claims in the block's comments: M**5 = 12*I + 29*M, and the chain
+    # of length 5 has exponents 2, 3, 5, 8, 13
+    assert rows["chpow --n 2 --k 2 --t 5"] == [["5", "12", "29"]]
+    fib = rows["chpow --n 2 --k 2 --fib 5"]
+    assert [row[0] for row in fib] == ["2", "3", "5", "8", "13"]

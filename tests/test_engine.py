@@ -9,14 +9,13 @@ from ratroot.core import Params, ZeroVector
 from ratroot.engine import (
     SQR_CUTOVER,
     _mulmod,
-    _sqrmod,
     apply_power,
     companion_matrix,
     fib_power_chain,
     mat_pow,
     ones_pair,
     power_basis_coeffs,
-    primitive_pair,
+    reduced_pair,
     ring_pow_one_plus_x,
     square_ring,
     step_one_plus_x,
@@ -166,13 +165,13 @@ primitive_k_st = st.one_of(
 
 @given(primitive_k_st, ladder_t_st)
 @settings(max_examples=100, deadline=None)
-def test_primitive_pair_is_the_ring_power_over_its_gcd(k, t):
+def test_n2_reduction_is_the_ring_power_over_its_gcd(k, t):
     if k > 10**6:
         # 512 bits a step, and the reference gcd is quadratic (5 s at t = 3000)
         t %= 257
     a, b = ring_pow_one_plus_x(Params(2, k), t)
     g = gcd(a, b)
-    assert primitive_pair((a, b)) == (a // g, b // g)
+    assert reduced_pair(a, b, 2) == (a // g, b // g)
 
 
 # lengths on both sides of the schoolbook/Karatsuba cutover, odd and even
@@ -202,8 +201,8 @@ def _cycle(pattern, n):
 @example(_cycle([edge, 0, 0, -edge - 1, 0], SQR_CUTOVER), 2)
 @example([0, -edge], 2)
 @settings(max_examples=150, deadline=None)
-def test_sqrmod_matches_general_multiply(a, k):
-    assert _sqrmod(a, k) == list(_mulmod(a, a, k))
+def test_square_ring_matches_general_multiply(a, k):
+    assert square_ring(a, k) == list(_mulmod(a, a, k))
 
 
 @pytest.mark.parametrize("n", [2, 8, 64])
@@ -231,7 +230,7 @@ def test_square_ring_doubles_the_ladder(params, t):
     # approx's step doubling: squaring (1 + x)**t is the ladder for 2t, and
     # the pair read off it is the first two entries of the reference matrix
     # power applied to the all-ones start
-    doubled = square_ring(params, ring_pow_one_plus_x(params, t))
+    doubled = tuple(square_ring(ring_pow_one_plus_x(params, t), params.k))
     assert doubled == ring_pow_one_plus_x(params, 2 * t)
     ones = (1,) * params.n
     state = mat_apply(mat_pow(companion_matrix(params), 2 * t), ones)

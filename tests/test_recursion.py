@@ -5,10 +5,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ratroot.core import DivisionByZero, Params, PoleEncountered, ZeroVector
+from ratroot.core import Params, PoleEncountered, ZeroVector
 from ratroot.engine import apply_power
 from ratroot.oracle import digits_of_ratio, log10_error_bound, nth_root_bracket
-from ratroot.recursion import iterate_linear, iterate_scalar_map, ratio
+from ratroot.recursion import iterate_linear, iterate_scalar_map
 
 
 def ones(n):
@@ -71,36 +71,6 @@ def test_iterate_linear_matches_one_shot_power(params, t_max, entries):
         assert states[t] == apply_power(params, t, r0)
 
 
-def test_ratio_examples():
-    assert ratio((99, 70), 1) == Fraction(99, 70)
-    assert ratio((3, 2, 2), 2) == Fraction(1, 1)
-    state = (7, 5, 4)
-    assert ratio(state, 1) == Fraction(7, 5)
-    assert ratio(state, 2) == Fraction(5, 4)
-
-
-def test_ratio_is_reduced():
-    assert ratio((6, 4), 1) == Fraction(3, 2)
-    f = ratio([-6, 4], 1)
-    assert (f.numerator, f.denominator) == (-3, 2)
-
-
-def test_ratio_division_by_zero_reports_context():
-    with pytest.raises(DivisionByZero) as exc:
-        ratio((5, 0), 1)
-    assert exc.value.entries == (5, 0)
-    assert exc.value.index == 1
-    assert "entry 2 of state (5, 0) is zero" in str(exc.value)
-
-
-def test_ratio_index_bounds():
-    state = (1, 2, 3)
-    with pytest.raises(ValueError):
-        ratio(state, 0)
-    with pytest.raises(ValueError):
-        ratio(state, 3)
-
-
 def test_scalar_map_reproduces_square_root_ratios():
     ratios = iterate_scalar_map(Params(2, 2), Fraction(1), 2)
     assert ratios == (Fraction(1), Fraction(3, 2), Fraction(7, 5))
@@ -153,12 +123,11 @@ def test_square_root_case_scalar_equals_linear_ratios(num, den, k, steps):
         except ZeroVector as zv:
             assert zv.t == exc.t + 1
             return
-        with pytest.raises(DivisionByZero):
-            ratio(states[exc.t + 1], 1)
+        assert states[exc.t + 1][1] == 0
         return
     states = iterate_linear(params, (num, den), steps)
     for t, r in enumerate(scal):
-        assert ratio(states[t], 1) == r
+        assert Fraction(*states[t]) == r
 
 
 def test_higher_order_systems_differ():
@@ -166,8 +135,8 @@ def test_higher_order_systems_differ():
     scal = iterate_scalar_map(Params(3, 2), Fraction(1), 2)
     states = iterate_linear(Params(3, 2), ones(3), 2)
     assert scal[2] == Fraction(14, 13)
-    assert ratio(states[2], 1) == Fraction(7, 5)
-    assert scal[2] != ratio(states[2], 1)
+    assert Fraction(states[2][0], states[2][1]) == Fraction(7, 5)
+    assert scal[2] != Fraction(states[2][0], states[2][1])
 
 
 def test_scalar_map_attracts_only_below_the_derivative_bound():
@@ -200,7 +169,7 @@ def test_digits_monotone_for_square_roots(k, start):
     # digits never drop once past a short burn-in
     params = Params(2, k)
     states = iterate_linear(params, start, 90)
-    digits = [digits_of_ratio(*ratio(s, 1).as_integer_ratio(), params, 75) for s in states[10:]]
+    digits = [digits_of_ratio(*s, params, 75) for s in states[10:]]
     assert digits == sorted(digits)
 
 
@@ -210,7 +179,7 @@ def test_digits_monotone_with_stride_for_higher_roots(n, k):
     # digits occur; over a 30-step stride the trend always wins
     params = Params(n, k)
     states = iterate_linear(params, ones(n), 150)
-    digits = [digits_of_ratio(*ratio(s, 1).as_integer_ratio(), params, 75) for s in states]
+    digits = [digits_of_ratio(s[0], s[1], params, 75) for s in states]
     for t in range(10, 121):
         assert digits[t + 30] >= digits[t], (t, digits[t], digits[t + 30])
 
@@ -223,6 +192,7 @@ def test_sign_basin_prefers_positive_root(k):
     neg_mid = -Fraction(2 * nth_root_bracket(params, 30) + 1, 2 * 10**30)
     for start in [(-41, 29), (-50, 35), (7, -5), (-1, 1), (-49, -50)]:
         states = iterate_linear(params, start, 120)
-        assert digits_of_ratio(*ratio(states[120], 1).as_integer_ratio(), params, 20) == 20
+        # the entries may both be negative; Fraction moves the sign to p
+        assert digits_of_ratio(*Fraction(*states[120]).as_integer_ratio(), params, 20) == 20
         for t in range(50, 121):
-            assert abs(ratio(states[t], 1) - neg_mid) > 1
+            assert abs(Fraction(*states[t]) - neg_mid) > 1
