@@ -13,13 +13,29 @@ JSON), errors to stderr. Every row is built before the first byte is
 written, so a run that fails writes nothing and creates no ``--out`` file;
 the rows are then written line by line and never joined into one string.
 ``table --n 2 --k 2 --t1 10000`` (a 77 MB answer) peaks at about 56 MB RSS
-this way, against 276 MB joined (CPython 3.11.7).
+this way, in its largest process (``RUSAGE_CHILDREN``'s ``ru_maxrss``, so
+its forked child counts), against 276 MB joined (CPython 3.11.7).
+
 Exit codes: 0 success, 1 usage error, 2 domain error (zero vector, scalar-map
 pole, ``eig`` past the float range), 3 non-convergence or self-test failure,
 141 stdout closed by its reader before the answer was written (the status a
 shell reports for a process ended by SIGPIPE; nothing goes to stderr).
 Every command is byte-deterministic: the same argv gives the same stdout and
 exit code.
+
+A large ``table`` is built on every usable CPU. When ``os.fork`` exists,
+more than one CPU is usable, no second thread runs and the table's
+estimated work reaches ``TABLE_SPLIT_WORK`` (6.5-12 ms of work on a 2-core
+Xeon, so tables of a few hundred rows stay in one process), its steps
+are cut into one contiguous span per usable CPU, balanced by estimated row
+cost: rows grow with t, so later spans hold fewer of them. This process
+builds the first span; a forked child builds each later one, jumping to its
+first step by ``engine.apply_power``, and sends its rows back over a pipe.
+A span whose fork fails or whose child fails is built here instead. Output,
+exit codes and "a run that fails writes nothing" are the same on every
+path: no child writes to stdout or ``--out``, and every child is reaped
+before ``main`` returns. ``approx``, ``chpow`` and ``trace`` run in one
+process; each is one ladder or one trajectory.
 
 ``approx`` and ``table`` print each convergent as a reduced pair (p, q),
 and the row formatters take that pair. ``engine.reduced_pair`` reduces it:
@@ -46,12 +62,13 @@ one the interpreter has.
 ``selftest`` runs acceptance C1, C2, C4 and C5 (2,2) from the same code as
 the acceptance suite (the ``check_*`` functions here), at smaller sizes.
 
-Start-up: ``import ratroot.cli`` loads ``argparse`` and the package. Five
+Start-up: ``import ratroot.cli`` loads ``argparse`` and the package. Six
 stdlib modules are imported where they are first used: ``json`` by
 ``--format json``, ``csv`` by ``--format csv``, ``decimal`` by
 ``format_int`` for an integer that ``str`` does not render (past the
 cutover or the digit limit), ``fractions`` (which loads ``decimal``) by
-``trace --mode scalar``, and ``random`` by ``selftest``. A plain
+``trace --mode scalar``, ``random`` by ``selftest``, and ``signal`` when
+an exception leaves a split ``table`` whose children must be killed. A plain
 ``approx``, ``table`` or ``chpow`` loads none of them unless it renders an
 integer past the int/str digit limit or the cutover. At the default limit
 ``str`` refuses integers from about 14,300 bits, so ``approx --n 2 --k 2
@@ -80,6 +97,15 @@ DEFAULT_MAX_T = 10**6
 GROWTH_NOTE = "entry size grows ~ t*log2(1 + k**(1/n)) bits; t is bounded only by memory"
 
 CONVERGENT_COLUMNS = ("t", "fraction", "decimal", "digits")
+
+# table's estimate of a row's cost, in squared bits (see _table_spans). On a
+# 2-core Xeon under CPython 3.11.7 a row takes about 4 us plus 2.1e-6 us per
+# squared bit for n = 2, and twice that per squared bit for n >= 3. Forking
+# a child, reading its rows back and reaping it cost 1-3 ms there, so a
+# table stays in one process below TABLE_SPLIT_WORK: tables at it take
+# 6.5-12 ms in one process, and 0.73-0.90 of that split over two CPUs.
+TABLE_ROW_BASE = 2e6
+TABLE_SPLIT_WORK = 4e9
 
 # Bit length above which format_int leaves str(int). timeit on CPython 3.11.7
 # (min of 9 x 20 calls, random ints): the decimal path costs 1.06-1.14x str
@@ -220,21 +246,17 @@ class OutputRecord(namedtuple("OutputRecord", "command meta columns rows")):
 def build_table(params: Params, t0: int, t1: int, index: int) -> OutputRecord:
     """Rows (t, reduced fraction, 6-place decimal, certified digits).
 
-    Jumps to t0 in one shot, then takes one O(n) step of M per row, so only
-    the current state is held.
+    The steps t0..t1 are cut into contiguous spans (:func:`_table_spans`):
+    one span, unless the table is large and more than one CPU is usable.
+    Every span is built by :func:`_table_rows`, the first here and each
+    later one in a forked child (:func:`_span_rows`), so the rows are the
+    same on every path.
     """
     if not 0 <= t0 <= t1:
         raise ValueError(f"need 0 <= t0 <= t1, got t0={t0}, t1={t1}")
     if not 1 <= index <= params.n - 1:
         raise ValueError(f"ratio index must be in 1..{params.n - 1}, got {index}")
-    entries = engine.apply_power(params, t0, (1,) * params.n)
-    rows = []
-    for t in range(t0, t1 + 1):
-        if t > t0:
-            entries = engine.step_one_plus_x(entries, params.k)
-        p, q = engine.reduced_pair(entries[index - 1], entries[index], params.n)
-        digits = oracle.digits_of_ratio(p, q, params, TABLE_DIGITS_CAP)
-        rows.append(_convergent_row(t, p, q, TABLE_DECIMAL_PLACES, digits))
+    rows = _span_rows(params, _table_spans(params, t0, t1), index)
     meta = {
         "n": str(params.n),
         "k": str(params.k),
@@ -243,6 +265,151 @@ def build_table(params: Params, t0: int, t1: int, index: int) -> OutputRecord:
         "index": str(index),
     }
     return OutputRecord("table", meta, list(CONVERGENT_COLUMNS), rows)
+
+
+def _table_rows(params: Params, first: int, last: int, index: int) -> list[list[str]]:
+    """The table rows of steps first..last.
+
+    Jumps to ``first`` in one shot, then takes one O(n) step of M per row,
+    so only the current state is held.
+    """
+    entries = engine.apply_power(params, first, (1,) * params.n)
+    rows = []
+    for t in range(first, last + 1):
+        if t > first:
+            entries = engine.step_one_plus_x(entries, params.k)
+        p, q = engine.reduced_pair(entries[index - 1], entries[index], params.n)
+        digits = oracle.digits_of_ratio(p, q, params, TABLE_DIGITS_CAP)
+        rows.append(_convergent_row(t, p, q, TABLE_DECIMAL_PLACES, digits))
+    return rows
+
+
+def _table_spans(params: Params, t0: int, t1: int) -> list[tuple[int, int]]:
+    """Steps t0..t1 as contiguous (first, last) spans of about equal cost.
+
+    The row of step t is estimated to cost TABLE_ROW_BASE + w*b**2, with
+    b = t*log2(1 + k**(1/n)) its entries' bit length: ``str`` and, for
+    n >= 3, the gcd are quadratic in b, so w is 1 for n = 2 and 2 for
+    n >= 3. Later rows cost more, so later spans are shorter.
+
+    The table is one span when its estimated work is below
+    TABLE_SPLIT_WORK, when one CPU is usable, where ``os.fork`` does not
+    exist, or when a second thread runs (a fork copies only the calling
+    thread; threads are seen through ``threading``). Otherwise it gets one
+    span per usable CPU, but at most one more than the whole multiples of
+    TABLE_SPLIT_WORK its work reaches, so every span pays for its fork.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))  # the CPUs this process may run on
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    threading = sys.modules.get("threading")
+    if cpus < 2 or not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+        return [(t0, t1)]
+    lr = math.log2(params.k) / params.n  # log2(r); log2(1 + r) = lr + log2(1 + 1/r)
+    w = (lr + math.log2(1 + 2**-lr)) ** 2 * (1 if params.n == 2 else 2)
+
+    def work(t):  # the estimated cost of the rows of steps 0..t-1
+        return TABLE_ROW_BASE * t + w * t**3 / 3
+
+    try:
+        base, total = work(t0), work(t1 + 1) - work(t0)
+    except OverflowError:  # t past the float range: no such table can finish
+        return [(t0, t1)]
+    count = min(cpus, 1 + int(total // TABLE_SPLIT_WORK))
+    firsts = [t0]
+    for i in range(1, count):
+        lo, hi = firsts[-1] + 1, t1 + 1  # the first step whose rows before pass i/count
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if work(mid) - base < total * i / count:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo <= t1:
+            firsts.append(lo)
+    return [(a, b - 1) for a, b in zip(firsts, firsts[1:] + [t1 + 1])]
+
+
+def _span_rows(params: Params, spans, index: int) -> list[list[str]]:
+    """The rows of all spans: the first built here, each later one in a
+    forked child.
+
+    The oracle's bracket is taken before the first fork, so every child
+    inherits it. A child builds its span with :func:`_table_rows`, writes
+    each row to its pipe as one line of tab-separated cells (no cell holds a
+    tab or a newline), and ends by ``os._exit``, so it never flushes this
+    process's stdio buffers or returns into its caller. This process builds
+    the first span, then reads the children in span order, a line at a time.
+    A span whose fork fails, whose child exits nonzero or whose rows arrive
+    short is built here instead. Every child is reaped before this returns
+    or raises; a child not yet reaped when an exception leaves is killed.
+    """
+    oracle.nth_root_bracket(params, TABLE_DIGITS_CAP + oracle.GUARD_DIGITS)
+    children = []  # [pid, read fd, first, last]; pid and fd None once done with
+    try:
+        for first, last in spans[1:]:
+            children.append([*_fork_span(params, first, last, index, children), first, last])
+        rows = _table_rows(params, *spans[0], index)
+        for child in children:
+            pid, r, first, last = child
+            mark = len(rows)
+            status = None
+            if pid is not None:
+                with open(r, encoding="ascii", newline="\n") as pipe:
+                    child[1] = None
+                    for line in pipe:
+                        rows.append(line[:-1].split("\t"))
+                status = os.waitpid(pid, 0)[1]
+                child[0] = None
+            if status != 0 or len(rows) - mark != last - first + 1:
+                del rows[mark:]
+                rows += _table_rows(params, first, last, index)
+        return rows
+    finally:
+        for pid, r, _, _ in children:
+            if r is not None:
+                os.close(r)
+            if pid is not None:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork_span(params: Params, first: int, last: int, index: int, children):
+    """(pid, read fd) of a forked child that writes the rows first..last to
+    a pipe, or (None, None) where the pipe or the fork fails.
+
+    ``children`` holds the read ends of the children forked before, which
+    the new child closes.
+    """
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None, None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None, None
+    if pid:
+        os.close(w)
+        return pid, r
+    status = 1
+    try:
+        os.close(r)
+        for _, other, _, _ in children:
+            if other is not None:
+                os.close(other)
+        rows = _table_rows(params, first, last, index)
+        with open(w, "w", encoding="ascii", newline="\n") as pipe:
+            for row in rows:
+                pipe.write("\t".join(row) + "\n")
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def build_trace_linear(params: Params, start: tuple[int, ...], steps: int) -> OutputRecord:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -343,6 +344,158 @@ def test_table_reduces_each_row_once(capsys, monkeypatch, n, k, index):
     assert rc == 0, err
     states = [apply_power(Params(n, k), t, (1,) * n) for t in range(3, 10)]
     assert reduced == [(s[index - 1], s[index], n) for s in states]
+
+
+# --- table rows built in forked children -------------------------------------
+
+SPLIT_TABLES = [(2, 2, 0, 40, 1), (2, 7, 13, 60, 1)] + [(4, 3, 5, 50, i) for i in (1, 2, 3)]
+
+
+def _table_argv(n, k, t0, t1, index, fmt="plain"):
+    return ["table", "--n", str(n), "--k", str(k), "--t0", str(t0), "--t1", str(t1),
+            "--index", str(index), "--format", fmt]
+
+
+def _sequential_bytes(capsys, monkeypatch, argv):
+    """stdout of argv with one usable CPU, so built in this process alone."""
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        m.setattr(os, "fork", _no_fork)
+        rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0, err
+    return out
+
+
+def _no_fork():
+    raise AssertionError("os.fork called")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Split every table into up to three spans; list the children forked."""
+    monkeypatch.setattr(cli, "TABLE_SPLIT_WORK", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    pids, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+@pytest.mark.parametrize("n, k, t0, t1, index", SPLIT_TABLES)
+def test_split_table_prints_the_sequential_bytes(capsys, monkeypatch, forks, fmt,
+                                                  n, k, t0, t1, index):
+    argv = _table_argv(n, k, t0, t1, index, fmt)
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0, err
+    assert len(forks) == 2
+    _assert_no_child_left()
+    assert out == _sequential_bytes(capsys, monkeypatch, argv)
+
+
+@pytest.mark.parametrize("fault, spans_built_here", [
+    ("fork fails", 2),
+    ("child exits 1 before its rows", 2),
+    ("child sends a row short", 2),
+    ("every child exits 1 after its rows", 3),
+])
+def test_split_table_builds_a_failed_childs_span_itself(capsys, monkeypatch, forks, fault,
+                                                        spans_built_here):
+    # three spans; where the first fork or the first child fails (or every
+    # child, for an exit status that a whole set of rows cannot outweigh),
+    # this process builds that span itself
+    parent, rows, counted_fork, exit = os.getpid(), cli._table_rows, os.fork, os._exit
+    built_here = []
+
+    def fork():
+        if forks or fault != "fork fails":
+            return counted_fork()
+        forks.append(None)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    def faulty_rows(params, first, last, index):
+        built = rows(params, first, last, index)
+        if os.getpid() == parent:
+            built_here.append(first)
+        elif len(forks) == 1:  # in the first child, whose pid list holds only its 0
+            if fault == "child exits 1 before its rows":
+                exit(1)
+            if fault == "child sends a row short":
+                built.pop()
+        return built
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "_table_rows", faulty_rows)
+    if fault == "every child exits 1 after its rows":
+        monkeypatch.setattr(os, "_exit", lambda status: exit(1))
+    argv = _table_argv(4, 3, 5, 50, 2, "csv")
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0, err
+    assert len(forks) == 2 and len(built_here) == spans_built_here
+    _assert_no_child_left()
+    monkeypatch.setattr(cli, "_table_rows", rows)
+    assert out == _sequential_bytes(capsys, monkeypatch, argv)
+
+
+def test_one_usable_cpu_or_a_second_thread_never_forks(capsys, monkeypatch):
+    import threading
+
+    monkeypatch.setattr(cli, "TABLE_SPLIT_WORK", 1)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    argv = _table_argv(3, 7, 0, 60, 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0, err
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert run_cli(capsys, *argv) == (0, out, "")
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("n, k, t0, t1, spans", [
+    (3, 7, 0, 1057, [(0, 1057)]),  # one row below TABLE_SPLIT_WORK
+    (3, 7, 0, 1058, [(0, 712), (713, 1058)]),  # at it
+    (2, 3, 0, 1400, [(0, 914), (915, 1400)]),  # the tail starts on an odd step
+    (4, 3, 700, 2600, [(700, 2018), (2019, 2600)]),  # the child jumps past t0
+])
+def test_identity_grid_tables_cross_the_split(monkeypatch, n, k, t0, t1, spans):
+    # tools/identity_grid.sh runs these tables to compare the split with
+    # the sequential loop; a retuned cost model must move them too
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli._table_spans(Params(n, k), t0, t1) == spans
+
+
+@pytest.mark.parametrize("n, k, t0, t1", [(2, 2, 0, 10000), (3, 7, 0, 2000), (6, 50, 999, 3000)])
+def test_table_spans_tile_the_steps_with_shorter_tails(monkeypatch, n, k, t0, t1):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    spans = cli._table_spans(Params(n, k), t0, t1)
+    assert 2 <= len(spans) <= 8
+    assert [a for a, _ in spans] == [t0] + [b + 1 for _, b in spans[:-1]]
+    assert spans[-1][1] == t1
+    lengths = [b - a + 1 for a, b in spans]
+    assert lengths == sorted(lengths, reverse=True), spans
+
+
+def test_table_spans_past_the_float_range_stay_one_span(monkeypatch):
+    # the cost estimate overflows a float; the split is skipped, not the table
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli._table_spans(Params(2, 2), 5, 10**200) == [(5, 10**200)]
 
 
 @given(
@@ -955,7 +1108,7 @@ def test_cli_help_exits_zero(capsys):
 
 # stdlib modules that ratroot.cli imports only on the paths that use them
 # (fractions also loads numbers and decimal)
-DEFERRED_MODULES = ("json", "csv", "decimal", "fractions", "numbers", "random")
+DEFERRED_MODULES = ("json", "csv", "decimal", "fractions", "numbers", "random", "signal")
 
 
 def _run_bare(code):
@@ -977,7 +1130,8 @@ def test_cli_import_leaves_heavy_modules_unloaded():
 
 
 def test_hot_paths_leave_deferred_modules_unloaded():
-    # plain output of integers at or below INT_STR_CUTOVER needs none of them;
+    # plain output of integers at or below INT_STR_CUTOVER needs none of them,
+    # nor does a table split over forked children (with two usable CPUs);
     # --digits 20000 renders integers past the cutover, so decimal loads
     code = textwrap.dedent(f"""
         import io, sys
@@ -988,7 +1142,7 @@ def test_hot_paths_leave_deferred_modules_unloaded():
                 assert main(argv.split()) == 0, argv
             print(*(m for m in {DEFERRED_MODULES!r} if m in sys.modules), file=stdout)
         loaded("approx --n 3 --k 2 --digits 30", "table --n 2 --k 2 --t1 40",
-               "chpow --n 5 --k 7 --fib 12")
+               "table --n 3 --k 7 --t1 1100", "chpow --n 5 --k 7 --fib 12")
         loaded("approx --n 2 --k 2 --digits 20000")
     """)
     small, large = (set(line.split()) for line in _run_bare(code).splitlines())

@@ -1,0 +1,40 @@
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _ab(tree_a, tree_b, requests=12, rounds=2):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), str(tree_a), str(tree_b),
+         "--workload", "approx-wide", "--rounds", str(rounds), "--requests", str(requests)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stderr == "", proc.stderr
+    return proc.returncode, json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_ab_of_one_tree_reads_one():
+    rc, result = _ab(ROOT, ROOT)
+    assert rc == 0
+    assert result["requests"] == 12 and len(result["rounds"]) == 2
+    for r in result["rounds"]:
+        assert r["mismatches"] == 0
+        # loose: a dozen millisecond requests on a shared host
+        for key in ("sum_ratio", "median_ratio", "geomean_ratio"):
+            assert 0.5 < r[key] < 2, (key, r)
+
+
+def test_ab_catches_a_tree_with_different_output(tmp_path):
+    shutil.copytree(ROOT / "src" / "ratroot", tmp_path / "src" / "ratroot",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "ratroot" / "cli.py"
+    text = cli.read_text()
+    assert "APPROX_BURN_IN = 10\n" in text
+    cli.write_text(text.replace("APPROX_BURN_IN = 10\n", "APPROX_BURN_IN = 11\n"))
+    rc, result = _ab(ROOT, tmp_path, requests=6, rounds=1)
+    assert rc == 1
+    assert result["rounds"][0]["mismatches"] > 0

@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Paired A/B timing of two ratroot trees, interleaved request by request.
+
+    python3 tools/ab.py TREE_A TREE_B --workload NAME [--seed N] [--rounds R] [--requests M]
+
+The requests are the first M of the workload's list in
+``perfbench/workloads.py`` of the checkout holding this script; nothing
+under ``perfbench/`` is changed or run. Each round starts one fresh worker
+per tree, a ``python3`` process that imports ratroot from that tree's
+``src/``, so no cache (the oracle's brackets, the parser) carries from one
+round to the next. Each request goes to both workers in turn, in an order
+drawn per request from a seeded coin. A worker times ``cli.main(argv)`` by
+the wall clock, so work that ratroot does in forked children counts, with
+the request's stdout and stderr captured in memory, and answers with that
+time and a sha256 digest of the exit code, stderr and stdout.
+
+Per round it prints B against A: the ratio of the summed times, the median
+and the geometric mean of the per-request ratios, and the number of
+requests whose digests differ, which must be 0 for trees meant to print the
+same bytes. Below 1, B is faster. The last line is one JSON object holding
+every round. The exit status is 1 when any digest differs.
+
+A/A (the same tree on both sides) gives the noise floor to quote beside a
+claim. Interleaving pairs each request with its counterpart seconds apart,
+so drift of the host's speed mostly cancels, which run-against-run
+comparisons of whole benchmark runs do not get.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import random
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def serve(tree: str) -> int:
+    """Worker: answer each argv line on stdin with one [seconds, digest] line."""
+    src = (Path(tree) / "src").resolve()
+    sys.path.insert(0, str(src))
+    from ratroot import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"ratroot imported from {cli.__file__}, not from {src}")
+    reply = sys.stdout
+    for line in sys.stdin:
+        argv = json.loads(line)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            start = time.perf_counter()
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # a crash is an output like any other
+                code = f"{type(exc).__name__}: {exc}"
+            seconds = time.perf_counter() - start
+        digest = hashlib.sha256(f"{code}\0{err.getvalue()}\0{out.getvalue()}".encode())
+        reply.write(json.dumps([seconds, digest.hexdigest()]) + "\n")
+        reply.flush()
+    return 0
+
+
+def run_round(trees: list[str], requests: list[list[str]], rng: random.Random) -> dict:
+    """One round over fresh workers: B/A ratios and the digest mismatches."""
+    workers = [
+        subprocess.Popen([sys.executable, __file__, "--serve", tree], stdin=subprocess.PIPE,
+                         stdout=subprocess.PIPE, text=True)
+        for tree in trees
+    ]
+    times = ([], [])
+    mismatches = 0
+    try:
+        for argv in requests:
+            answers = [None, None]
+            for side in rng.sample((0, 1), 2):
+                workers[side].stdin.write(json.dumps(argv) + "\n")
+                workers[side].stdin.flush()
+                line = workers[side].stdout.readline()
+                if not line:
+                    raise RuntimeError(f"worker for {trees[side]} ended at {' '.join(argv)}")
+                answers[side] = json.loads(line)
+            for side in (0, 1):
+                times[side].append(answers[side][0])
+            mismatches += answers[0][1] != answers[1][1]
+    finally:
+        for worker in workers:
+            worker.stdin.close()
+            worker.wait(timeout=60)
+            worker.stdout.close()
+    ratios = [b / a for a, b in zip(*times)]
+    return {
+        "sum_ratio": sum(times[1]) / sum(times[0]),
+        "median_ratio": statistics.median(ratios),
+        "geomean_ratio": statistics.geometric_mean(ratios),
+        "mismatches": mismatches,
+        "sum_s": [sum(times[0]), sum(times[1])],
+    }
+
+
+def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv[:1] == ["--serve"]:
+        return serve(argv[1])
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("tree_a", help="checkout timed as A (the parent)")
+    ap.add_argument("tree_b", help="checkout timed as B (the change)")
+    ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    ap.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
+    ap.add_argument("--rounds", type=int, default=5, help="rounds of fresh workers (default 5)")
+    ap.add_argument("--requests", type=int, default=245,
+                    help="requests per round, from the head of the list (default 245)")
+    args = ap.parse_args(argv)
+    requests = workloads.requests(args.workload, args.seed)[:args.requests]
+    rng = random.Random(f"ab/{args.workload}/{args.seed}")
+    rounds = []
+    for i in range(args.rounds):
+        r = run_round([args.tree_a, args.tree_b], requests, rng)
+        rounds.append(r)
+        print(f"round {i + 1}: sum {r['sum_ratio']:.3f}  median {r['median_ratio']:.3f}  "
+              f"geomean {r['geomean_ratio']:.3f}  mismatches {r['mismatches']}", flush=True)
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "requests": len(requests),
+                      "trees": [args.tree_a, args.tree_b], "rounds": rounds}))
+    return 1 if any(r["mismatches"] for r in rounds) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

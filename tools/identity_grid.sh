@@ -19,8 +19,13 @@
 # one square past a row of n**2), then four large outputs, one in each
 # format and from the n >= 3 reduction, each written line by line, and four
 # heavy approx answers whose roots take one or more isqrt steps (n 4, 6 and
-# 8) or none (n 5), with fractions of about 40 kbit at n 6: 277 commands in
-# all. It takes about a minute.
+# 8) or none (n 5), with fractions of about 40 kbit at n 6, then four tables
+# that cross the split of a large table into spans built in forked children
+# (on a host with two or more usable CPUs): one whose child jumps to its
+# first step past --t0, a plain n = 3 table exactly at the split threshold
+# and one row below it, and an n = 2 table whose tail span starts on an odd
+# step: 281 commands in all. It takes about a minute. Run under taskset -c 0
+# (one usable CPU) it prints the same bytes from the sequential loop alone.
 #
 # It runs the first python3 on PATH. To diff interpreters, put another one
 # first: PATH=/other/python/bin:$PATH tools/identity_grid.sh, or under
@@ -96,3 +101,8 @@ for a in "--n 4 --k 7 --digits 1500" "--n 6 --k 42 --digits 1499" \
          "--n 8 --k 3 --digits 1200" "--n 5 --k 21 --digits 1399"; do
     run approx $a
 done
+run table --n 4 --k 3 --t0 700 --t1 2600 --index 2
+for t1 in 1058 1057; do
+    run table --n 3 --k 7 --t1 $t1
+done
+run table --n 2 --k 3 --t1 1400 --format csv
