@@ -51,7 +51,13 @@ class IllConditioned(ArithmeticError):
 
 
 class NonConvergence(RuntimeError):
-    """Step doubling exceeded the configured ceiling; indicates a bug."""
+    """No certified answer within the step ceiling (exit 3).
+
+    Raised when step doubling passes the ceiling, and when no starting t
+    can be chosen: the floating-point rate rounds to 1, k**((n-1)/n) is
+    past the float range, or the step count of the target passes it. Each
+    is a documented outcome on valid input, not a bug.
+    """
 
 
 class Params(namedtuple("Params", "n k")):

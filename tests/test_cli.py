@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratroot import cli, engine, oracle
+import grid
+from ratroot import cli, engine, oracle, spectral
 from ratroot.cli import (
     INT_STR_CUTOVER,
     build_approx,
@@ -475,8 +476,8 @@ def test_one_usable_cpu_or_a_second_thread_never_forks(capsys, monkeypatch):
     (4, 3, 700, 2600, [(700, 2018), (2019, 2600)]),  # the child jumps past t0
 ])
 def test_identity_grid_tables_cross_the_split(monkeypatch, n, k, t0, t1, spans):
-    # tools/identity_grid.sh runs these tables to compare the split with
-    # the sequential loop; a retuned cost model must move them too
+    # tools/grid.py runs these tables to compare the split with the
+    # sequential loop; a retuned cost model must move them too
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert cli._table_spans(Params(n, k), t0, t1) == spans
 
@@ -496,6 +497,66 @@ def test_table_spans_past_the_float_range_stay_one_span(monkeypatch):
     # the cost estimate overflows a float; the split is skipped, not the table
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert cli._table_spans(Params(2, 2), 5, 10**200) == [(5, 10**200)]
+
+
+# --- the byte-identity grid, tools/grid.py ------------------------------------
+
+GRID_DIGESTS = Path(__file__).resolve().parent / "identity_grid.sha256"
+
+
+def _grid_changes(argvs, pinned):
+    """The pinned lines of the commands whose blanked grid entry changed."""
+    return [line for argv, line in zip(argvs, pinned, strict=True)
+            if line != f"{grid.digest(argv)}  {' '.join(argv)}"]
+
+
+def test_identity_grid_matches_its_digests(monkeypatch):
+    # after a deliberate output change, regenerate the digests with
+    # python3 tools/grid.py --sha256 > tests/identity_grid.sha256
+    monkeypatch.setenv("COLUMNS", "80")  # so --help never wraps at a terminal's width
+    pinned = GRID_DIGESTS.read_text().splitlines()
+    limit = _int_str_limit()
+    for each in (limit, 640, 0) if limit is not None else (None,):
+        with _int_str_limit_set(each):
+            assert _grid_changes(grid.GRID, pinned) == [], f"int/str limit {each}"
+            assert _int_str_limit() == each
+    tables = [(argv, line) for argv, line in zip(grid.GRID, pinned) if argv[0] == "table"]
+    with monkeypatch.context() as m:  # one usable CPU: the sequential loop alone
+        m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        m.setattr(os, "fork", _no_fork)
+        assert _grid_changes(*zip(*tables)) == []
+    monkeypatch.setattr(cli, "TABLE_SPLIT_WORK", 1)  # every table split three ways
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert _grid_changes(*zip(*tables)) == []
+    _assert_no_child_left()
+
+
+def test_grid_blanks_only_what_libm_computes(capsys):
+    # approx: only the rho and digits_per_step values, so t_used, the
+    # fraction and the decimal still enter the digest
+    rho, dps = spectral.convergence_rate(Params(3, 2))
+    for fmt in ("plain", "json"):
+        _, out, _ = run_cli(capsys, "approx", "--n", "3", "--k", "2", "--digits", "10",
+                            "--format", fmt)
+        assert out.count(repr(rho)) == out.count(repr(dps)) == 1
+        assert grid.blank(out) == out.replace(repr(rho), "~").replace(repr(dps), "~")
+    # JSON that json.dumps would not write back byte for byte is kept whole
+    assert grid.blank(out.replace("\n", " \n", 1)) == out.replace("\n", " \n", 1)
+    # eig: every cell but re, im and modulus, every meta value but the rate
+    eig = ["eig", "--n", "3", "--k", "2", "--format"]
+    meta = "# n = 3\n# k = 2\n# dominant_index = 0\n# rho = ~\n# digits_per_step = ~\n"
+    assert grid.blank(run_cli(capsys, *eig, "plain")[1]) == (
+        "# command = eig\n" + meta + "# degenerate = false\n"
+        "j  re  im  modulus  dominant\n"
+        "0  ~  ~  ~  true\n1  ~  ~  ~  false\n2  ~  ~  ~  false\n"
+    )
+    assert grid.blank(run_cli(capsys, *eig, "csv")[1]) == (
+        "j,re,im,modulus,dominant\r\n0,~,~,~,true\r\n1,~,~,~,false\r\n2,~,~,~,false\r\n"
+    )
+    blanked = json.loads(grid.blank(run_cli(capsys, *eig, "json")[1]))
+    assert blanked["meta"] == {"n": "3", "k": "2", "dominant_index": "0", "rho": "~",
+                               "digits_per_step": "~", "degenerate": "false"}
+    assert blanked["rows"] == [[str(j), "~", "~", "~", str(j == 0).lower()] for j in range(3)]
 
 
 @given(

@@ -11,8 +11,9 @@ per tree, a ``python3`` process that imports ratroot from that tree's
 round to the next. Each request goes to both workers in turn, in an order
 drawn per request from a seeded coin. A worker times ``cli.main(argv)`` by
 the wall clock, so work that ratroot does in forked children counts, with
-the request's stdout and stderr captured in memory, and answers with that
-time and a sha256 digest of the exit code, stderr and stdout.
+the request's stdout and stderr captured in memory by ``grid.replay``, and
+answers with that time and a sha256 digest of the exit code, stderr and
+stdout.
 
 Per round it prints B against A: the ratio of the summed times, the median
 and the geometric mean of the per-request ratios, and the number of
@@ -28,9 +29,7 @@ comparisons of whole benchmark runs do not get.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
-import io
 import json
 import random
 import statistics
@@ -38,6 +37,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import grid
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,20 +51,14 @@ def serve(tree: str) -> int:
 
     if not Path(cli.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"ratroot imported from {cli.__file__}, not from {src}")
-    reply = sys.stdout
     for line in sys.stdin:
         argv = json.loads(line)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            start = time.perf_counter()
-            try:
-                code = cli.main(argv)
-            except Exception as exc:  # a crash is an output like any other
-                code = f"{type(exc).__name__}: {exc}"
-            seconds = time.perf_counter() - start
-        digest = hashlib.sha256(f"{code}\0{err.getvalue()}\0{out.getvalue()}".encode())
-        reply.write(json.dumps([seconds, digest.hexdigest()]) + "\n")
-        reply.flush()
+        start = time.perf_counter()
+        code, out, err = grid.replay(argv)
+        seconds = time.perf_counter() - start
+        digest = hashlib.sha256(f"{code}\0{err}\0{out}".encode())
+        sys.stdout.write(json.dumps([seconds, digest.hexdigest()]) + "\n")
+        sys.stdout.flush()
     return 0
 
 
