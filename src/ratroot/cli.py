@@ -16,10 +16,12 @@ the rows are then written line by line and never joined into one string.
 this way, in its largest process (``RUSAGE_CHILDREN``'s ``ru_maxrss``, so
 its forked child counts), against 276 MB joined (CPython 3.11.7).
 
-Exit codes: 0 success, 1 usage error, 2 domain error (zero vector, scalar-map
-pole, ``eig`` past the float range), 3 non-convergence or self-test failure,
-141 stdout closed by its reader before the answer was written (the status a
-shell reports for a process ended by SIGPIPE; nothing goes to stderr).
+Exit codes: 0 success, 1 usage error or an ``--out`` file or stdout that
+cannot be written, 2 domain error (zero vector, scalar-map pole, ``eig``
+past the float range), 3 non-convergence or self-test failure, 141 stdout
+closed by its reader before the answer was written (the status a shell
+reports for a process ended by SIGPIPE; nothing goes to stderr), for every
+command, ``selftest`` and ``--help`` included.
 Every command is byte-deterministic: the same argv gives the same stdout and
 exit code.
 
@@ -766,6 +768,31 @@ def _parse_scalar_start(text: str | None) -> Fraction:
 
 
 def main(argv=None) -> int:
+    """Run the command ``argv`` names and return its exit code.
+
+    Every byte ``main`` writes to stdout (argparse's help, ``selftest``'s
+    lines, the record) is written and flushed inside the one ``try`` here,
+    so a stdout that cannot be written ends every command the same way.
+    ``--out`` reports its own write errors.
+    """
+    try:
+        code = _run(argv)
+        if sys.stdout is not None:  # None when the process starts with no stdout
+            sys.stdout.flush()
+    except OSError as exc:
+        # Point stdout at devnull so that the flush at interpreter exit
+        # does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            return 141  # the reader is gone: end as SIGPIPE would, silently
+        print(f"ratroot: error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return 1
+    return code
+
+
+def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
     except _UsageError as exc:
@@ -794,16 +821,7 @@ def main(argv=None) -> int:
             print(f"ratroot: error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return 1
     else:
-        try:
-            record.write(args.format, sys.stdout)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader is gone. Point stdout at devnull so that the flush
-            # at interpreter exit does not raise again, and end as SIGPIPE.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            return 141
+        record.write(args.format, sys.stdout)
     return 0
 
 

@@ -1,11 +1,8 @@
 import copy
 import pickle
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from ratroot.cli import build_eig
 from ratroot.core import Params, check_state
@@ -58,30 +55,6 @@ def test_state_vector_rejects_degenerate_inputs():
 
 def test_state_vector_allows_partial_zeros():
     assert check_state((0, 5), 2) == (0, 5)
-
-
-# Reduced fractions are the workhorse value type; pin down the canonical-form
-# guarantees the rest of the suite leans on.
-
-def test_fraction_canonicalization_is_idempotent():
-    f = Fraction(3, 2)
-    assert Fraction(f.numerator, f.denominator) == f
-    assert (f.numerator, f.denominator) == (3, 2)
-
-
-def test_fraction_equality_across_unreduced_inputs():
-    assert Fraction(6, 4) == Fraction(3, 2)
-    assert Fraction(-6, 4) == Fraction(3, -2)
-
-
-@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(lambda d: d != 0))
-def test_fraction_always_canonical(num, den):
-    from math import gcd
-
-    f = Fraction(num, den)
-    assert f.denominator > 0
-    assert gcd(abs(f.numerator), f.denominator) == 1
-    assert Fraction(f.numerator, f.denominator) == f
 
 
 def test_matrix_rejects_non_square():

@@ -130,15 +130,6 @@ def test_square_root_case_scalar_equals_linear_ratios(num, den, k, steps):
         assert Fraction(*states[t]) == r
 
 
-def test_higher_order_systems_differ():
-    # same limit, different trajectories: the two systems must not be conflated
-    scal = iterate_scalar_map(Params(3, 2), Fraction(1), 2)
-    states = iterate_linear(Params(3, 2), ones(3), 2)
-    assert scal[2] == Fraction(14, 13)
-    assert Fraction(states[2][0], states[2][1]) == Fraction(7, 5)
-    assert scal[2] != Fraction(states[2][0], states[2][1])
-
-
 def test_scalar_map_attracts_only_below_the_derivative_bound():
     # r* = k**(1/n) attracts only when u = k**((n-1)/n) < 2/(n-2); for n = 3
     # that is k < 2**1.5. At (3, 3) the map from 1 is an exact 2-cycle.
