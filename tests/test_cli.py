@@ -253,6 +253,9 @@ def test_table_reduces_each_row_once(capsys, monkeypatch, n, k, index):
 
 # --- table rows built in forked children -------------------------------------
 
+SPLIT_TABLES = [(2, 2, 0, 40, 1), (2, 7, 13, 60, 1)] + [(4, 3, 5, 50, i) for i in (1, 2, 3)]
+
+
 def _table_argv(n, k, t0, t1, index, fmt="plain"):
     return ["table", "--n", str(n), "--k", str(k), "--t0", str(t0), "--t1", str(t1),
             "--index", str(index), "--format", fmt]
@@ -291,6 +294,18 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counted_fork)
     return pids
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+@pytest.mark.parametrize("n, k, t0, t1, index", SPLIT_TABLES)
+def test_split_table_prints_the_sequential_bytes(capsys, monkeypatch, forks, fmt,
+                                                  n, k, t0, t1, index):
+    argv = _table_argv(n, k, t0, t1, index, fmt)
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0, err
+    assert len(forks) == 2
+    _assert_no_child_left()
+    assert out == _sequential_bytes(capsys, monkeypatch, argv)
 
 
 @pytest.mark.parametrize("fault, spans_built_here", [
