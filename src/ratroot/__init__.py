@@ -31,6 +31,7 @@ from .core import (
     NonConvergence,
     Params,
     PoleEncountered,
+    UsageError,
     ZeroVector,
 )
 from .engine import (
@@ -68,6 +69,7 @@ __all__ = [
     "NonConvergence",
     "Params",
     "PoleEncountered",
+    "UsageError",
     "ZeroVector",
     "apply_power",
     "companion_matrix",

@@ -16,12 +16,16 @@ the rows are then written line by line and never joined into one string.
 this way, in its largest process (``RUSAGE_CHILDREN``'s ``ru_maxrss``, so
 its forked child counts), against 276 MB joined (CPython 3.11.7).
 
-Exit codes: 0 success, 1 usage error or an ``--out`` file or stdout that
-cannot be written, 2 domain error (zero vector, scalar-map pole, ``eig``
-past the float range), 3 non-convergence or self-test failure, 141 stdout
-closed by its reader before the answer was written (the status a shell
-reports for a process ended by SIGPIPE; nothing goes to stderr), for every
-command, ``selftest`` and ``--help`` included.
+Exit codes: 0 success, 1 usage error (``core.UsageError``: an argument
+outside its domain, argparse's refusals included) or an ``--out`` file or
+stdout that cannot be written, 2 domain error (zero vector, scalar-map
+pole, ``eig`` past the float range), 3 non-convergence or self-test
+failure, 141 stdout closed by its reader before the answer was written
+(the status a shell reports for a process ended by SIGPIPE; nothing goes
+to stderr), for every command, ``selftest`` and ``--help`` included.
+``EXIT_CODES`` maps each refusal to its code, and ``main`` prints its one
+``ratroot: error:`` line; any other exception is a bug, which ``main``
+does not catch, and the run ends with its traceback.
 Every command is byte-deterministic: the same argv gives the same stdout and
 exit code.
 
@@ -79,6 +83,8 @@ integer past the int/str digit limit or the cutover. At the default limit
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import math
 import os
 import re
@@ -87,7 +93,7 @@ from collections import namedtuple
 from functools import cache
 
 from . import engine, oracle, recursion, spectral
-from .core import NonConvergence, Params, PoleEncountered, ZeroVector
+from .core import NonConvergence, Params, PoleEncountered, UsageError, ZeroVector
 
 TABLE_DECIMAL_PLACES = 6
 TABLE_DIGITS_CAP = 40
@@ -235,13 +241,7 @@ class OutputRecord(namedtuple("OutputRecord", "command meta columns rows")):
     def _write_json(self, out) -> None:
         import json
 
-        obj = {
-            "command": self.command,
-            "meta": self.meta,
-            "columns": self.columns,
-            "rows": self.rows,
-        }
-        json.dump(obj, out, indent=2)
+        json.dump(self._asdict(), out, indent=2)  # keys in field order
         out.write("\n")
 
 
@@ -255,9 +255,9 @@ def build_table(params: Params, t0: int, t1: int, index: int) -> OutputRecord:
     same on every path.
     """
     if not 0 <= t0 <= t1:
-        raise ValueError(f"need 0 <= t0 <= t1, got t0={t0}, t1={t1}")
+        raise UsageError(f"need 0 <= t0 <= t1, got t0={t0}, t1={t1}")
     if not 1 <= index <= params.n - 1:
-        raise ValueError(f"ratio index must be in 1..{params.n - 1}, got {index}")
+        raise UsageError(f"ratio index must be in 1..{params.n - 1}, got {index}")
     rows = _span_rows(params, _table_spans(params, t0, t1), index)
     meta = {
         "n": str(params.n),
@@ -345,7 +345,11 @@ def _span_rows(params: Params, spans, index: int) -> list[list[str]]:
     the first span, then reads the children in span order, a line at a time.
     A span whose fork fails, whose child exits nonzero or whose rows arrive
     short is built here instead. Every child is reaped before this returns
-    or raises; a child not yet reaped when an exception leaves is killed.
+    or raises; a child still running when an exception leaves is killed.
+    Where SIGCHLD is ignored the kernel reaps each child itself, and the
+    wait reports ECHILD: the child's status is then unknown, its row count
+    decides, and it is never signalled, as its pid may be another's by then.
+    SIGCHLD's disposition is left as the caller set it.
     """
     oracle.nth_root_bracket(params, TABLE_DIGITS_CAP + oracle.GUARD_DIGITS)
     children = []  # [pid, read fd, first, last]; pid and fd None once done with
@@ -362,7 +366,9 @@ def _span_rows(params: Params, spans, index: int) -> list[list[str]]:
                     child[1] = None
                     for line in pipe:
                         rows.append(line[:-1].split("\t"))
-                status = os.waitpid(pid, 0)[1]
+                status = 0  # where the wait reports ECHILD the row count decides
+                with contextlib.suppress(ChildProcessError):  # reaped for us: SIGCHLD ignored
+                    status = os.waitpid(pid, 0)[1]
                 child[0] = None
             if status != 0 or len(rows) - mark != last - first + 1:
                 del rows[mark:]
@@ -372,11 +378,12 @@ def _span_rows(params: Params, spans, index: int) -> list[list[str]]:
         for pid, r, _, _ in children:
             if r is not None:
                 os.close(r)
-            if pid is not None:
-                import signal
+            with contextlib.suppress(ChildProcessError):  # reaped for us: never signalled
+                if pid is not None and os.waitpid(pid, os.WNOHANG)[0] == 0:  # still running
+                    import signal
 
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
 
 
 def _fork_span(params: Params, first: int, last: int, index: int, children):
@@ -501,9 +508,9 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
     only the attempt that certifies is reduced.
     """
     if target_digits < 1:
-        raise ValueError(f"target digits must be >= 1, got {target_digits}")
+        raise UsageError(f"target digits must be >= 1, got {target_digits}")
     if max_t < 0:
-        raise ValueError(f"max t must be >= 0, got {max_t}")
+        raise UsageError(f"max t must be >= 0, got {max_t}")
     meta = {
         "n": str(params.n),
         "k": str(params.k),
@@ -559,10 +566,16 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
 # engine through module attributes, so a patched engine is what they check.
 
 def check_opening_table():
-    """The fraction column of table(2, 2, 0..5) is the opening table, exactly."""
-    got = [row[1] for row in build_table(Params(2, 2), 0, 5, 1).rows]
-    want = ["1/1", "3/2", "7/5", "17/12", "41/29", "99/70"]
-    assert got == want, f"fraction column {got} != {want}"
+    """table(2, 2, 0..5) is the opening table, exactly: its fractions, their
+    truncated decimals and their certified digits.
+
+    Each digit count d is the largest with |p/q - 2**0.5| < 10**-d: the
+    errors are 0.41, 0.086, 0.014, 0.0025, 0.00042 and 0.000072.
+    """
+    got = [row[1:] for row in build_table(Params(2, 2), 0, 5, 1).rows]
+    want = [["1/1", "1.000000", "0"], ["3/2", "1.500000", "1"], ["7/5", "1.400000", "1"],
+            ["17/12", "1.416666", "2"], ["41/29", "1.413793", "3"], ["99/70", "1.414285", "4"]]
+    assert got == want, f"fraction, decimal and digits columns {got} != {want}"
 
 
 def check_cayley_hamilton(n_max: int):
@@ -642,13 +655,9 @@ def run_selftest() -> int:
 
 # --- argument parsing --------------------------------------------------------
 
-class _UsageError(Exception):
-    pass
-
-
 class _CliParser(argparse.ArgumentParser):
-    """Reports argparse's own usage errors with the prefix of every other
-    nonzero exit, ``ratroot: error:``, not the subparser's ``prog``.
+    """Raises argparse's own usage errors as UsageError, so ``main`` reports
+    them as every other refusal, not under the subparser's ``prog``.
 
     argparse reads a token that starts with "-" as an option unless it
     looks like a negative number, and its own pattern admits only plain ints
@@ -662,7 +671,7 @@ class _CliParser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
-        raise _UsageError(f"ratroot: error: {message}")
+        raise UsageError(message)
 
 
 def _add_command(subs, name: str, help: str, build):
@@ -750,10 +759,9 @@ def _parse_linear_start(text: str | None, params: Params) -> tuple[int, ...]:
     if text is None:
         return (1,) * params.n
     try:
-        entries = tuple(int(part.strip()) for part in text.split(","))
+        return tuple(int(part.strip()) for part in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"bad linear start {text!r}: {exc}") from None
-    return entries
+        raise UsageError(f"bad linear start {text!r}: {exc}") from None
 
 
 def _parse_scalar_start(text: str | None) -> Fraction:
@@ -764,65 +772,79 @@ def _parse_scalar_start(text: str | None) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad scalar start {text!r}: {exc}") from None
+        raise UsageError(f"bad scalar start {text!r}: {exc}") from None
+
+
+# The exit code of each refusal. Any other exception is a bug: ``main``
+# lets it propagate, and the run ends with its traceback.
+EXIT_CODES = {UsageError: 1, ZeroVector: 2, PoleEncountered: 2, OverflowError: 2,
+              NonConvergence: 3}
+
+
+class _ReaderGone(Exception):
+    """stdout's reader closed it before the answer was written."""
 
 
 def main(argv=None) -> int:
     """Run the command ``argv`` names and return its exit code.
 
-    Every byte ``main`` writes to stdout (argparse's help, ``selftest``'s
-    lines, the record) is written and flushed inside the one ``try`` here,
-    so a stdout that cannot be written ends every command the same way.
-    ``--out`` reports its own write errors.
+    A refusal, an exception of a type in EXIT_CODES, prints its one
+    ``ratroot: error:`` line to stderr and returns its code; a stdout whose
+    reader is gone returns 141 and prints nothing. Every other exception
+    propagates.
     """
     try:
-        code = _run(argv)
-        if sys.stdout is not None:  # None when the process starts with no stdout
-            sys.stdout.flush()
-    except OSError as exc:
-        # Point stdout at devnull so that the flush at interpreter exit
-        # does not raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        if isinstance(exc, BrokenPipeError):
-            return 141  # the reader is gone: end as SIGPIPE would, silently
-        print(f"ratroot: error: cannot write stdout: {exc.strerror}", file=sys.stderr)
-        return 1
-    return code
+        return _run(argv)
+    except _ReaderGone:
+        return 141  # as SIGPIPE would end the run, silently
+    except tuple(EXIT_CODES) as exc:
+        print(f"ratroot: error: {exc}", file=sys.stderr)
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def _run(argv) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+        args = _to_stdout(build_parser().parse_args, argv)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     if args.command == "selftest":
-        return run_selftest()
-    try:
-        record = args.build(args, Params(args.n, args.k))
-    except (ZeroVector, PoleEncountered, OverflowError) as exc:
-        print(f"ratroot: error: {exc}", file=sys.stderr)
-        return 2
-    except NonConvergence as exc:
-        print(f"ratroot: error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"ratroot: error: {exc}", file=sys.stderr)
-        return 1
+        return _to_stdout(run_selftest)
+    record = args.build(args, Params(args.n, args.k))
     if args.out:
         try:
             with open(args.out, "w") as f:
                 record.write(args.format, f)
         except OSError as exc:
-            print(f"ratroot: error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-            return 1
+            raise UsageError(f"cannot write {args.out}: {exc.strerror}") from None
+    elif sys.stdout is None:  # the process started with fd 1 closed
+        raise UsageError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
     else:
-        record.write(args.format, sys.stdout)
+        _to_stdout(record.write, args.format, sys.stdout)
     return 0
+
+
+def _to_stdout(write, *args):
+    """write(*args), which may write to stdout, then a flush of stdout.
+
+    Every byte ``main`` writes to stdout (argparse's help, ``selftest``'s
+    lines, the record) is written through here, and nothing else is. On a
+    write error stdout is pointed at devnull, so that the flush at
+    interpreter exit does not raise again; then a reader that is gone
+    raises _ReaderGone and any other error a UsageError.
+    """
+    try:
+        try:
+            return write(*args)
+        finally:  # also after --help, which leaves parse_args by SystemExit
+            if sys.stdout is not None:  # None when the process starts with fd 1 closed
+                sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            raise _ReaderGone from None
+        raise UsageError(f"cannot write stdout: {exc.strerror}") from None
 
 
 if __name__ == "__main__":

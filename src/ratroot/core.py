@@ -60,6 +60,19 @@ class NonConvergence(RuntimeError):
     """
 
 
+class UsageError(ValueError):
+    """A request outside the domain of its arguments (exit 1).
+
+    Raised by the checks of every value a ``ratroot`` argv can carry: n, k,
+    a start state or its text, a step count, an exponent, a chain length,
+    table bounds and ratio index, a digit target and a step ceiling; by
+    argparse's own refusals; and by the CLI for an output it cannot write.
+    A ValueError, so callers that catch ValueError keep working. Checks
+    that no argv reaches (``engine.mat_pow``, the oracle's) stay plain
+    ValueError: a failure there is a bug.
+    """
+
+
 class Params(namedtuple("Params", "n k")):
     """Problem instance: approximate the n-th root of k."""
 
@@ -67,9 +80,9 @@ class Params(namedtuple("Params", "n k")):
 
     def __new__(cls, n: int, k: int):
         if not isinstance(n, int) or n < 2:
-            raise ValueError(f"root order n must be an integer >= 2, got {n!r}")
+            raise UsageError(f"root order n must be an integer >= 2, got {n!r}")
         if not isinstance(k, int) or k < 1:
-            raise ValueError(f"radicand k must be an integer >= 1, got {k!r}")
+            raise UsageError(f"radicand k must be an integer >= 1, got {k!r}")
         return super().__new__(cls, n, k)
 
 
@@ -80,8 +93,8 @@ def check_state(r0, n: int) -> tuple[int, ...]:
     """
     r0 = tuple(r0)
     if not any(r0):
-        raise ValueError("state vector must have at least one nonzero entry")
+        raise UsageError("state vector must have at least one nonzero entry")
     if len(r0) != n:
-        raise ValueError(f"state length {len(r0)} != n={n}")
+        raise UsageError(f"state length {len(r0)} != n={n}")
     return r0
 

@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 from operator import add, sub
 
-from .core import Params, ZeroVector, check_state
+from .core import Params, UsageError, ZeroVector, check_state
 
 
 def companion_matrix(params: Params) -> tuple[tuple[int, ...], ...]:
@@ -211,7 +211,7 @@ def ring_pow_one_plus_x(params: Params, t: int) -> tuple[int, ...]:
     i+1 of M**t applied to the first standard basis vector.
     """
     if t < 0:
-        raise ValueError(f"exponent must be nonnegative, got {t}")
+        raise UsageError(f"exponent must be nonnegative, got {t}")
     n, k = params.n, params.k
     # A row of m terms costs about m/2 exact divisions by small ints and m
     # Horner steps; each square it replaces costs about n**1.585 coefficient
@@ -315,7 +315,7 @@ def fib_power_chain(
     its exponent: its own ladder, not a product of its two predecessors.
     """
     if chain_length < 1:
-        raise ValueError(f"chain length must be >= 1, got {chain_length}")
+        raise UsageError(f"chain length must be >= 1, got {chain_length}")
     chain = []
     e1, e2 = 2, 3
     for _ in range(chain_length):

@@ -18,7 +18,7 @@ digits a step; elsewhere r* repels, and (3, 3) from 1 is the 2-cycle
 """
 from __future__ import annotations
 
-from .core import Params, PoleEncountered, ZeroVector, check_state
+from .core import Params, PoleEncountered, UsageError, ZeroVector, check_state
 from .engine import step_one_plus_x
 
 
@@ -33,7 +33,7 @@ def iterate_linear(params: Params, r0, steps: int) -> tuple[tuple[int, ...], ...
     """
     state = check_state(r0, params.n)
     if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
+        raise UsageError(f"steps must be nonnegative, got {steps}")
     states = [state]
     for t in range(1, steps + 1):
         state = tuple(step_one_plus_x(state, params.k))
@@ -52,7 +52,7 @@ def iterate_scalar_map(params: Params, r0: Fraction, steps: int) -> tuple[Fracti
     count every step.
     """
     if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
+        raise UsageError(f"steps must be nonnegative, got {steps}")
     from fractions import Fraction
 
     n, k = params.n, params.k

@@ -352,6 +352,49 @@ def test_split_table_builds_a_failed_childs_span_itself(capsys, monkeypatch, for
     assert out == _sequential_bytes(capsys, monkeypatch, argv)
 
 
+def _no_kill(pid, sig):
+    raise AssertionError(f"os.kill({pid}, {sig}) called")
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["whole", "child-sends-a-row-short"])
+def test_split_table_with_sigchld_ignored(capsys, monkeypatch, forks, short):
+    # the kernel reaps each child itself, so every wait reports ECHILD: the
+    # child's row count decides, and a pid that may be another's by then is
+    # never signalled
+    import signal
+
+    parent, rows, waitpid = os.getpid(), cli._table_rows, os.waitpid
+    echild = []
+
+    def short_rows(params, first, last, index):
+        built = rows(params, first, last, index)
+        if short and os.getpid() != parent and len(forks) == 1:  # the first child
+            built.pop()
+        return built
+
+    def spied_waitpid(pid, options):
+        try:
+            return waitpid(pid, options)
+        except ChildProcessError:
+            echild.append(pid)
+            raise
+
+    monkeypatch.setattr(cli, "_table_rows", short_rows)
+    monkeypatch.setattr(os, "waitpid", spied_waitpid)
+    monkeypatch.setattr(os, "kill", _no_kill)
+    argv = _table_argv(4, 3, 5, 50, 2, "csv")
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        rc, out, err = run_cli(capsys, *argv)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert rc == 0, err
+    assert len(forks) == 2 and echild == forks
+    _assert_no_child_left()
+    monkeypatch.setattr(cli, "_table_rows", rows)
+    assert out == _sequential_bytes(capsys, monkeypatch, argv)
+
+
 def test_one_usable_cpu_or_a_second_thread_never_forks(capsys, monkeypatch):
     import threading
 
@@ -411,17 +454,15 @@ GRID_DIGESTS = Path(__file__).resolve().parent / "identity_grid.sha256"
 def _grid_changes(argvs, pinned):
     """The pinned lines of the commands whose blanked grid entry changed."""
     return [line for argv, line in zip(argvs, pinned, strict=True)
-            if line != f"{grid.digest(argv)}  {' '.join(argv)}"]
+            if line != f"{grid.digest(argv, *grid.replay(argv))}  {' '.join(argv)}"]
 
 
-def _grid_table_spans(argv):
-    """The spans of a grid ``table`` command's steps; none where argparse
-    answers it with help or refuses it, so that it prints no rows."""
-    with contextlib.redirect_stdout(io.StringIO()):
-        try:
-            args = build_parser().parse_args(argv)
-        except (SystemExit, cli._UsageError):
-            return []
+def _grid_table_spans(argv, code):
+    """The spans of a grid ``table`` command's steps, given its exit code;
+    none where it prints no rows: it asks for help, or it is refused."""
+    if code != 0 or "--help" in argv:
+        return []
+    args = build_parser().parse_args(argv)
     return cli._table_spans(Params(args.n, args.k), args.t0, args.t1)
 
 
@@ -444,8 +485,9 @@ def test_identity_grid_matches_its_digests(monkeypatch, request):
     forks = request.getfixturevalue("forks")  # every table split three ways
     for argv, line in tables:
         forks.clear()
-        assert _grid_changes([argv], [line]) == []
-        spans = _grid_table_spans(argv)
+        code, out, err = grid.replay(argv)
+        assert f"{grid.digest(argv, code, out, err)}  {' '.join(argv)}" == line
+        spans = _grid_table_spans(argv, code)
         if spans:  # it prints rows: one child per span after the first
             assert len(forks) == len(spans) - 1 >= 1, (argv, spans, forks)
         else:
@@ -872,6 +914,22 @@ def test_malformed_requests_exit_1(argv):
     _assert_one_error_line(out, err)
 
 
+@pytest.mark.parametrize("error", [ValueError("a bug"), OSError(errno.EIO, "a bug")],
+                         ids=["ValueError", "OSError"])
+def test_a_build_error_outside_the_exit_codes_propagates(capsys, monkeypatch, error):
+    # only the types in cli.EXIT_CODES are refusals: a plain ValueError is a
+    # bug, not a usage error, and an OSError raised while building is not a
+    # stdout that cannot be written
+    def broken(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "build_approx", broken)
+    with pytest.raises(type(error)) as raised:
+        main(["approx", "--n", "2", "--k", "2", "--digits", "5"])
+    assert raised.value is error
+    assert capsys.readouterr() == ("", "")
+
+
 def _int_str_limit():
     """The interpreter's int/str digit limit, or None where it has none."""
     get = getattr(sys, "get_int_max_str_digits", None)
@@ -1260,6 +1318,15 @@ def test_selftest_catches_sabotaged_matrix_power(capsys, monkeypatch):
     assert failed == ["FAIL cayley-hamilton", "FAIL engine-agreement"]
 
 
+def test_selftest_catches_sabotaged_certifier(capsys, monkeypatch):
+    # a certifier that claims one digit too many must trip the table group
+    true_digits = oracle.digits_of_ratio
+    monkeypatch.setattr(oracle, "digits_of_ratio", lambda *args: true_digits(*args) + 1)
+    rc, out, _ = run_cli(capsys, "selftest")
+    assert rc == 3
+    assert any(line.startswith("FAIL table-reproduction") for line in out.splitlines())
+
+
 def test_cayley_hamilton_check_reaches_n_max(monkeypatch):
     # a reference wrong only at n = n_max must fail the check: a loop that
     # stopped one n early would pass it
@@ -1326,13 +1393,13 @@ def test_out_flag_unwritable_path_exits_1(tmp_path, capsys):
     assert not target.exists()
 
 
-def _cli_process(argv, unbuffered, stdout):
+def _cli_process(argv, unbuffered, stdout, **popen):
     """``python -m ratroot.cli argv`` started with PYTHONUNBUFFERED set either
-    way, writing to stdout, with its stderr piped."""
+    way, writing to stdout, with its stderr piped; ``popen`` goes to Popen."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
            "PYTHONUNBUFFERED": "1" if unbuffered else ""}
     return subprocess.Popen([sys.executable, "-m", "ratroot.cli", *argv], env=env,
-                            stdout=stdout, stderr=subprocess.PIPE)
+                            stdout=stdout, stderr=subprocess.PIPE, **popen)
 
 
 # a 7 MB answer whose reader stops after one line, and two commands whose
@@ -1377,6 +1444,27 @@ def test_full_stdout_exits_1_with_one_error_line(argv, unbuffered):
     err = proc.communicate(timeout=60)[1].decode()
     assert proc.returncode == 1
     assert err == f"ratroot: error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["approx", "--n", "2", "--k", "2", "--digits", "5"], 1),
+    (["approx", "--n", "2", "--k", "2", "--digits", "5", "--out", "OUT"], 0),
+    (["--help"], 0),
+    (["selftest"], 0),
+], ids=["record", "out", "help", "selftest"])
+def test_no_stdout_refuses_only_a_record_bound_there(tmp_path, argv, rc):
+    # started with fd 1 closed, so sys.stdout is None: a record for stdout is
+    # refused as /dev/full's is; --out needs no stdout, argparse sends help
+    # to stderr, and selftest's answer is its exit status
+    target = tmp_path / "out.txt"
+    argv = [str(target) if a == "OUT" else a for a in argv]
+    proc = _cli_process(argv, False, None, preexec_fn=lambda: os.close(1))
+    err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == rc, err
+    if rc:
+        assert err == f"ratroot: error: cannot write stdout: {os.strerror(errno.EBADF)}\n"
+    if "--out" in argv:
+        assert target.read_text().startswith("# command = approx\n")
 
 
 def _readme_cli_lines():

@@ -106,6 +106,18 @@ _COMMANDS = [
     # which str converts in full before it refuses them at the default limit
     *(f"approx --n 2 --k 2 --digits {d}" for d in (2000, 20000)),
     "approx --n 6 --k 50 --digits 515",
+    # argv that ratroot's own checks refuse after argparse accepts it
+    "table --n 1 --k 2",
+    "eig --n 2 --k 0",
+    "table --n 2 --k 2 --t0 5 --t1 2",
+    "table --n 3 --k 2 --index 3",
+    "approx --n 2 --k 2 --digits 0",
+    "approx --n 2 --k 2 --digits 5 --max-t -1",
+    "chpow --n 2 --k 2 --t -1",
+    "chpow --n 2 --k 2 --fib 0",
+    *(f"trace --mode {mode} --n 2 --k 2 --steps -3" for mode in ("linear", "scalar")),
+    "trace --mode linear --n 2 --k 2 --start x",
+    "trace --mode scalar --n 2 --k 2 --start 1/0",
 ]
 GRID = [command.split() for command in _COMMANDS]
 
@@ -180,9 +192,9 @@ def _eig_rows(cells: list[list[str]], sep: str, end: str) -> str:
     return "".join(sep.join(row) + end for row in cells)
 
 
-def digest(argv: list[str]) -> str:
-    """sha256 of the command's grid entry, with its libm values blanked."""
-    code, out, err = replay(argv)
+def digest(argv: list[str], code: int | str, out: str, err: str) -> str:
+    """sha256 of the command's grid entry, from its ``replay``, with its libm
+    values blanked."""
     return hashlib.sha256(text(argv, code, blank(out), err).encode()).hexdigest()
 
 
@@ -197,7 +209,7 @@ def main(args: list[str]) -> int:
     os.environ["COLUMNS"] = "80"
     for argv in GRID:
         if sha256:
-            entry = f"{digest(argv)}  {' '.join(argv)}\n"
+            entry = f"{digest(argv, *replay(argv))}  {' '.join(argv)}\n"
         else:
             entry = text(argv, *replay(argv))
         sys.stdout.buffer.write(entry.encode())
