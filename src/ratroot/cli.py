@@ -25,7 +25,9 @@ failure, 141 stdout closed by its reader before the answer was written
 to stderr), for every command, ``selftest`` and ``--help`` included.
 ``EXIT_CODES`` maps each refusal to its code, and ``main`` prints its one
 ``ratroot: error:`` line; any other exception is a bug, which ``main``
-does not catch, and the run ends with its traceback.
+does not catch, and the run ends with its traceback. After a failed stdout
+write ``main`` leaves fd 1 as it found it, so a program that calls it
+keeps its own stdout.
 Every command is byte-deterministic: the same argv gives the same stdout and
 exit code.
 
@@ -83,6 +85,7 @@ integer past the int/str digit limit or the cutover. At the default limit
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import errno
 import math
@@ -320,16 +323,11 @@ def _table_spans(params: Params, t0: int, t1: int) -> list[tuple[int, int]]:
         return [(t0, t1)]
     count = min(cpus, 1 + int(total // TABLE_SPLIT_WORK))
     firsts = [t0]
-    for i in range(1, count):
-        lo, hi = firsts[-1] + 1, t1 + 1  # the first step whose rows before pass i/count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if work(mid) - base < total * i / count:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo <= t1:
-            firsts.append(lo)
+    for i in range(1, count):  # the first step whose rows before pass i/count of the work
+        first = bisect.bisect_left(range(t1 + 1), total * i / count, firsts[-1] + 1,
+                                   key=lambda t: work(t) - base)
+        if first <= t1:
+            firsts.append(first)
     return [(a, b - 1) for a, b in zip(firsts, firsts[1:] + [t1 + 1])]
 
 
@@ -337,21 +335,21 @@ def _span_rows(params: Params, spans, index: int) -> list[list[str]]:
     """The rows of all spans: the first built here, each later one in a
     forked child.
 
-    The oracle's bracket is taken before the first fork, so every child
-    inherits it. A child builds its span with :func:`_table_rows`, writes
-    each row to its pipe as one line of tab-separated cells (no cell holds a
-    tab or a newline), and ends by ``os._exit``, so it never flushes this
-    process's stdio buffers or returns into its caller. This process builds
-    the first span, then reads the children in span order, a line at a time.
-    A span whose fork fails, whose child exits nonzero or whose rows arrive
-    short is built here instead. Every child is reaped before this returns
-    or raises; a child still running when an exception leaves is killed.
-    Where SIGCHLD is ignored the kernel reaps each child itself, and the
-    wait reports ECHILD: the child's status is then unknown, its row count
-    decides, and it is never signalled, as its pid may be another's by then.
-    SIGCHLD's disposition is left as the caller set it.
+    A child builds its span with :func:`_table_rows`, taking the oracle's
+    bracket itself, writes each row to its pipe as one line of tab-separated
+    cells (no cell holds a tab or a newline), and ends by ``os._exit``, so
+    it never flushes this process's stdio buffers or returns into its
+    caller. This process builds the first span, then reads the children in
+    span order, a line at a time. A span is taken only from whole lines: a
+    span whose fork fails, whose child exits nonzero, sends too few rows or
+    a last row cut short (no newline at its end) is built here instead.
+    Every child is reaped before this returns or raises; a child still
+    running when an exception leaves is killed. Where SIGCHLD is ignored the
+    kernel reaps each child itself, and the wait reports ECHILD: the child's
+    status is then unknown, its lines decide, and it is never signalled, as
+    its pid may be another's by then. SIGCHLD's disposition is left as the
+    caller set it.
     """
-    oracle.nth_root_bracket(params, TABLE_DIGITS_CAP + oracle.GUARD_DIGITS)
     children = []  # [pid, read fd, first, last]; pid and fd None once done with
     try:
         for first, last in spans[1:]:
@@ -360,7 +358,7 @@ def _span_rows(params: Params, spans, index: int) -> list[list[str]]:
         for child in children:
             pid, r, first, last = child
             mark = len(rows)
-            status = None
+            status, line = None, "\n"  # line: the last one read, whole if it ends in a newline
             if pid is not None:
                 with open(r, encoding="ascii", newline="\n") as pipe:
                     child[1] = None
@@ -370,7 +368,7 @@ def _span_rows(params: Params, spans, index: int) -> list[list[str]]:
                 with contextlib.suppress(ChildProcessError):  # reaped for us: SIGCHLD ignored
                     status = os.waitpid(pid, 0)[1]
                 child[0] = None
-            if status != 0 or len(rows) - mark != last - first + 1:
+            if status != 0 or line[-1] != "\n" or len(rows) - mark != last - first + 1:
                 del rows[mark:]
                 rows += _table_rows(params, first, last, index)
         return rows
@@ -828,9 +826,10 @@ def _to_stdout(write, *args):
 
     Every byte ``main`` writes to stdout (argparse's help, ``selftest``'s
     lines, the record) is written through here, and nothing else is. On a
-    write error stdout is pointed at devnull, so that the flush at
-    interpreter exit does not raise again; then a reader that is gone
-    raises _ReaderGone and any other error a UsageError.
+    write error, what the failed write left buffered is flushed to devnull,
+    so that the flush at interpreter exit does not raise again, and fd 1 is
+    then restored, so a library caller keeps its own stdout; then a reader
+    that is gone raises _ReaderGone and any other error a UsageError.
     """
     try:
         try:
@@ -839,9 +838,13 @@ def _to_stdout(write, *args):
             if sys.stdout is not None:  # None when the process starts with fd 1 closed
                 sys.stdout.flush()
     except OSError as exc:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        fd = sys.stdout.fileno()
+        saved, devnull = os.dup(fd), os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
         os.close(devnull)
+        sys.stdout.flush()
+        os.dup2(saved, fd)
+        os.close(saved)
         if isinstance(exc, BrokenPipeError):
             raise _ReaderGone from None
         raise UsageError(f"cannot write stdout: {exc.strerror}") from None

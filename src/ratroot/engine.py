@@ -9,8 +9,9 @@ column vector is multiplication by (1 + x). That one O(n) step of M is
 take it.
 
 The engine has one ring. An element of Z[x]/(x**n - k) is a plain tuple of
-n ints, entry i the coefficient of x**i, and every product is reduced by one
-rule, x**m -> k*x**(m-n) (:func:`_fold`).
+n ints, entry i the coefficient of x**i, and the one product of two ring
+elements, :func:`square_ring`'s square, is reduced by one rule,
+x**m -> k*x**(m-n).
 
 Two power routes are kept on purpose. :func:`mat_pow`, repeated matrix
 multiplication, is the trusted reference, and the quotient-ring route is the
@@ -39,8 +40,11 @@ term 2*ai*aj as (ai + aj)**2 - ai**2 - aj**2, as CPython squares a big int
 in about 0.57-0.74 of the time of a general product of the same size (1 to
 120 kbit, BENCH_21.json). So every big-integer product of the ladder is a
 square at coefficient size, and no power is formed as the product of two
-others: each entry of the ``--fib`` chain runs its own ladder. The one general product, :func:`_mulmod`, is
-schoolbook; :func:`apply_power` applies a power to a start vector with it.
+others: each entry of the ``--fib`` chain runs its own ladder. No general
+product of two ring elements is formed anywhere. :func:`apply_power` applies
+(1 + x)**t to a start vector r0 as the polynomial r0(S): by Horner's scheme
+in x, per entry of r0 one shift by x and one multiple of the power by that
+entry.
 
 The power basis I, M, ..., M**(n-1) appears only at the output: a ring
 element is changed to it, x = y - 1, by one Taylor shift done with
@@ -91,28 +95,6 @@ def mat_pow(a, t: int) -> tuple[tuple[int, ...], ...]:
     return acc
 
 
-def _fold(prod, k) -> list[int]:
-    """Reduce a full product of 2n - 1 coefficients modulo x**n - k.
-
-    The one reduction rule of the engine: x**m folds to k*x**(m-n).
-    """
-    n = (len(prod) + 1) // 2
-    for m in range(n - 1):
-        prod[m] += k * prod[m + n]
-    return prod[:n]
-
-
-def _mulmod(a, b, k) -> tuple[int, ...]:
-    """a*b in Z[x]/(x**n - k) for length-n sequences a and b, schoolbook."""
-    n = len(a)
-    prod = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    return tuple(_fold(prod, k))
-
-
 # Squares of at most this many coefficients run schoolbook; longer ones split.
 # In-process chpow-wide ring time is lowest at 8, within 2.5% for cutovers
 # 6-10, 1-5% higher at 12 and 14, and higher again at 16 (BENCH_21.json): a
@@ -160,12 +142,17 @@ def _square(a) -> list[int]:
 def square_ring(c, k) -> list[int]:
     """c*c in Z[x]/(x**n - k) for a length-n sequence c: the ladder's square.
 
-    The full square comes from :func:`_square` (Karatsuba above
-    SQR_CUTOVER coefficients, down to schoolbook leaves that form squares
-    only) and is reduced by :func:`_fold`. For c = (1 + x)**t this is
-    (1 + x)**(2t), what the ladder for 2t would build from the same c.
+    The full square of 2n - 1 coefficients comes from :func:`_square`
+    (Karatsuba above SQR_CUTOVER coefficients, down to schoolbook leaves
+    that form squares only). It is reduced by the engine's one rule,
+    x**m -> k*x**(m-n): coefficient m + n folds onto coefficient m. For
+    c = (1 + x)**t this is (1 + x)**(2t), what the ladder for 2t would
+    build from the same c.
     """
-    return _fold(_square(c), k)
+    prod, n = _square(c), len(c)
+    for m in range(n - 1):
+        prod[m] += k * prod[m + n]
+    return prod[:n]
 
 
 def step_one_plus_x(c, k) -> list[int]:
@@ -271,16 +258,23 @@ def apply_power(params: Params, t: int, r0) -> tuple[int, ...]:
     """Evolve the state r0 by t steps in one shot: M**t r0 via the quotient ring.
 
     r0 is any sequence of n ints, not all zero; it is checked first. Entry
-    i of a state corresponds to the coefficient of x**(i-1), so the result
-    is (1 + x)**t, built by the ladder, times the polynomial image of r0,
-    read back as a tuple. Raises ZeroVector(t) if the result vanishes
-    (singular M, even n with k=1).
+    i of a state corresponds to the coefficient of x**(i-1), so r0 acts as
+    the polynomial r0(S), and M**t r0 = r0(S) (I + S)**t e1 is r0(x) times
+    c = (1 + x)**t, built by the ladder. That product is evaluated by
+    Horner's scheme in x, from the top entry of r0 down: each step shifts
+    the partial result by x (one product by k, where x**n folds to k) and
+    adds r*c for the next entry r, so n**2 products of an entry of r0 by a
+    coefficient of c and no product of two coefficients. Raises
+    ZeroVector(t) if the result vanishes (singular M, even n with k=1).
     """
     r0 = check_state(r0, params.n)
-    pt = _mulmod(ring_pow_one_plus_x(params, t), r0, params.k)
+    c, k = ring_pow_one_plus_x(params, t), params.k
+    pt = [0] * params.n
+    for r in reversed(r0):  # pt <- x*pt + r*c
+        pt = [k * pt[-1] + r * c[0], *(a + r * b for a, b in zip(pt, c[1:]))]
     if not any(pt):
         raise ZeroVector(t)
-    return pt
+    return tuple(pt)
 
 
 def power_basis_coeffs(params: Params, t: int) -> tuple[int, ...]:

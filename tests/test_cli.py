@@ -395,6 +395,44 @@ def test_split_table_with_sigchld_ignored(capsys, monkeypatch, forks, short):
     assert out == _sequential_bytes(capsys, monkeypatch, argv)
 
 
+def test_split_table_takes_no_cut_short_last_row(capsys, monkeypatch, forks):
+    # a child killed while writing its last line leaves that line without its
+    # newline; with SIGCHLD ignored its exit status is lost and its row count
+    # is right, so the cut line alone must send its span to be built here
+    import signal
+
+    parent, rows, pipe, exit = os.getpid(), cli._table_rows, os.pipe, os._exit
+    write_ends = []
+
+    def recorded_pipe():
+        r, w = pipe()
+        write_ends.append(w)
+        return r, w
+
+    def cut_rows(params, first, last, index):
+        built = rows(params, first, last, index)
+        if os.getpid() != parent and len(forks) == 1:  # the first child
+            text = "".join("\t".join(row) + "\n" for row in built)
+            os.write(write_ends[0], text[:-2].encode("ascii"))
+            exit(1)
+        return built
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(cli, "_table_rows", cut_rows)
+    monkeypatch.setattr(os, "kill", _no_kill)
+    argv = _table_argv(4, 3, 5, 50, 2, "csv")
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        rc, out, err = run_cli(capsys, *argv)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert rc == 0, err
+    assert len(forks) == 2
+    _assert_no_child_left()
+    monkeypatch.setattr(cli, "_table_rows", rows)
+    assert out == _sequential_bytes(capsys, monkeypatch, argv)
+
+
 def test_one_usable_cpu_or_a_second_thread_never_forks(capsys, monkeypatch):
     import threading
 
@@ -1208,16 +1246,16 @@ def test_shared_parser_matches_a_fresh_parser_per_call(capsys):
 
 
 def test_selftest_catches_sabotaged_engine(capsys, monkeypatch):
-    # a wrong ring reduction must trip the engine-agreement group
+    # a wrong ring route must trip the engine-agreement group
     from ratroot import engine
 
-    true_mul = engine._mulmod
+    true_apply = engine.apply_power
 
-    def corrupt_mul(a, b, k):
-        out = true_mul(a, b, k)
+    def corrupt_apply(params, t, r0):
+        out = true_apply(params, t, r0)
         return (out[0] + 1,) + out[1:]
 
-    monkeypatch.setattr(engine, "_mulmod", corrupt_mul)
+    monkeypatch.setattr(engine, "apply_power", corrupt_apply)
     rc, out, _ = run_cli(capsys, "selftest")
     assert rc == 3
     assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())
@@ -1396,9 +1434,14 @@ def test_out_flag_unwritable_path_exits_1(tmp_path, capsys):
 def _cli_process(argv, unbuffered, stdout, **popen):
     """``python -m ratroot.cli argv`` started with PYTHONUNBUFFERED set either
     way, writing to stdout, with its stderr piped; ``popen`` goes to Popen."""
+    return _python_process(["-m", "ratroot.cli", *argv], unbuffered, stdout, **popen)
+
+
+def _python_process(args, unbuffered, stdout, **popen):
+    """``python args`` with ratroot importable, as :func:`_cli_process`."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
            "PYTHONUNBUFFERED": "1" if unbuffered else ""}
-    return subprocess.Popen([sys.executable, "-m", "ratroot.cli", *argv], env=env,
+    return subprocess.Popen([sys.executable, *args], env=env,
                             stdout=stdout, stderr=subprocess.PIPE, **popen)
 
 
@@ -1443,6 +1486,24 @@ def test_full_stdout_exits_1_with_one_error_line(argv, unbuffered):
         proc = _cli_process(argv, unbuffered, full)
     err = proc.communicate(timeout=60)[1].decode()
     assert proc.returncode == 1
+    assert err == f"ratroot: error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_full_stdout_leaves_a_library_callers_fd_1(unbuffered):
+    # main refuses the write as the CLI does, then hands fd 1 back as it found
+    # it; the caller's exit flush finds nothing left to write
+    code = ("import os\n"
+            "from ratroot import cli\n"
+            "before = os.fstat(1)\n"
+            "rc = cli.main(['approx', '--n', '2', '--k', '2', '--digits', '5'])\n"
+            "assert rc == 1, rc\n"
+            "assert os.path.samestat(before, os.fstat(1)), os.fstat(1)\n")
+    with open("/dev/full", "wb") as full:
+        proc = _python_process(["-c", code], unbuffered, full)
+    err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 0, err
     assert err == f"ratroot: error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
 

@@ -1,14 +1,13 @@
 from math import comb, gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ratroot import engine
 from ratroot.core import Params, ZeroVector
 from ratroot.engine import (
     SQR_CUTOVER,
-    _mulmod,
     apply_power,
     companion_matrix,
     fib_power_chain,
@@ -28,6 +27,7 @@ from _helpers import (
     identity,
     mat_apply,
     mat_comb,
+    mulmod_monic,
     step_pow_one_plus_x,
 )
 
@@ -79,13 +79,13 @@ def test_mat_pow_rejects_bad_arguments():
 
 def test_ring_mul_examples():
     x2 = (0, 0, 1)
-    assert _mulmod(x2, x2, 2) == (0, 2, 0)  # x**4 = k*x at n=3, k=2
+    assert square_ring(x2, 2) == [0, 2, 0]  # x**4 = k*x at n=3, k=2
 
     one_plus_x = (1, 1)
-    assert _mulmod(one_plus_x, one_plus_x, 2) == (3, 2)
+    assert square_ring(one_plus_x, 2) == [3, 2]
 
     p = (4, -1, 7)
-    assert _mulmod((1, 0, 0), p, 2) == p
+    assert apply_power(Params(3, 2), 0, p) == p  # (1 + x)**0 = 1 times p
 
 
 # lengths 2-64, with both sides of the squaring kernel's cutover
@@ -94,26 +94,28 @@ big_coeff_st = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**300),
 
 
 @given(
-    mul_n_st.flatmap(
-        lambda n: st.tuples(
-            st.lists(big_coeff_st, min_size=n, max_size=n),
-            st.lists(big_coeff_st, min_size=n, max_size=n),
-        )
-    ),
+    mul_n_st.flatmap(lambda n: st.lists(big_coeff_st, min_size=n, max_size=n)),
     st.integers(1, 10**6),
+    st.integers(0, 300),
 )
 @settings(max_examples=40, deadline=None)
-def test_mulmod_matches_cyclic_shift_sum(ab, k):
-    # a*b = sum(a_i * S**i b): S = M - I is multiplication by x
-    a, b = ab
+def test_apply_power_matches_cyclic_shift_sum(a, k, t):
+    # M**t a = sum(a_i * S**i b) with b = (1 + x)**t: S = M - I is
+    # multiplication by x, and b is built by t single steps
+    assume(any(a))
     n = len(a)
-    s = cyclic_matrix(Params(n, k))
+    params = Params(n, k)
+    s = cyclic_matrix(params)
     want = [0] * n
-    shifted = tuple(b)
+    shifted = step_pow_one_plus_x(params, t)
     for ai in a:
         want = [w + ai * c for w, c in zip(want, shifted)]
         shifted = mat_apply(s, shifted)
-    assert _mulmod(a, b, k) == tuple(want)
+    if not any(want):
+        with pytest.raises(ZeroVector):
+            apply_power(params, t, a)
+    else:
+        assert apply_power(params, t, a) == tuple(want)
 
 
 def test_ring_pow_examples():
@@ -138,7 +140,7 @@ def test_ring_pow_matches_matrix_first_column(params, t):
 @settings(max_examples=60, deadline=None)
 def test_ring_pow_is_a_homomorphism(params, s, t):
     combined = ring_pow_one_plus_x(params, s + t)
-    split = _mulmod(ring_pow_one_plus_x(params, s), ring_pow_one_plus_x(params, t), params.k)
+    split = apply_power(params, s, ring_pow_one_plus_x(params, t))
     assert combined == split
 
 
@@ -202,7 +204,7 @@ def _cycle(pattern, n):
 @example([0, -edge], 2)
 @settings(max_examples=150, deadline=None)
 def test_square_ring_matches_general_multiply(a, k):
-    assert square_ring(a, k) == list(_mulmod(a, a, k))
+    assert square_ring(a, k) == list(mulmod_monic(a, a, ((0, -k),)))  # x**n = k
 
 
 @pytest.mark.parametrize("n", [2, 8, 64])
@@ -255,7 +257,7 @@ def _edge_exponents(n):
 @settings(max_examples=80, deadline=None)
 def test_ones_pair_is_the_head_of_the_all_ones_state(case):
     # the pair approx certifies: entries 1 and 2 of M**t (1, ..., 1), read
-    # off (1 + x)**t in O(n) instead of the full product apply_power forms
+    # off (1 + x)**t in O(n) instead of the n**2 products apply_power forms
     params, t = case
     ones = (1,) * params.n
     pair = ones_pair(params, ring_pow_one_plus_x(params, t))
@@ -398,10 +400,10 @@ def test_fib_power_chain_matches_power_basis_composition_at_15(n, k):
 
 def test_fib_power_chain_forms_no_general_product(monkeypatch):
     # each entry runs its own ladder, even past the binomial row's 2*n*n
-    def no_product(a, b, k):
+    def no_product(params, t, r0):
         raise AssertionError("fib_power_chain formed a general product")
 
-    monkeypatch.setattr(engine, "_mulmod", no_product)
+    monkeypatch.setattr(engine, "apply_power", no_product)
     assert fib_power_chain(Params(8, 2), 15) == fib_chain_in_power_basis(8, 2, 15)
 
 
