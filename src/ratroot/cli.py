@@ -53,6 +53,17 @@ divided by its gcd. Neither command builds a ``Fraction``. Both see only
 states M**t (1, ..., 1), whose entries are all positive, so no ratio they
 print is undefined.
 
+``table`` freezes its decimal and digits cells once the iteration proves
+them for every later row. ``recursion.enclosure`` brackets k**(1/n) by the
+smallest and the largest quotient (Sx)_i / x_i of a state, and by
+Collatz-Wielandt that bracket holds every ratio of the state and of every
+later one. The fractions that print one truncated decimal form an
+interval, and so do the fractions that certify TABLE_DIGITS_CAP digits, so
+a cell that both ends of a bracket give is the cell of every later row,
+which then skips ``format_decimal`` or ``oracle.digits_of_ratio``. The ends
+are measured by those same two functions, so the freeze needs no
+precision of its own, and the output is the same as without it.
+
 Every integer in a fraction, decimal, ``chpow`` or ``trace`` cell is
 rendered by ``format_int``, which equals ``str``. Up to ``INT_STR_CUTOVER``
 bits it is ``str``, quadratic in CPython 3.11; above it the integer is split
@@ -198,11 +209,6 @@ def format_decimal(p: int, q: int, places: int) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
-def _convergent_row(t: int, p: int, q: int, places: int, digits: int) -> list[str]:
-    """One CONVERGENT_COLUMNS row: step, reduced pair p/q, truncated decimal, certified digits."""
-    return [str(t), format_fraction(p, q), format_decimal(p, q, places), str(digits)]
-
-
 class OutputRecord(namedtuple("OutputRecord", "command meta columns rows")):
     """Ready-to-write payload: run metadata plus stringified rows."""
 
@@ -224,15 +230,9 @@ class OutputRecord(namedtuple("OutputRecord", "command meta columns rows")):
         out.write(f"# command = {self.command}\n")
         for key, value in self.meta.items():
             out.write(f"# {key} = {value}\n")
-        widths = [
-            max(len(self.columns[i]), *(len(r[i]) for r in self.rows), 0)
-            for i in range(len(self.columns))
-        ]
-        def line(cells):
-            return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip() + "\n"
-        out.write(line(self.columns))
-        for row in self.rows:
-            out.write(line(row))
+        line = "  ".join(f"{{:<{max(map(len, col))}}}" for col in zip(self.columns, *self.rows))
+        for cells in (self.columns, *self.rows):
+            out.write(line.format(*cells).rstrip() + "\n")
 
     def _write_csv(self, out) -> None:
         import csv
@@ -277,15 +277,42 @@ def _table_rows(params: Params, first: int, last: int, index: int) -> list[list[
 
     Jumps to ``first`` in one shot, then takes one O(n) step of M per row,
     so only the current state is held.
+
+    The decimal and digits cells freeze once the iteration proves them for
+    every later row. ``recursion.enclosure`` brackets the ratio of this
+    step and of every later one, so a cell that both ends of a bracket give
+    is the cell of every later row: the fractions with one truncated
+    decimal form an interval, and so do the fractions that certify the cap.
+    The first bracket is taken at the first row that certifies more than
+    TABLE_DECIMAL_PLACES digits; while a cell is unfrozen the next comes 8
+    rows later, then every max(8, (t - first bracket) // 4) rows, until the
+    digits cell freezes. A frozen row still steps, reduces and renders its
+    fraction. Every span decides on its own, so the rows are the same
+    however the table is split.
     """
+    places, cap = TABLE_DECIMAL_PLACES, TABLE_DIGITS_CAP
     entries = engine.apply_power(params, first, (1,) * params.n)
     rows = []
+    decimal = digits = None  # a cell, once an enclosure fixes it for every later row
+    start = check = None  # the steps of the first and the next enclosure
     for t in range(first, last + 1):
         if t > first:
             entries = engine.step_one_plus_x(entries, params.k)
         p, q = engine.reduced_pair(entries[index - 1], entries[index], params.n)
-        digits = oracle.digits_of_ratio(p, q, params, TABLE_DIGITS_CAP)
-        rows.append(_convergent_row(t, p, q, TABLE_DECIMAL_PLACES, digits))
+        if digits is None:
+            certified = oracle.digits_of_ratio(p, q, params, cap)
+            if start is None and certified > places:
+                start = check = t
+            if t == check:
+                lo, hi = recursion.enclosure(params, entries)
+                if decimal is None:
+                    cell = format_decimal(*lo, places)
+                    decimal = cell if cell == format_decimal(*hi, places) else None
+                if all(oracle.digits_of_ratio(*end, params, cap) == cap for end in (lo, hi)):
+                    digits = str(cap)
+                check = t + max(8, (t - start) // 4)
+        rows.append([str(t), format_fraction(p, q), decimal or format_decimal(p, q, places),
+                     digits or str(certified)])
     return rows
 
 
@@ -553,7 +580,7 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
         p, q = engine.reduced_pair(p, q, params.n)
         meta.update({"exact": "false", "rho": repr(rho), "digits_per_step": repr(dps)})
     meta.update({"t_used": str(t), "achieved": str(achieved)})
-    rows = [_convergent_row(t, p, q, target_digits, achieved)]
+    rows = [[str(t), format_fraction(p, q), format_decimal(p, q, target_digits), str(achieved)]]
     return OutputRecord("approx", meta, list(CONVERGENT_COLUMNS), rows)
 
 
@@ -565,15 +592,25 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
 
 def check_opening_table():
     """table(2, 2, 0..5) is the opening table, exactly: its fractions, their
-    truncated decimals and their certified digits.
+    truncated decimals and their certified digits. And every cell that
+    table(3, 2, 0..300) freezes is the cell of its own row's fraction.
 
     Each digit count d is the largest with |p/q - 2**0.5| < 10**-d: the
-    errors are 0.41, 0.086, 0.014, 0.0025, 0.00042 and 0.000072.
+    errors are 0.41, 0.086, 0.014, 0.0025, 0.00042 and 0.000072. The cube
+    root table freezes its decimal cell at step 31 and its digits cell at
+    step 143, so a wrong enclosure or a wrong freeze shows as a cell that
+    its own fraction does not give.
     """
     got = [row[1:] for row in build_table(Params(2, 2), 0, 5, 1).rows]
     want = [["1/1", "1.000000", "0"], ["3/2", "1.500000", "1"], ["7/5", "1.400000", "1"],
             ["17/12", "1.416666", "2"], ["41/29", "1.413793", "3"], ["99/70", "1.414285", "4"]]
     assert got == want, f"fraction, decimal and digits columns {got} != {want}"
+    params = Params(3, 2)
+    for t, fraction, decimal, digits in build_table(params, 0, 300, 1).rows:
+        p, q = map(int, fraction.split("/"))
+        own = [format_decimal(p, q, TABLE_DECIMAL_PLACES),
+               str(oracle.digits_of_ratio(p, q, params, TABLE_DIGITS_CAP))]
+        assert [decimal, digits] == own, f"(3, 2) step {t} cells {[decimal, digits]} != {own}"
 
 
 def check_cayley_hamilton(n_max: int):

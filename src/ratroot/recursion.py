@@ -15,6 +15,18 @@ u = k**((n-1)/n), so r* attracts only when u < 2/(n-2). For n >= 3 and
 k >= 2 that holds at (3, 2) alone, where the error falls by about 0.075
 digits a step; elsewhere r* repels, and (3, 3) from 1 is the 2-cycle
 1, 2, 1, 2, ...
+
+The linear iteration also certifies its own limit, with no oracle and no
+limit argument. M = I + S, where S, the k-weighted cyclic shift
+(Sx)_0 = k*x_{n-1}, (Sx)_i = x_{i-1}, is nonnegative and irreducible with
+Perron root k**(1/n). By the Collatz-Wielandt formula (Horn & Johnson,
+*Matrix Analysis*, 8.1) the smallest and the largest of the n quotients
+(Sx)_i / x_i of a positive state x, the wrapped k*x_{n-1}/x_0 and the
+adjacent ratios x_{i-1}/x_i, bracket k**(1/n): :func:`enclosure` returns
+them. The brackets nest along a trajectory: if Sx >= m*x, then
+S(Mx) = M(Sx) >= m*Mx, as M is nonnegative and commutes with S, so the lower
+end never falls and, likewise, the upper end never rises. Every ratio of
+every later state therefore lies inside the enclosure of an earlier one.
 """
 from __future__ import annotations
 
@@ -65,3 +77,28 @@ def iterate_scalar_map(params: Params, r0: Fraction, steps: int) -> tuple[Fracti
         r = (r + k) / den
         ratios.append(r)
     return tuple(ratios)
+
+
+def enclosure(params: Params, state) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The smallest and the largest of the n quotients (Sx)_i / x_i of state x.
+
+    Each is an unreduced pair (p, q) with q > 0: k*x[n-1]/x[0] and
+    x[i-1]/x[i] for i = 1..n-1, compared exactly by cross-multiplication.
+    k**(1/n) lies between the two, and so does every quotient of every
+    later state of the trajectory (see the module docstring). A state whose
+    entries are all negative is taken as its negation; any other state with
+    a zero entry or entries of both signs raises ValueError.
+    """
+    x = check_state(state, params.n)
+    if all(e < 0 for e in x):
+        x = tuple(-e for e in x)
+    elif not all(e > 0 for e in x):
+        raise ValueError(f"an enclosure needs entries of one strict sign, got {x}")
+    quotients = [(params.k * x[-1], x[0]), *zip(x, x[1:])]
+    lo = hi = quotients[0]
+    for p, q in quotients[1:]:
+        if p * lo[1] < lo[0] * q:
+            lo = (p, q)
+        elif p * hi[1] > hi[0] * q:
+            hi = (p, q)
+    return lo, hi

@@ -14,11 +14,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import grid
-from ratroot import cli, engine, oracle, spectral
+from ratroot import cli, engine, oracle, recursion, spectral
 from ratroot.cli import (
     INT_STR_CUTOVER,
     build_approx,
@@ -482,6 +482,139 @@ def test_table_spans_past_the_float_range_stay_one_span(monkeypatch):
     # the cost estimate overflows a float; the split is skipped, not the table
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert cli._table_spans(Params(2, 2), 5, 10**200) == [(5, 10**200)]
+
+
+# --- table cells frozen by the enclosure --------------------------------------
+
+def _wide_enclosure(params, state):
+    """An enclosure of every root that fixes no cell: 0 and k + 1."""
+    return (0, 1), (params.k + 1, 1)
+
+
+def _one_process_rows(monkeypatch, params, t0, t1, index, enclosure=None):
+    """build_table's rows with one usable CPU, under ``enclosure`` if given."""
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        m.setattr(os, "fork", _no_fork)
+        if enclosure is not None:
+            m.setattr(recursion, "enclosure", enclosure)
+        return build_table(params, t0, t1, index).rows
+
+
+def _spy_cells(monkeypatch, params, t1):
+    """Record each value the table passes to format_decimal and to
+    digits_of_ratio, as a Fraction, and the step of each enclosure."""
+    steps = {s: t for t, s in enumerate(recursion.iterate_linear(params, (1,) * params.n, t1))}
+    calls = {"decimal": [], "digits": [], "enclosure": []}
+    decimal, digits, enclosure = cli.format_decimal, oracle.digits_of_ratio, recursion.enclosure
+
+    def spied_decimal(p, q, places):
+        calls["decimal"].append(Fraction(p, q))
+        return decimal(p, q, places)
+
+    def spied_digits(p, q, params, cap):
+        calls["digits"].append(Fraction(p, q))
+        return digits(p, q, params, cap)
+
+    def spied_enclosure(params, state):
+        calls["enclosure"].append(steps[tuple(state)])
+        return enclosure(params, state)
+
+    monkeypatch.setattr(cli, "format_decimal", spied_decimal)
+    monkeypatch.setattr(oracle, "digits_of_ratio", spied_digits)
+    monkeypatch.setattr(recursion, "enclosure", spied_enclosure)
+    return calls
+
+
+def _rows_passed(rows, values):
+    """The steps of the rows whose fraction is among values."""
+    values = set(values)
+    return [int(row[0]) for row in rows if Fraction(row[1]) in values]
+
+
+def _check_steps(start, count):
+    """The first count enclosure steps of a span whose first check is at start."""
+    steps = [start]
+    while len(steps) < count:
+        steps.append(steps[-1] + max(8, (steps[-1] - start) // 4))
+    return steps
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(2, 8))
+    k = draw(st.one_of(st.integers(1, 10**4), st.integers(1, 12).map(lambda m: m**n)))
+    t1 = draw(st.integers(0, 400))
+    return Params(n, k), draw(st.integers(0, t1)), t1, draw(st.integers(1, n - 1))
+
+
+@given(_tables())
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_frozen_cells_are_the_cells_of_every_row(monkeypatch, table):
+    # in one span and split three ways, the rows equal those of an enclosure
+    # that never freezes a cell; perfect powers (m**n) are drawn on purpose
+    never_frozen = _one_process_rows(monkeypatch, *table, enclosure=_wide_enclosure)
+    assert _one_process_rows(monkeypatch, *table) == never_frozen
+    with monkeypatch.context() as m:
+        m.setattr(cli, "TABLE_SPLIT_WORK", 1)
+        m.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert build_table(*table).rows == never_frozen
+    _assert_no_child_left()
+
+
+def test_a_wide_enclosure_keeps_the_cells_row_by_row(monkeypatch):
+    # the first two enclosures are too wide to fix a cell, so the rows
+    # after them keep their own cells; the third, 16 rows after the first,
+    # freezes the decimal cell, and checks go on until the digits cell freezes
+    params, t1 = Params(2, 2), 200
+    never_frozen = _one_process_rows(monkeypatch, params, 0, t1, 1, enclosure=_wide_enclosure)
+    calls = _spy_cells(monkeypatch, params, t1)
+    true_enclosure = recursion.enclosure  # the spy, which counts this call first
+
+    def enclosure(params, state):
+        ends = true_enclosure(params, state)
+        return _wide_enclosure(params, state) if len(calls["enclosure"]) <= 2 else ends
+
+    rows = _one_process_rows(monkeypatch, params, 0, t1, 1, enclosure=enclosure)
+    assert rows == never_frozen
+    start = next(int(row[0]) for row in rows if int(row[3]) > cli.TABLE_DECIMAL_PLACES)
+    checks = calls["enclosure"]
+    assert checks == _check_steps(start, len(checks)) and len(checks) > 3
+    assert _rows_passed(rows, calls["decimal"]) == list(range(start + 17))
+    assert _rows_passed(rows, calls["digits"]) == list(range(checks[-1] + 1))
+    assert checks[-1] < t1
+
+
+@pytest.mark.parametrize("n, k, index, decimals, certificates, checks", [
+    (2, 3, 1, 15, 85, 8),
+    (5, 7, 3, 86, 536, 17),
+])
+def test_a_large_table_freezes_its_cells(monkeypatch, n, k, index, decimals, certificates,
+                                         checks):
+    # of 2001 rows, only those before each freeze format their decimal or
+    # certify their fraction; the rest of these counts are the two ends of
+    # each enclosure. A freeze that stops engaging moves them to 2001 or more.
+    calls = _spy_cells(monkeypatch, Params(n, k), 2000)
+    _one_process_rows(monkeypatch, Params(n, k), 0, 2000, index)
+    assert [len(calls[c]) for c in ("decimal", "digits", "enclosure")] == [
+        decimals, certificates, checks]
+
+
+def test_a_root_on_a_decimal_boundary_freezes_only_the_digits(monkeypatch):
+    # 4**(1/2) = 2: each enclosure of (2, 4) is r and 4/r, on both sides of
+    # 2, so its ends print 1.999999 and 2.000000 and the decimal cell never
+    # freezes; both ends come within 10**-40 of 2, so the digits cell does
+    params, t1 = Params(2, 4), 300
+    never_frozen = _one_process_rows(monkeypatch, params, 0, t1, 1, enclosure=_wide_enclosure)
+    calls = _spy_cells(monkeypatch, params, t1)
+    rows = _one_process_rows(monkeypatch, params, 0, t1, 1)
+    assert rows == never_frozen
+    assert _rows_passed(rows, calls["decimal"]) == list(range(t1 + 1))
+    last = calls["enclosure"][-1]
+    assert _rows_passed(rows, calls["digits"]) == list(range(last + 1)) and last < t1
+    lo, hi = recursion.enclosure(params, engine.apply_power(params, last, (1, 1)))
+    assert lo[0] < 2 * lo[1] and hi[0] > 2 * hi[1]
 
 
 # --- the byte-identity grid, tools/grid.py ------------------------------------
@@ -1360,6 +1493,20 @@ def test_selftest_catches_sabotaged_certifier(capsys, monkeypatch):
     # a certifier that claims one digit too many must trip the table group
     true_digits = oracle.digits_of_ratio
     monkeypatch.setattr(oracle, "digits_of_ratio", lambda *args: true_digits(*args) + 1)
+    rc, out, _ = run_cli(capsys, "selftest")
+    assert rc == 3
+    assert any(line.startswith("FAIL table-reproduction") for line in out.splitlines())
+
+
+def test_selftest_catches_sabotaged_enclosure(capsys, monkeypatch):
+    # an enclosure of the oracle's own 45-digit bracket certifies the cap at
+    # once, so the digits cell freezes at the first check, rows before the
+    # cap; the table group must see those rows' own certificates differ
+    def bracket_ends(params, state):
+        lo = oracle.nth_root_bracket(params, 45)
+        return (lo, 10**45), (lo + 1, 10**45)
+
+    monkeypatch.setattr(recursion, "enclosure", bracket_ends)
     rc, out, _ = run_cli(capsys, "selftest")
     assert rc == 3
     assert any(line.startswith("FAIL table-reproduction") for line in out.splitlines())

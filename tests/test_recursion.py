@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ratroot.core import Params, PoleEncountered, ZeroVector
 from ratroot.engine import apply_power
 from ratroot.oracle import digits_of_ratio, log10_error_bound, nth_root_bracket
-from ratroot.recursion import iterate_linear, iterate_scalar_map
+from ratroot.recursion import enclosure, iterate_linear, iterate_scalar_map
 
 
 def ones(n):
@@ -187,3 +187,71 @@ def test_sign_basin_prefers_positive_root(k):
         assert digits_of_ratio(*Fraction(*states[120]).as_integer_ratio(), params, 20) == 20
         for t in range(50, 121):
             assert abs(Fraction(*states[t]) - neg_mid) > 1
+
+
+# --- Collatz-Wielandt enclosures ---------------------------------------------
+
+def _le(a, b):
+    """a <= b for fractions given as pairs with positive denominators."""
+    return a[0] * b[1] <= b[0] * a[1]
+
+
+def test_enclosure_is_the_smallest_and_largest_quotient():
+    # (3, 2) at (2, 2): the wrapped quotient 2*2/3 and the ratio 3/2
+    assert enclosure(Params(2, 2), (3, 2)) == ((4, 3), (3, 2))
+    # (3, 5): quotients 5*1/4, 4/2, 2/1; the two equal ones keep the first
+    assert enclosure(Params(3, 5), (4, 2, 1)) == ((5, 4), (4, 2))
+    # all equal: the eigenvector of (2, 4), both ends 2
+    assert enclosure(Params(2, 4), (2, 1)) == ((4, 2), (4, 2))
+
+
+def test_enclosure_takes_a_negative_state_as_its_negation():
+    assert enclosure(Params(3, 7), (-5, -3, -2)) == enclosure(Params(3, 7), (5, 3, 2))
+
+
+@pytest.mark.parametrize("state", [(1, 0), (0, 1), (2, -1), (-2, 1), (0, 0), (1, 1, 1)])
+def test_enclosure_refuses_a_state_without_one_strict_sign(state):
+    with pytest.raises(ValueError):
+        enclosure(Params(2, 3), state)
+
+
+_positive_starts = st.lists(st.integers(1, 10**6), min_size=8, max_size=8)
+_params = st.builds(Params, st.integers(2, 8), st.integers(1, 10**4))
+
+
+@given(_params, _positive_starts, st.integers(0, 200))
+@example(Params(2, 4), [1] * 8, 60)
+@example(Params(3, 8), [5, 1, 9, 1, 1, 1, 1, 1], 0)
+@example(Params(8, 1), [1, 2, 3, 4, 5, 6, 7, 8], 200)
+@settings(max_examples=60, deadline=2000)
+def test_enclosure_holds_the_root(params, start, t):
+    lo, hi = enclosure(params, apply_power(params, t, start[: params.n]))
+    assert _le(lo, hi)
+    # lo <= r < (bracket + 1) / 10**e and hi >= r >= bracket / 10**e
+    e = 80
+    bracket = nth_root_bracket(params, e)
+    assert lo[0] * 10**e < (bracket + 1) * lo[1]
+    assert hi[0] * 10**e >= bracket * hi[1]
+
+
+@given(_params, _positive_starts, st.integers(1, 60))
+@settings(max_examples=60, deadline=2000)
+def test_enclosures_nest_along_a_trajectory(params, start, steps):
+    ends = [enclosure(params, s) for s in iterate_linear(params, start[: params.n], steps)]
+    for (lo, hi), (next_lo, next_hi) in zip(ends, ends[1:]):
+        assert _le(lo, next_lo) and _le(next_hi, hi)
+
+
+@given(_params, st.integers(0, 400))
+@example(Params(2, 4), 120)
+@example(Params(3, 2), 300)
+@settings(max_examples=60, deadline=2000)
+def test_every_ratio_certifies_what_both_ends_certify(params, t):
+    # every ratio lies between the ends, and the distance to the farther
+    # end of the oracle's bracket is convex, so no ratio certifies fewer
+    # digits than the worse end: the iteration and the oracle, which share
+    # no code, must agree on that
+    x = apply_power(params, t, ones(params.n))
+    floor = min(digits_of_ratio(*end, params, 60) for end in enclosure(params, x))
+    for i in range(1, params.n):
+        assert digits_of_ratio(x[i - 1], x[i], params, 60) >= floor

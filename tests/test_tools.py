@@ -38,3 +38,22 @@ def test_ab_catches_a_tree_with_different_output(tmp_path):
     rc, result = _ab(ROOT, tmp_path, requests=6, rounds=1)
     assert rc == 1
     assert result["rounds"][0]["mismatches"] > 0
+
+
+def test_ab_exits_141_when_its_reader_leaves():
+    # the reader takes the first round's line and closes the pipe: the next
+    # line ends the run as SIGPIPE would, with status 141 and nothing on stderr
+    proc = subprocess.Popen(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), str(ROOT),
+         "--workload", "approx-wide", "--rounds", "3", "--requests", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline().startswith(b"round 1: ")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 141
+    assert err == b""

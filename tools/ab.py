@@ -19,7 +19,9 @@ Per round it prints B against A: the ratio of the summed times, the median
 and the geometric mean of the per-request ratios, and the number of
 requests whose digests differ, which must be 0 for trees meant to print the
 same bytes. Below 1, B is faster. The last line is one JSON object holding
-every round. The exit status is 1 when any digest differs.
+every round. The exit status is 1 when any digest differs, and 141, with
+nothing on stderr, when stdout's reader closes it before the last line (as
+``ratroot.cli`` does); every worker is closed first.
 
 A/A (the same tree on both sides) gives the noise floor to quote beside a
 claim. Interleaving pairs each request with its counterpart seconds apart,
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import random
 import statistics
 import subprocess
@@ -122,11 +125,30 @@ def main(argv=None) -> int:
     for i in range(args.rounds):
         r = run_round([args.tree_a, args.tree_b], requests, rng)
         rounds.append(r)
-        print(f"round {i + 1}: sum {r['sum_ratio']:.3f}  median {r['median_ratio']:.3f}  "
-              f"geomean {r['geomean_ratio']:.3f}  mismatches {r['mismatches']}", flush=True)
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "requests": len(requests),
-                      "trees": [args.tree_a, args.tree_b], "rounds": rounds}))
+        if not emit(f"round {i + 1}: sum {r['sum_ratio']:.3f}  median {r['median_ratio']:.3f}  "
+                    f"geomean {r['geomean_ratio']:.3f}  mismatches {r['mismatches']}"):
+            return 141
+    if not emit(json.dumps({"workload": args.workload, "seed": args.seed,
+                            "requests": len(requests), "trees": [args.tree_a, args.tree_b],
+                            "rounds": rounds})):
+        return 141
     return 1 if any(r["mismatches"] for r in rounds) else 0
+
+
+def emit(line: str) -> bool:
+    """Write one line to stdout and flush it; False if its reader is gone.
+
+    Then fd 1 points at devnull, so the flush at exit does not raise again.
+    """
+    try:
+        sys.stdout.write(line + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True
 
 
 if __name__ == "__main__":
