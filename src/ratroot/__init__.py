@@ -54,11 +54,8 @@ from .recursion import (
 )
 from .spectral import (
     Decomposition,
-    EigenPair,
-    SpectralData,
     convergence_rate,
     decompose,
-    eigenvalues,
 )
 
 __version__ = "0.1.0"
@@ -84,9 +81,6 @@ __all__ = [
     "iterate_linear",
     "iterate_scalar_map",
     "Decomposition",
-    "EigenPair",
-    "SpectralData",
     "convergence_rate",
     "decompose",
-    "eigenvalues",
 ]

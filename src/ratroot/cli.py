@@ -593,18 +593,24 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
 def check_opening_table():
     """table(2, 2, 0..5) is the opening table, exactly: its fractions, their
     truncated decimals and their certified digits. And every cell that
-    table(3, 2, 0..300) freezes is the cell of its own row's fraction.
+    table(3, 2, 0..300) freezes is the cell of its own row's fraction. And
+    table(2, 3, 0..5)'s fractions are in lowest terms.
 
     Each digit count d is the largest with |p/q - 2**0.5| < 10**-d: the
     errors are 0.41, 0.086, 0.014, 0.0025, 0.00042 and 0.000072. The cube
     root table freezes its decimal cell at step 31 and its digits cell at
     step 143, so a wrong enclosure or a wrong freeze shows as a cell that
-    its own fraction does not give.
+    its own fraction does not give. Every state of k = 2 has content 1, but
+    (1 + x)**2 = 4 + 2x at k = 3 has content 2, so only the (2, 3) column
+    shows a wrong n = 2 reduction.
     """
     got = [row[1:] for row in build_table(Params(2, 2), 0, 5, 1).rows]
     want = [["1/1", "1.000000", "0"], ["3/2", "1.500000", "1"], ["7/5", "1.400000", "1"],
             ["17/12", "1.416666", "2"], ["41/29", "1.413793", "3"], ["99/70", "1.414285", "4"]]
     assert got == want, f"fraction, decimal and digits columns {got} != {want}"
+    got = [row[1] for row in build_table(Params(2, 3), 0, 5, 1).rows]
+    want = ["1/1", "2/1", "5/3", "7/4", "19/11", "26/15"]
+    assert got == want, f"(2, 3) fraction column {got} != {want}"
     params = Params(3, 2)
     for t, fraction, decimal, digits in build_table(params, 0, 300, 1).rows:
         p, q = map(int, fraction.split("/"))
@@ -626,8 +632,23 @@ def check_cayley_hamilton(n_max: int):
 
 
 def check_engine_agreement(seed: int, cases: int):
-    """Naive matrix and ring powers agree exactly on random (n, k, t, r0)."""
+    """Naive matrix and ring powers agree exactly on random (n, k, t, r0),
+    and on one fixed case whose ladder squares past ``engine.SQR_CUTOVER``.
+
+    The random cases draw n <= 6 and t <= 50, so no square there is longer
+    than the cutover. The fixed case is n = 9, t = 2*9**2 + 1: the binomial
+    row of 81, then one Karatsuba square of 9 coefficients.
+    """
     import random
+
+    def agree(params, t, entries):
+        m = engine.companion_matrix(params)
+        power = engine.mat_pow(m, t)  # trusted reference
+        naive = tuple(sum(a * x for a, x in zip(row, entries)) for row in power)
+        ring = engine.apply_power(params, t, entries)
+        assert naive == ring, (
+            f"engines disagree at n={params.n}, k={params.k}, t={t}, r0={entries}"
+        )
 
     rng = random.Random(seed)
     done = 0
@@ -638,18 +659,12 @@ def check_engine_agreement(seed: int, cases: int):
         entries = tuple(rng.randint(-9, 9) for _ in range(n))
         if all(e == 0 for e in entries):
             continue
-        params = Params(n, k)
-        m = engine.companion_matrix(params)
         try:
-            power = engine.mat_pow(m, t)  # trusted reference
-            naive = tuple(sum(a * x for a, x in zip(row, entries)) for row in power)
-            ring = engine.apply_power(params, t, entries)
+            agree(Params(n, k), t, entries)
         except ZeroVector:
             continue  # singular matrix annihilated this start; excluded
-        assert naive == ring, (
-            f"engines disagree at n={n}, k={k}, t={t}, r0={entries}"
-        )
         done += 1
+    agree(Params(9, 7), 2 * 9**2 + 1, (3, -1, 4, -1, 5, -9, 2, -6, 5))
 
 
 def check_rate_slope(expected_dps: float):

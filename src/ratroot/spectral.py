@@ -22,46 +22,28 @@ _SNAP = 1e-13  # relative threshold below which a float component is rounding no
 RESIDUAL_BOUND = 1e-9
 
 
-class EigenPair(namedtuple("EigenPair", "value vector")):
-    """One eigenvalue with its eigenvector, normalized so the last entry is 1.
+class Decomposition(namedtuple("Decomposition", "coefficients values vectors")):
+    """Coefficients c expressing a start vector over the eigenvector basis.
 
-    Entry m from the bottom is (value - 1)**m; adjacent entries of the
-    dominant pair therefore all have ratio k**(1/n).
+    ``values`` are the n eigenvalues, dominant (j = 0) first, and
+    ``vectors`` their eigenvectors, entry i of vector j being
+    (r*w**j)**(n-1-i), so the last entry is 1 and adjacent entries of the
+    dominant vector have ratio k**(1/n).
     """
 
     __slots__ = ()
-
-
-class SpectralData(namedtuple("SpectralData", "pairs rate")):
-    """All n eigenpairs, dominant (j = 0) first, and the convergence ratio.
-
-    ``rate`` is (second-largest modulus) / (dominant modulus), in [0, 1).
-    """
-
-    __slots__ = ()
-
-    @property
-    def dominant(self) -> EigenPair:
-        return self.pairs[0]
-
-
-class Decomposition(namedtuple("Decomposition", "coefficients basis")):
-    """Coefficients c expressing a start vector over the eigenvector basis."""
-
-    __slots__ = ()
-
-    def reconstruct(self) -> tuple[complex, ...]:
-        return self.predict(0)
 
     def predict(self, t: int) -> tuple[complex, ...]:
-        """Float forecast of the exact state at time t: sum of c_j * value_j**t * vector_j."""
-        pairs = self.basis.pairs
-        n = len(pairs)
+        """Float forecast of the exact state at time t: sum of c_j * value_j**t * vector_j.
+
+        ``predict(0)`` is the reconstruction of the start vector.
+        """
+        n = len(self.values)
         out = [0j] * n
-        for c, p in zip(self.coefficients, pairs):
-            w = c * p.value**t
+        for c, value, vector in zip(self.coefficients, self.values, self.vectors):
+            w = c * value**t
             for i in range(n):
-                out[i] += w * p.vector[i]
+                out[i] += w * vector[i]
         return tuple(out)
 
 
@@ -129,28 +111,12 @@ def spectrum(params: Params) -> tuple[list[complex], list[complex], float]:
     return bases, values, rate
 
 
-def eigenvalues(params: Params) -> SpectralData:
-    """Closed-form eigen-decomposition of the iteration matrix.
-
-    Eigenvalue j is 1 + k**(1/n) * exp(2*pi*i*j/n), with eigenvector entries
-    (k**(1/n) * exp(2*pi*i*j/n))**(n-1-i); j = 0 is the dominant pair.
-    """
-    n = params.n
-    bases, values, rate = spectrum(params)
-    _check_largest_entry(params, bases[0].real)
-    pairs = tuple(
-        EigenPair(value, tuple(base ** (n - 1 - i) for i in range(n)))
-        for base, value in zip(bases, values)
-    )
-    return SpectralData(pairs, rate)
-
-
 def convergence_rate(params: Params) -> tuple[float, float]:
     """(rho, digits_per_step): subdominant-to-dominant ratio and -log10 of it.
 
     Takes the n eigenvalues alone, in O(n). Raises DegenerateRate when
     rho = 0 (n = 2, k = 1), where convergence is a single exact step.
-    Raises OverflowError, like :func:`eigenvalues`, when r**(n-1) is past
+    Raises OverflowError, like :func:`decompose`, when r**(n-1) is past
     the float range: ``approx`` refuses such (n, k), whose powers it has
     no size bound for.
     """
@@ -161,11 +127,6 @@ def convergence_rate(params: Params) -> tuple[float, float]:
     return rho, -math.log10(rho)
 
 
-def _solve(pairs: tuple[EigenPair, ...], b) -> list[complex]:
-    """c = F**-1 D**-1 b, i.e. c_j = (1/n) * sum_i b_i / V[i][j]."""
-    return [sum(bi / vi for bi, vi in zip(b, p.vector)) / len(b) for p in pairs]
-
-
 def decompose(params: Params, r0) -> Decomposition:
     """Solve V c = r0, where V's columns are the eigenvectors.
 
@@ -174,14 +135,22 @@ def decompose(params: Params, r0) -> Decomposition:
     (9, 10**6) is 1.4e-9. Raises IllConditioned (with cond_2(V)) if c cannot
     reconstruct r0 to the residual bound.
     """
-    r0 = check_state(r0, params.n)
-    data = eigenvalues(params)
+    n = params.n
+    r0 = check_state(r0, n)
+    bases, values, _ = spectrum(params)
+    _check_largest_entry(params, bases[0].real)
+    values = tuple(values)
+    vectors = tuple(tuple(base ** (n - 1 - i) for i in range(n)) for base in bases)
+
+    def solve(b):  # c = F**-1 D**-1 b, i.e. c_j = (1/n) * sum_i b_i / V[i][j]
+        return [sum(bi / vi for bi, vi in zip(b, v)) / n for v in vectors]
+
     b = [float(e) for e in r0]
-    c = _solve(data.pairs, b)
-    rec = Decomposition(tuple(c), data).reconstruct()
-    step = _solve(data.pairs, [bi - ri for bi, ri in zip(b, rec)])
-    dec = Decomposition(tuple(ci + di for ci, di in zip(c, step)), data)
-    residual = max(abs(ri - bi) for ri, bi in zip(dec.reconstruct(), b))
+    c = solve(b)
+    rec = Decomposition(c, values, vectors).predict(0)
+    step = solve([bi - ri for bi, ri in zip(b, rec)])
+    dec = Decomposition(tuple(ci + di for ci, di in zip(c, step)), values, vectors)
+    residual = max(abs(ri - bi) for ri, bi in zip(dec.predict(0), b))
     if not residual < RESIDUAL_BOUND:
-        raise IllConditioned(residual, _real_root(params) ** (params.n - 1))
+        raise IllConditioned(residual, _real_root(params) ** (n - 1))
     return dec

@@ -33,7 +33,7 @@ from ratroot.oracle import (
     nth_root_bracket,
 )
 from ratroot.recursion import iterate_linear, iterate_scalar_map
-from ratroot.spectral import convergence_rate, decompose, eigenvalues
+from ratroot.spectral import convergence_rate, decompose, spectrum
 from ratroot.cli import (
     check_cayley_hamilton,
     check_engine_agreement,
@@ -210,12 +210,11 @@ def test_c9_spectral_fidelity():
         for n in range(2, 7):
             for k in range(1, 21):
                 params = Params(n, k)
-                data = eigenvalues(params)
-                for pair in data.pairs:
-                    p = (1 - pair.value) ** n + (-1) ** (n + 1) * k
-                    assert abs(p) < 1e-9, (n, k, pair.value)
+                for value in spectrum(params)[1]:
+                    p = (1 - value) ** n + (-1) ** (n + 1) * k
+                    assert abs(p) < 1e-9, (n, k, value)
                 dec = decompose(params, ones(n))
-                rec = dec.reconstruct()
+                rec = dec.predict(0)
                 assert max(abs(rec[i] - 1) for i in range(n)) < 1e-9, (n, k)
                 state = ones(n)
                 m = companion_matrix(params)

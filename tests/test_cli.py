@@ -800,12 +800,12 @@ def test_eig_builds_no_eigenvectors(capsys, monkeypatch):
     # eig prints eigenvalues only, so it must not pay O(n**2) for the vectors
     from ratroot import spectral
 
-    want = [pair.value for pair in spectral.eigenvalues(Params(5, 7)).pairs]
+    _, want, _ = spectral.spectrum(Params(5, 7))
 
-    def no_vectors(params):
+    def no_vectors(params, r0):
         pytest.fail("eig built the eigenvectors")
 
-    monkeypatch.setattr(spectral, "eigenvalues", no_vectors)
+    monkeypatch.setattr(spectral, "decompose", no_vectors)
     rc, out, _ = run_cli(capsys, "eig", "--n", "5", "--k", "7", "--format", "json")
     assert rc == 0
     rows = json.loads(out)["rows"]
@@ -1408,6 +1408,41 @@ def test_selftest_catches_sabotaged_square(capsys, monkeypatch):
     rc, out, _ = run_cli(capsys, "selftest")
     assert rc == 3
     assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())
+
+
+def test_selftest_catches_sabotaged_karatsuba(capsys, monkeypatch):
+    # a wrong square past the schoolbook cutover must trip the engine-agreement
+    # group, though no random case squares that many coefficients
+    from ratroot import engine
+
+    true_square = engine._square
+
+    def corrupt_square(a):
+        out = true_square(a)
+        if len(a) > engine.SQR_CUTOVER:
+            out[0] += 1
+        return out
+
+    monkeypatch.setattr(engine, "_square", corrupt_square)
+    rc, out, _ = run_cli(capsys, "selftest")
+    assert rc == 3
+    assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())
+
+
+def test_selftest_catches_sabotaged_reduction(capsys, monkeypatch):
+    # an n = 2 convergent left unreduced must trip the table group; every
+    # k = 2 state has content 1, so only a k = 3 row shows it
+    from ratroot import engine
+
+    true_reduce = engine.reduced_pair
+
+    def raw_for_n2(p, q, n):
+        return (p, q) if n == 2 else true_reduce(p, q, n)
+
+    monkeypatch.setattr(engine, "reduced_pair", raw_for_n2)
+    rc, out, _ = run_cli(capsys, "selftest")
+    assert rc == 3
+    assert any(line.startswith("FAIL table-reproduction") for line in out.splitlines())
 
 
 def test_selftest_catches_sabotaged_binomial_row(capsys, monkeypatch):

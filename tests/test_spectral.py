@@ -6,7 +6,7 @@ import pytest
 from ratroot.core import DegenerateRate, IllConditioned, Params
 from ratroot.engine import apply_power, companion_matrix
 from ratroot import spectral
-from ratroot.spectral import convergence_rate, decompose, eigenvalues
+from ratroot.spectral import convergence_rate, decompose, spectrum
 
 from _helpers import mat_apply
 
@@ -16,46 +16,46 @@ def charpoly(params, lam):
 
 
 def test_eigenvalues_square_root_case():
-    data = eigenvalues(Params(2, 2))
-    values = sorted((p.value.real for p in data.pairs), reverse=True)
-    assert values == pytest.approx([1 + math.sqrt(2), 1 - math.sqrt(2)], abs=1e-12)
-    assert all(abs(p.value.imag) < 1e-12 for p in data.pairs)
-    dom = data.dominant
-    assert dom.vector[-1] == 1
-    assert dom.vector[0].real == pytest.approx(math.sqrt(2), abs=1e-12)
+    _, values, _ = spectrum(Params(2, 2))
+    got = sorted((v.real for v in values), reverse=True)
+    assert got == pytest.approx([1 + math.sqrt(2), 1 - math.sqrt(2)], abs=1e-12)
+    assert all(abs(v.imag) < 1e-12 for v in values)
+    dom = decompose(Params(2, 2), (1, 1)).vectors[0]
+    assert dom[-1] == 1
+    assert dom[0].real == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
 def test_eigenvalues_quartic_perfect_power():
-    data = eigenvalues(Params(4, 16))
-    got = sorted(((p.value.real, p.value.imag) for p in data.pairs))
+    _, values, _ = spectrum(Params(4, 16))
+    got = sorted(((v.real, v.imag) for v in values))
     assert got == [(-1.0, 0.0), (1.0, -2.0), (1.0, 2.0), (3.0, 0.0)]
 
 
 @pytest.mark.parametrize("k", [2, 3, 7, 1000, 10**6, 2**1024 + 1])
 def test_convergence_rate_matches_the_eigen_decomposition(k):
-    # the eigenvalue-only rate equals the full decomposition's, bit for bit;
-    # the dominant eigenvalue is exactly the float 1 + r
+    # the rate is the largest subdominant modulus over the dominant
+    # eigenvalue, bit for bit; the dominant eigenvalue is exactly the float 1 + r
     for n in range(2, 65):
-        data = eigenvalues(Params(n, k))
-        rate = max(abs(p.value) for p in data.pairs[1:]) / data.dominant.value.real
-        assert data.rate == rate
+        _, values, spectral_rate = spectrum(Params(n, k))
+        rate = max(abs(v) for v in values[1:]) / values[0].real
+        assert spectral_rate == rate
         assert convergence_rate(Params(n, k)) == (rate, -math.log10(rate)), (n, k)
 
 
 def test_eigenvalues_degenerate_case_is_exact():
-    data = eigenvalues(Params(2, 1))
-    assert sorted(p.value.real for p in data.pairs) == [0.0, 2.0]
-    assert all(p.value.imag == 0.0 for p in data.pairs)
-    assert data.rate == 0.0
+    _, values, rate = spectrum(Params(2, 1))
+    assert sorted(v.real for v in values) == [0.0, 2.0]
+    assert all(v.imag == 0.0 for v in values)
+    assert rate == 0.0
 
 
 def test_dominant_pair_and_rate_fields():
     for n in range(2, 7):
         for k in (1, 2, 7, 20):
-            data = eigenvalues(Params(n, k))
-            dom = data.dominant.value
+            _, values, rate = spectrum(Params(n, k))
+            dom = values[0]
             assert abs(dom - (1 + k ** (1 / n))) <= 1e-12 * abs(dom)
-            assert 0 <= data.rate < 1
+            assert 0 <= rate < 1
 
 
 def test_eigen_residual_bound():
@@ -63,20 +63,21 @@ def test_eigen_residual_bound():
         for k in (1, 2, 10, 100):
             params = Params(n, k)
             m = companion_matrix(params)
-            for pair in eigenvalues(params).pairs:
-                image = mat_apply(m, pair.vector)
+            dec = decompose(params, (1,) * n)
+            for value, vector in zip(dec.values, dec.vectors):
+                image = mat_apply(m, vector)
                 residual = max(
-                    abs(image[i] - pair.value * pair.vector[i]) for i in range(n)
+                    abs(image[i] - value * vector[i]) for i in range(n)
                 )
-                assert residual < 1e-9, (n, k, pair.value)
+                assert residual < 1e-9, (n, k, value)
 
 
 def test_charpoly_residual():
     for n in range(2, 9):
         for k in (1, 2, 10, 100):
             params = Params(n, k)
-            for pair in eigenvalues(params).pairs:
-                assert abs(charpoly(params, pair.value)) < 1e-9
+            for value in spectrum(params)[1]:
+                assert abs(charpoly(params, value)) < 1e-9
 
 
 def test_eigenvalues_match_alternating_angle_convention():
@@ -91,7 +92,7 @@ def test_eigenvalues_match_alternating_angle_convention():
             else:
                 alt = [1 - r * cmath.exp(1j * (2 * j + 1) * math.pi / n) for j in range(1, n + 1)]
             ours = sorted(
-                (p.value for p in eigenvalues(params).pairs),
+                spectrum(params)[1],
                 key=lambda z: (round(z.real, 9), round(z.imag, 9)),
             )
             alt = sorted(alt, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
@@ -102,7 +103,7 @@ def test_eigenvalues_match_alternating_angle_convention():
 def test_eigenvalues_distinct():
     for n in range(2, 9):
         for k in (2, 3, 20, 100):
-            values = [p.value for p in eigenvalues(Params(n, k)).pairs]
+            _, values, _ = spectrum(Params(n, k))
             gaps = [
                 abs(values[i] - values[j])
                 for i in range(n)
@@ -114,7 +115,7 @@ def test_eigenvalues_distinct():
 def test_dominant_vector_successive_ratios():
     for n in range(2, 9):
         for k in (2, 7, 100):
-            vec = eigenvalues(Params(n, k)).dominant.vector
+            vec = decompose(Params(n, k), (1,) * n).vectors[0]
             root = k ** (1 / n)
             for i in range(n - 1):
                 q = vec[i] / vec[i + 1]
@@ -156,7 +157,7 @@ def test_decompose_reconstruction_residual():
             params = Params(n, k)
             r0 = tuple(range(1, n + 1))
             dec = decompose(params, r0)
-            rec = dec.reconstruct()
+            rec = dec.predict(0)
             residual = max(abs(rec[i] - r0[i]) for i in range(n))
             assert residual < 1e-9
 
@@ -199,3 +200,15 @@ def test_prediction_of_opening_table_row():
     predicted = dec.predict(5)
     assert abs(predicted[0].real - 99) / 99 < 1e-6
     assert abs(predicted[1].real - 70) / 70 < 1e-6
+
+
+def test_decompose_past_float_range_of_eigenvectors():
+    # the eigenvalues need only r = k**(1/n), but the largest eigenvector
+    # entry r**(n-1) is past the float range: decompose refuses, spectrum not
+    params = Params(300, 2**1100)
+    with pytest.raises(OverflowError) as exc:
+        decompose(params, (1,) * 300)
+    assert str(exc.value) == (
+        "k**((n-1)/n) is past the floating-point range (n=300, k of 1101 bits)"
+    )
+    assert len(spectrum(params)[1]) == 300

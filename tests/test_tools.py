@@ -4,6 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import ab
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -57,3 +61,20 @@ def test_ab_exits_141_when_its_reader_leaves():
         proc.wait()
     assert proc.returncode == 141
     assert err == b""
+
+
+@pytest.mark.parametrize("flag,value", [("--requests", "0"), ("--requests", "-244"),
+                                        ("--rounds", "0"), ("--rounds", "-1")])
+def test_ab_refuses_counts_below_one(capsys, monkeypatch, flag, value):
+    # a count below 1 would time a slice from the list's end, or divide by an
+    # empty sum: argparse refuses it with exit 2 before any worker starts
+    monkeypatch.setattr(sys, "path", list(sys.path))
+
+    def no_worker(*args, **kwargs):
+        pytest.fail("a worker started")
+
+    monkeypatch.setattr(subprocess, "Popen", no_worker)
+    with pytest.raises(SystemExit) as exc:
+        ab.main([str(ROOT), str(ROOT), "--workload", "approx-wide", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least 1, got {int(value)}" in capsys.readouterr().err

@@ -3,7 +3,7 @@
 
     python3 tools/ab.py TREE_A TREE_B --workload NAME [--seed N] [--rounds R] [--requests M]
 
-The requests are the first M of the workload's list in
+R and M are at least 1. The requests are the first M of the workload's list in
 ``perfbench/workloads.py`` of the checkout holding this script; nothing
 under ``perfbench/`` is changed or run. Each round starts one fresh worker
 per tree, a ``python3`` process that imports ratroot from that tree's
@@ -102,6 +102,14 @@ def run_round(trees: list[str], requests: list[list[str]], rng: random.Random) -
     }
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -115,8 +123,9 @@ def main(argv=None) -> int:
     ap.add_argument("tree_b", help="checkout timed as B (the change)")
     ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     ap.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
-    ap.add_argument("--rounds", type=int, default=5, help="rounds of fresh workers (default 5)")
-    ap.add_argument("--requests", type=int, default=245,
+    ap.add_argument("--rounds", type=positive_int, default=5,
+                    help="rounds of fresh workers (default 5)")
+    ap.add_argument("--requests", type=positive_int, default=245,
                     help="requests per round, from the head of the list (default 245)")
     args = ap.parse_args(argv)
     requests = workloads.requests(args.workload, args.seed)[:args.requests]
