@@ -39,11 +39,12 @@ are cut into one contiguous span per usable CPU, balanced by estimated row
 cost: rows grow with t, so later spans hold fewer of them. This process
 builds the first span; a forked child builds each later one, jumping to its
 first step by ``engine.apply_power``, and sends its rows back over a pipe.
-A span whose fork fails or whose child fails is built here instead. Output,
-exit codes and "a run that fails writes nothing" are the same on every
-path: no child writes to stdout or ``--out``, and every child is reaped
-before ``main`` returns. ``approx``, ``chpow`` and ``trace`` run in one
-process; each is one ladder or one trajectory.
+A span is taken from its child's lines alone, and only when they are
+whole; a span whose fork fails or whose lines are not whole is built here
+instead. Output, exit codes and "a run that fails writes nothing" are the
+same on every path: no child writes to stdout or ``--out``, and every
+child is reaped before ``main`` returns. ``approx``, ``chpow`` and
+``trace`` run in one process; each is one ladder or one trajectory.
 
 ``approx`` and ``table`` print each convergent as a reduced pair (p, q),
 and the row formatters take that pair. ``engine.reduced_pair`` reduces it:
@@ -366,43 +367,40 @@ def _span_rows(params: Params, spans, index: int) -> list[list[str]]:
     bracket itself, writes each row to its pipe as one line of tab-separated
     cells (no cell holds a tab or a newline), and ends by ``os._exit``, so
     it never flushes this process's stdio buffers or returns into its
-    caller. This process builds the first span, then reads the children in
-    span order, a line at a time. A span is taken only from whole lines: a
-    span whose fork fails, whose child exits nonzero, sends too few rows or
-    a last row cut short (no newline at its end) is built here instead.
-    Every child is reaped before this returns or raises; a child still
-    running when an exception leaves is killed. Where SIGCHLD is ignored the
-    kernel reaps each child itself, and the wait reports ECHILD: the child's
-    status is then unknown, its lines decide, and it is never signalled, as
-    its pid may be another's by then. SIGCHLD's disposition is left as the
-    caller set it.
+    caller. This process builds the first span, then reads the children's
+    pipes in span order. A span is taken from its child's lines alone, and
+    only when they are whole: one line per step, the last ending in a
+    newline. The child builds every row before its first write, so whole
+    lines are its rows whatever its exit status, which the wait therefore
+    never reads. A span whose fork fails or whose lines are too few or cut
+    short is built here instead. Every child is reaped before this returns
+    or raises; a child still running when an exception leaves is killed.
+    Where SIGCHLD is ignored the kernel reaps each child itself and the wait
+    reports ECHILD; such a child is never signalled, as its pid may be
+    another's by then. SIGCHLD's disposition is left as the caller set it.
     """
-    children = []  # [pid, read fd, first, last]; pid and fd None once done with
+    children = []  # [pid, read pipe, first, last]; pid None once reaped
     try:
         for first, last in spans[1:]:
-            children.append([*_fork_span(params, first, last, index, children), first, last])
+            children.append([*_fork_span(params, first, last, index), first, last])
         rows = _table_rows(params, *spans[0], index)
         for child in children:
-            pid, r, first, last = child
-            mark = len(rows)
-            status, line = None, "\n"  # line: the last one read, whole if it ends in a newline
+            pid, pipe, first, last = child
+            span, line = [], ""  # line: the last one read, whole if it ends in a newline
             if pid is not None:
-                with open(r, encoding="ascii", newline="\n") as pipe:
-                    child[1] = None
-                    for line in pipe:
-                        rows.append(line[:-1].split("\t"))
-                status = 0  # where the wait reports ECHILD the row count decides
+                for line in pipe:  # split as read, so no line outlives its cells
+                    span.append(line[:-1].split("\t"))
                 with contextlib.suppress(ChildProcessError):  # reaped for us: SIGCHLD ignored
-                    status = os.waitpid(pid, 0)[1]
+                    os.waitpid(pid, 0)
                 child[0] = None
-            if status != 0 or line[-1] != "\n" or len(rows) - mark != last - first + 1:
-                del rows[mark:]
-                rows += _table_rows(params, first, last, index)
+            if len(span) != last - first + 1 or not line.endswith("\n"):
+                span = _table_rows(params, first, last, index)
+            rows += span
         return rows
     finally:
-        for pid, r, _, _ in children:
-            if r is not None:
-                os.close(r)
+        for pid, pipe, _, _ in children:
+            if pipe is not None:
+                pipe.close()
             with contextlib.suppress(ChildProcessError):  # reaped for us: never signalled
                 if pid is not None and os.waitpid(pid, os.WNOHANG)[0] == 0:  # still running
                     import signal
@@ -411,12 +409,13 @@ def _span_rows(params: Params, spans, index: int) -> list[list[str]]:
                     os.waitpid(pid, 0)
 
 
-def _fork_span(params: Params, first: int, last: int, index: int, children):
-    """(pid, read fd) of a forked child that writes the rows first..last to
-    a pipe, or (None, None) where the pipe or the fork fails.
+def _fork_span(params: Params, first: int, last: int, index: int):
+    """(pid, read end) of a forked child that writes the rows first..last
+    to a pipe, or (None, None) where the pipe or the fork fails. The read
+    end is an ASCII text file that splits lines at newlines alone.
 
-    ``children`` holds the read ends of the children forked before, which
-    the new child closes.
+    This process closes the write end right after the fork, so no later
+    child holds it, and the pipe's end of file waits on this child alone.
     """
     try:
         r, w = os.pipe()
@@ -430,13 +429,10 @@ def _fork_span(params: Params, first: int, last: int, index: int, children):
         return None, None
     if pid:
         os.close(w)
-        return pid, r
+        return pid, open(r, encoding="ascii", newline="\n")
     status = 1
     try:
         os.close(r)
-        for _, other, _, _ in children:
-            if other is not None:
-                os.close(other)
         rows = _table_rows(params, first, last, index)
         with open(w, "w", encoding="ascii", newline="\n") as pipe:
             for row in rows:
@@ -633,7 +629,9 @@ def check_cayley_hamilton(n_max: int):
 
 def check_engine_agreement(seed: int, cases: int):
     """Naive matrix and ring powers agree exactly on random (n, k, t, r0),
-    and on one fixed case whose ladder squares past ``engine.SQR_CUTOVER``.
+    and on one fixed case whose ladder squares past ``engine.SQR_CUTOVER``;
+    so do M**t and its power-basis expansion, and the Fibonacci chain of
+    (3, 2) is the basis coefficients of its exponents.
 
     The random cases draw n <= 6 and t <= 50, so no square there is longer
     than the cutover. The fixed case is n = 9, t = 2*9**2 + 1: the binomial
@@ -649,6 +647,10 @@ def check_engine_agreement(seed: int, cases: int):
         assert naive == ring, (
             f"engines disagree at n={params.n}, k={params.k}, t={t}, r0={entries}"
         )
+        a = engine.power_basis_coeffs(params, t)
+        powers = [sum(engine.mat_pow(m, i), ()) for i in range(params.n)]  # M**i, row by row
+        basis = tuple(sum(ai * x for ai, x in zip(a, entry)) for entry in zip(*powers))
+        assert basis == sum(power, ()), f"power basis wrong at n={params.n}, k={params.k}, t={t}"
 
     rng = random.Random(seed)
     done = 0
@@ -665,6 +667,8 @@ def check_engine_agreement(seed: int, cases: int):
             continue  # singular matrix annihilated this start; excluded
         done += 1
     agree(Params(9, 7), 2 * 9**2 + 1, (3, -1, 4, -1, 5, -9, 2, -6, 5))
+    chain = [(e, engine.power_basis_coeffs(Params(3, 2), e)) for e in (2, 3, 5, 8, 13, 21)]
+    assert engine.fib_power_chain(Params(3, 2), 6) == chain, "Fibonacci chain wrong at (3, 2)"
 
 
 def check_rate_slope(expected_dps: float):
@@ -860,7 +864,7 @@ def _run(argv) -> int:
     if args.command == "selftest":
         return _to_stdout(run_selftest)
     record = args.build(args, Params(args.n, args.k))
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w") as f:
                 record.write(args.format, f)

@@ -308,25 +308,41 @@ def test_split_table_prints_the_sequential_bytes(capsys, monkeypatch, forks, fmt
     assert out == _sequential_bytes(capsys, monkeypatch, argv)
 
 
+def _no_kill(pid, sig):
+    raise AssertionError(f"os.kill({pid}, {sig}) called")
+
+
+@pytest.mark.parametrize("sigchld", ["default", "ignored"])
 @pytest.mark.parametrize("fault, spans_built_here", [
+    ("none", 1),
     ("fork fails", 2),
     ("child exits 1 before its rows", 2),
     ("child sends a row short", 2),
-    ("every child exits 1 after its rows", 3),
+    ("child cuts its last row short", 2),
+    ("every child exits 1 after its rows", 1),
 ])
 def test_split_table_builds_a_failed_childs_span_itself(capsys, monkeypatch, forks, fault,
-                                                        spans_built_here):
-    # three spans; where the first fork or the first child fails (or every
-    # child, for an exit status that a whole set of rows cannot outweigh),
-    # this process builds that span itself
+                                                        spans_built_here, sigchld):
+    # three spans; where the first fork fails or the first child's lines are
+    # not whole, this process builds that span itself, and whole lines are
+    # taken whatever the exit status. Where SIGCHLD is ignored the kernel
+    # reaps each child, so every wait reports ECHILD; no child is signalled
+    import signal
+
     parent, rows, counted_fork, exit = os.getpid(), cli._table_rows, os.fork, os._exit
-    built_here = []
+    pipe, waitpid = os.pipe, os.waitpid
+    built_here, write_ends, echild = [], [], []
 
     def fork():
         if forks or fault != "fork fails":
             return counted_fork()
         forks.append(None)
         raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    def recorded_pipe():
+        r, w = pipe()
+        write_ends.append(w)
+        return r, w
 
     def faulty_rows(params, first, last, index):
         built = rows(params, first, last, index)
@@ -337,39 +353,10 @@ def test_split_table_builds_a_failed_childs_span_itself(capsys, monkeypatch, for
                 exit(1)
             if fault == "child sends a row short":
                 built.pop()
-        return built
-
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(cli, "_table_rows", faulty_rows)
-    if fault == "every child exits 1 after its rows":
-        monkeypatch.setattr(os, "_exit", lambda status: exit(1))
-    argv = _table_argv(4, 3, 5, 50, 2, "csv")
-    rc, out, err = run_cli(capsys, *argv)
-    assert rc == 0, err
-    assert len(forks) == 2 and len(built_here) == spans_built_here
-    _assert_no_child_left()
-    monkeypatch.setattr(cli, "_table_rows", rows)
-    assert out == _sequential_bytes(capsys, monkeypatch, argv)
-
-
-def _no_kill(pid, sig):
-    raise AssertionError(f"os.kill({pid}, {sig}) called")
-
-
-@pytest.mark.parametrize("short", [False, True], ids=["whole", "child-sends-a-row-short"])
-def test_split_table_with_sigchld_ignored(capsys, monkeypatch, forks, short):
-    # the kernel reaps each child itself, so every wait reports ECHILD: the
-    # child's row count decides, and a pid that may be another's by then is
-    # never signalled
-    import signal
-
-    parent, rows, waitpid = os.getpid(), cli._table_rows, os.waitpid
-    echild = []
-
-    def short_rows(params, first, last, index):
-        built = rows(params, first, last, index)
-        if short and os.getpid() != parent and len(forks) == 1:  # the first child
-            built.pop()
+            if fault == "child cuts its last row short":  # as if killed mid-line
+                text = "".join("\t".join(row) + "\n" for row in built)
+                os.write(write_ends[0], text[:-2].encode("ascii"))
+                exit(1)
         return built
 
     def spied_waitpid(pid, options):
@@ -379,55 +366,23 @@ def test_split_table_with_sigchld_ignored(capsys, monkeypatch, forks, short):
             echild.append(pid)
             raise
 
-    monkeypatch.setattr(cli, "_table_rows", short_rows)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
     monkeypatch.setattr(os, "waitpid", spied_waitpid)
     monkeypatch.setattr(os, "kill", _no_kill)
+    monkeypatch.setattr(cli, "_table_rows", faulty_rows)
+    if fault == "every child exits 1 after its rows":
+        monkeypatch.setattr(os, "_exit", lambda status: exit(1))
     argv = _table_argv(4, 3, 5, 50, 2, "csv")
-    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    disposition = signal.SIG_IGN if sigchld == "ignored" else signal.SIG_DFL
+    previous = signal.signal(signal.SIGCHLD, disposition)
     try:
         rc, out, err = run_cli(capsys, *argv)
     finally:
         signal.signal(signal.SIGCHLD, previous)
     assert rc == 0, err
-    assert len(forks) == 2 and echild == forks
-    _assert_no_child_left()
-    monkeypatch.setattr(cli, "_table_rows", rows)
-    assert out == _sequential_bytes(capsys, monkeypatch, argv)
-
-
-def test_split_table_takes_no_cut_short_last_row(capsys, monkeypatch, forks):
-    # a child killed while writing its last line leaves that line without its
-    # newline; with SIGCHLD ignored its exit status is lost and its row count
-    # is right, so the cut line alone must send its span to be built here
-    import signal
-
-    parent, rows, pipe, exit = os.getpid(), cli._table_rows, os.pipe, os._exit
-    write_ends = []
-
-    def recorded_pipe():
-        r, w = pipe()
-        write_ends.append(w)
-        return r, w
-
-    def cut_rows(params, first, last, index):
-        built = rows(params, first, last, index)
-        if os.getpid() != parent and len(forks) == 1:  # the first child
-            text = "".join("\t".join(row) + "\n" for row in built)
-            os.write(write_ends[0], text[:-2].encode("ascii"))
-            exit(1)
-        return built
-
-    monkeypatch.setattr(os, "pipe", recorded_pipe)
-    monkeypatch.setattr(cli, "_table_rows", cut_rows)
-    monkeypatch.setattr(os, "kill", _no_kill)
-    argv = _table_argv(4, 3, 5, 50, 2, "csv")
-    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-    try:
-        rc, out, err = run_cli(capsys, *argv)
-    finally:
-        signal.signal(signal.SIGCHLD, previous)
-    assert rc == 0, err
-    assert len(forks) == 2
+    assert len(forks) == 2 and len(built_here) == spans_built_here
+    assert echild == ([pid for pid in forks if pid] if sigchld == "ignored" else [])
     _assert_no_child_left()
     monkeypatch.setattr(cli, "_table_rows", rows)
     assert out == _sequential_bytes(capsys, monkeypatch, argv)
@@ -1509,6 +1464,34 @@ def test_selftest_catches_sabotaged_step(capsys, monkeypatch):
     assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())
 
 
+def test_selftest_catches_sabotaged_power_basis(capsys, monkeypatch):
+    # a wrong power-basis expansion must trip the engine-agreement group
+    true_basis = engine.power_basis_coeffs
+
+    def corrupt_basis(params, t):
+        a0, *rest = true_basis(params, t)
+        return (a0 + 1, *rest)
+
+    monkeypatch.setattr(engine, "power_basis_coeffs", corrupt_basis)
+    rc, out, _ = run_cli(capsys, "selftest")
+    assert rc == 3
+    assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())
+
+
+def test_selftest_catches_sabotaged_fib_chain(capsys, monkeypatch):
+    # a chain that starts one Fibonacci number early must trip the
+    # engine-agreement group
+    true_chain = engine.fib_power_chain
+
+    def early_chain(params, chain_length):
+        return [(1, engine.power_basis_coeffs(params, 1)), *true_chain(params, chain_length - 1)]
+
+    monkeypatch.setattr(engine, "fib_power_chain", early_chain)
+    rc, out, _ = run_cli(capsys, "selftest")
+    assert rc == 3
+    assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())
+
+
 def test_selftest_catches_sabotaged_matrix_power(capsys, monkeypatch):
     # a wrong matrix reference must trip both checks that reach it
     true_pow = engine.mat_pow
@@ -1606,11 +1589,13 @@ def test_failed_run_writes_nothing(tmp_path, capsys):
 
 
 def test_out_flag_unwritable_path_exits_1(tmp_path, capsys):
+    # an empty path is no path: it is refused, not taken to mean stdout
     target = tmp_path / "missing" / "x.csv"
-    rc, out, err = run_cli(capsys, "table", "--n", "2", "--k", "2", "--out", str(target))
-    assert rc == 1 and out == ""
-    assert err.startswith(f"ratroot: error: cannot write {target}"), err
-    assert not target.exists()
+    for path in [str(target), ""]:
+        rc, out, err = run_cli(capsys, "table", "--n", "2", "--k", "2", "--out", path)
+        assert rc == 1 and out == ""
+        assert err.startswith(f"ratroot: error: cannot write {path}"), err
+    assert not target.exists()  # not Path(""), which is the working directory
 
 
 def _cli_process(argv, unbuffered, stdout, **popen):
