@@ -54,6 +54,13 @@ divided by its gcd. Neither command builds a ``Fraction``. Both see only
 states M**t (1, ..., 1), whose entries are all positive, so no ratio they
 print is undefined.
 
+``approx`` certifies each attempt by ``oracle.certified_floor``: two exact
+n-th powers and one division by q, whose floor of p * 10**D / q is the
+answer's decimal cell, so no root is taken but the perfect-power test's
+floor(k**(1/n)). ``table`` certifies by ``oracle.digits_of_ratio``, which
+reads one cached bracket per table. Both decimal cells are written by
+``_point_at``.
+
 ``table`` freezes its decimal and digits cells once the iteration proves
 them for every later row. ``recursion.enclosure`` brackets k**(1/n) by the
 smallest and the largest quotient (Sx)_i / x_i of a state, and by
@@ -203,11 +210,13 @@ def format_fraction(p: int, q: int) -> str:
 
 def format_decimal(p: int, q: int, places: int) -> str:
     """Exact decimal expansion of p/q, q > 0, places >= 0, truncated (not rounded) toward zero."""
-    sign = "-" if p < 0 else ""
-    digits = format_int(abs(p) * 10**places // q).zfill(places + 1)
-    if places == 0:
-        return f"{sign}{digits}"
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    return ("-" if p < 0 else "") + _point_at(abs(p) * 10**places // q, places)
+
+
+def _point_at(m: int, places: int) -> str:
+    """m / 10**places for m >= 0, written with places digits after the point."""
+    digits = format_int(m).zfill(places + 1)
+    return f"{digits[:-places]}.{digits[-places:]}" if places else digits
 
 
 class OutputRecord(namedtuple("OutputRecord", "command meta columns rows")):
@@ -517,16 +526,20 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
 
     Perfect powers (including k = 1) are answered exactly. Otherwise the
     spectral rate picks a starting t, the all-ones start is evolved in one
-    shot, and t doubles until the oracle certifies the target; exceeding
-    max_t raises NonConvergence. So does a k whose float rate rounds to 1,
-    or whose k**((n-1)/n) overflows a float, or a target whose step count
-    passes the float range: no starting t can be chosen there.
+    shot, and t doubles until ``oracle.certified_floor`` certifies the
+    target; exceeding max_t raises NonConvergence. So does a k whose float
+    rate rounds to 1, or whose k**((n-1)/n) overflows a float, or a target
+    whose step count passes the float range: no starting t can be chosen
+    there.
 
     Only the first attempt runs the ladder for (1 + x)**t; each doubling
     squares the last attempt's power, and each attempt's entry pair is read
     off that power by ``engine.ones_pair``. Each attempt is certified on
     its unreduced pair, which has the certificate of the reduced fraction;
-    only the attempt that certifies is reduced.
+    only the attempt that certifies is reduced. The certificate's one
+    division, floor(p * 10**target_digits / q), is the decimal cell, and
+    ``achieved`` is the target: no root but k's own is taken, and no digit
+    count is measured.
     """
     if target_digits < 1:
         raise UsageError(f"target digits must be >= 1, got {target_digits}")
@@ -539,8 +552,7 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
     }
     root = oracle.integer_nth_root(params.k, params.n)
     if root**params.n == params.k:
-        t, p, q = 0, root, 1
-        achieved = oracle.digits_of_ratio(p, q, params, target_digits)
+        t, p, q, floor = 0, root, 1, oracle.certified_floor(root, 1, params, target_digits)
         meta["exact"] = "true"
     else:
         try:
@@ -557,26 +569,22 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
                 f"no starting t within ceiling {max_t} can be chosen for "
                 f"{target_digits} digits: {why}"
             )
-        t = math.ceil(target_digits / dps) + APPROX_BURN_IN
-        power = None
-        while True:
+        t, power, floor = math.ceil(target_digits / dps) + APPROX_BURN_IN, None, None
+        while floor is None:
+            if power is not None:
+                t *= 2
             if t > max_t:
                 raise NonConvergence(
                     f"needed t={t} exceeds ceiling {max_t} for {target_digits} digits"
                 )
-            if power is None:
-                power = engine.ring_pow_one_plus_x(params, t)
-            else:
-                power = engine.square_ring(power, params.k)
+            power = (engine.ring_pow_one_plus_x(params, t) if power is None
+                     else engine.square_ring(power, params.k))
             p, q = engine.ones_pair(params, power)
-            achieved = oracle.digits_of_ratio(p, q, params, target_digits)
-            if achieved >= target_digits:
-                break
-            t *= 2
+            floor = oracle.certified_floor(p, q, params, target_digits)
         p, q = engine.reduced_pair(p, q, params.n)
         meta.update({"exact": "false", "rho": repr(rho), "digits_per_step": repr(dps)})
-    meta.update({"t_used": str(t), "achieved": str(achieved)})
-    rows = [[str(t), format_fraction(p, q), format_decimal(p, q, target_digits), str(achieved)]]
+    meta.update({"t_used": str(t), "achieved": str(target_digits)})
+    rows = [[str(t), format_fraction(p, q), _point_at(floor, target_digits), str(target_digits)]]
     return OutputRecord("approx", meta, list(CONVERGENT_COLUMNS), rows)
 
 
@@ -590,7 +598,10 @@ def check_opening_table():
     """table(2, 2, 0..5) is the opening table, exactly: its fractions, their
     truncated decimals and their certified digits. And every cell that
     table(3, 2, 0..300) freezes is the cell of its own row's fraction. And
-    table(2, 3, 0..5)'s fractions are in lowest terms.
+    table(2, 3, 0..5)'s fractions are in lowest terms. And on each row of
+    that cube root table the two certifiers agree at its digit count and
+    one more: ``oracle.certified_floor`` gives floor(p * 10**d / q) exactly
+    where ``oracle.digits_of_ratio`` certifies d digits, and None elsewhere.
 
     Each digit count d is the largest with |p/q - 2**0.5| < 10**-d: the
     errors are 0.41, 0.086, 0.014, 0.0025, 0.00042 and 0.000072. The cube
@@ -613,6 +624,10 @@ def check_opening_table():
         own = [format_decimal(p, q, TABLE_DECIMAL_PLACES),
                str(oracle.digits_of_ratio(p, q, params, TABLE_DIGITS_CAP))]
         assert [decimal, digits] == own, f"(3, 2) step {t} cells {[decimal, digits]} != {own}"
+        for d in (max(int(digits), 1), min(int(digits) + 1, TABLE_DIGITS_CAP)):
+            want = p * 10**d // q if oracle.digits_of_ratio(p, q, params, d) == d else None
+            got = oracle.certified_floor(p, q, params, d)
+            assert got == want, f"(3, 2) step {t}: certified_floor at {d} digits {got} != {want}"
 
 
 def check_cayley_hamilton(n_max: int):

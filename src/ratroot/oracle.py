@@ -2,18 +2,17 @@
 
 Everything here is scaled integer arithmetic: the n-th root of k is pinned
 between consecutive integers at a power-of-ten scale (``math.isqrt`` once
-per factor 2 of n, then an integer Newton root of the odd order left), and
-a candidate p/q, any integer pair with q > 0, is measured by one integer
-distance to the farther end of that bracket. ``digits_of_ratio`` certifies
-digits by exact comparison of that distance, so no floating point decides a
-certificate at any digit count; ``log10_error_bound`` takes its logarithm
-for rate fits.
+per factor 2 of n, then a precision-doubling integer Newton root of the
+odd order left), and a candidate p/q, any integer pair with q > 0, is
+measured by one integer distance to the farther end of that bracket.
+``digits_of_ratio`` certifies digits by exact comparison of that distance,
+so no floating point decides a certificate at any digit count;
+``log10_error_bound`` takes its logarithm for rate fits.
 
-The Newton root doubles its precision (Brent & Zimmermann, *Modern
-Computer Arithmetic*, 1.5.2): the floor root of m with its low n*s bits
-dropped, taken the same way, is the root's top half. One more than that,
-shifted left by s bits, overestimates the root, and from there about two
-full-size Newton steps remain.
+``certified_floor`` answers the one question ``approx`` asks, whether a
+pair certifies its whole target, without taking a root: the bracket is
+never formed, and two exact n-th powers tell whether its bottom lies in
+the window the pair allows. It reads only p, q, n and k.
 """
 from __future__ import annotations
 
@@ -32,10 +31,15 @@ def integer_nth_root(m: int, n: int) -> int:
     r has r**b <= isqrt(m) exactly when r**(2b) <= m. So each factor 2 of n
     is one ``math.isqrt``, and integer Newton takes only an odd order n >= 3.
 
-    Newton starts above the root. With s = bit_length(m) // (2n) and
-    r = floor((m >> n*s)**(1/n)), found recursively, the start is
-    (r + 1) << s: (r + 1)**n >= (m >> n*s) + 1, so the start's n-th power
-    exceeds m. Where s = 0 the start is 2**ceil(bit_length(m) / n).
+    Newton starts above the root and doubles its precision (Brent &
+    Zimmermann, *Modern Computer Arithmetic*, 1.5.2). With
+    s = bit_length(m) // (2n) and r = floor((m >> n*s)**(1/n)), found by
+    this same function, the start is (r + 1) << s: (r + 1)**n >=
+    (m >> n*s) + 1, so the start's n-th power exceeds m, and about two
+    full-size Newton steps remain. Where s = 0 the start is
+    2**ceil(bit_length(m) / n). That start alone can be twice the root, and
+    Newton shrinks it by only about (n-1)/n per full-size step from there,
+    so without the doubling the cost of a large root grows linearly in n.
     x -> ((n-1)*x + m // x**(n-1)) // n decreases strictly while x**n > m
     and never drops below floor(m**(1/n)) (AM-GM; the floors cancel), so
     the first step that fails to decrease x stops on the floor root.
@@ -48,17 +52,9 @@ def integer_nth_root(m: int, n: int) -> int:
         m, n = math.isqrt(m), n >> 1
     if m < 2 or n == 1:
         return m
-    return _newton_root(m, n)
-
-
-def _newton_root(m: int, n: int) -> int:
-    """floor(m**(1/n)) for m >= 2, n >= 3, as ``integer_nth_root`` describes."""
     s = m.bit_length() // (2 * n)
-    if s:
-        # m >> n*s keeps at least n*s >= 3 bits, so the recursion stays in range
-        x = (_newton_root(m >> (n * s), n) + 1) << s
-    else:
-        x = 1 << -(-m.bit_length() // n)
+    # m >> n*s keeps at least n*s >= 3 bits, so the recursion reaches Newton
+    x = (integer_nth_root(m >> n * s, n) + 1) << s if s else 1 << -(-m.bit_length() // n)
     while True:
         y = ((n - 1) * x + m // x ** (n - 1)) // n
         if y >= x:
@@ -134,3 +130,24 @@ def log10_error_bound(p: int, q: int, params: Params, ref_digits: int) -> float:
     """
     num = _bracket_distance(p, q, params, ref_digits)
     return math.log10(num) - math.log10(q) - ref_digits
+
+
+def certified_floor(p: int, q: int, params: Params, d: int) -> int | None:
+    """floor(p * 10**d / q) if ``digits_of_ratio(p, q, params, d) == d``, else None.
+
+    No root is taken. With G = 10**GUARD_DIGITS, S = 10**(d + GUARD_DIGITS),
+    f = floor(p*S/q) and c = ceil(p*S/q), ``digits_of_ratio`` reaches its
+    cap d exactly when both ends of its bracket [lo, lo + 1]/S,
+    lo = floor(k**(1/n)*S), lie closer than G/S to p/q, that is when
+    f - G + 1 <= lo < c + G - 1. Since lo >= 0, lo >= a holds exactly when
+    max(a, 0)**n <= k*S**n, and lo < b exactly when k*S**n < max(b, 0)**n;
+    without the clamps an even n would turn a negative bound positive. The
+    same division gives the answer: floor(p*10**d/q) = f // G. Needs q > 0
+    and d >= 1, as ``digits_of_ratio`` does.
+    """
+    if q <= 0 or d < 1:
+        raise ValueError(f"need a positive denominator and d >= 1, got q={q}, d={d}")
+    g, s, n = 10**GUARD_DIGITS, 10 ** (d + GUARD_DIGITS), params.n
+    f, rem = divmod(p * s, q)
+    ok = max(f - g + 1, 0) ** n <= params.k * s**n < max(f + (rem > 0) + g - 1, 0) ** n
+    return f // g if ok else None

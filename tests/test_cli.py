@@ -238,6 +238,32 @@ def test_approx_reduces_only_the_certified_attempt(capsys, monkeypatch):
         assert reduced == [(state[0], state[1], n)], (n, k)
 
 
+@pytest.mark.parametrize("digits", [30, 1500, 20000])
+@pytest.mark.parametrize("k", [2, 27], ids=["root", "perfect-power"])
+def test_approx_takes_no_root_but_ks_own(capsys, monkeypatch, default_int_str_limit, k, digits):
+    # every attempt, and the perfect power's answer, is certified by two
+    # exact n-th powers: the one root taken is integer_nth_root(k, n), and
+    # neither the oracle's bracket nor its digit count is formed
+    calls = {"integer_nth_root": [], "nth_root_bracket": [], "digits_of_ratio": []}
+    for name, seen in calls.items():
+        def spy(*args, seen=seen, true_fn=getattr(oracle, name)):
+            seen.append(args[:2])
+            return true_fn(*args)
+
+        monkeypatch.setattr(oracle, name, spy)
+    rc, out, err = run_cli(
+        capsys, "approx", "--n", "3", "--k", str(k), "--digits", str(digits), "--format", "json",
+    )
+    assert rc == 0, err
+    assert calls == {"integer_nth_root": [(k, 3)], "nth_root_bracket": [], "digits_of_ratio": []}
+    record = json.loads(out)
+    assert record["meta"]["achieved"] == str(digits)
+    _, fraction, decimal, achieved = record["rows"][0]
+    with _int_str_limit_set(0):
+        p, q = map(int, fraction.split("/"))
+        assert decimal == format_decimal(p, q, digits) and achieved == str(digits)
+
+
 @pytest.mark.parametrize("n, k, index", [(2, 2, 1), (4, 7, 3)])
 def test_table_reduces_each_row_once(capsys, monkeypatch, n, k, index):
     # one reduction per row, of the row's own adjacent entries
@@ -1207,14 +1233,14 @@ def test_oracle_runs_under_the_interpreters_limit(capsys, monkeypatch, default_i
     # nothing lifts the int/str limit around the engine or the oracle
     if default_int_str_limit is None:
         pytest.skip("this interpreter has no int/str digit limit")
-    true_digits = oracle.digits_of_ratio
+    true_certifier = oracle.certified_floor
     seen = []
 
     def spy(*args):
         seen.append(sys.get_int_max_str_digits())
-        return true_digits(*args)
+        return true_certifier(*args)
 
-    monkeypatch.setattr(oracle, "digits_of_ratio", spy)
+    monkeypatch.setattr(oracle, "certified_floor", spy)
     rc, _, err = run_cli(capsys, "approx", "--n", "3", "--k", "2", "--digits", "30")
     assert rc == 0, err
     assert seen and set(seen) == {default_int_str_limit}
@@ -1511,6 +1537,21 @@ def test_selftest_catches_sabotaged_certifier(capsys, monkeypatch):
     # a certifier that claims one digit too many must trip the table group
     true_digits = oracle.digits_of_ratio
     monkeypatch.setattr(oracle, "digits_of_ratio", lambda *args: true_digits(*args) + 1)
+    rc, out, _ = run_cli(capsys, "selftest")
+    assert rc == 3
+    assert any(line.startswith("FAIL table-reproduction") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("sabotage", ["every-pair", "wrong-floor"])
+def test_selftest_catches_sabotaged_certified_floor(capsys, monkeypatch, sabotage):
+    # a certified_floor that certifies every pair, or returns a floor one too
+    # high, must trip the table group
+    true_floor = oracle.certified_floor
+    claims = {
+        "every-pair": lambda p, q, params, d: p * 10**d // q,
+        "wrong-floor": lambda *args: None if (f := true_floor(*args)) is None else f + 1,
+    }
+    monkeypatch.setattr(oracle, "certified_floor", claims[sabotage])
     rc, out, _ = run_cli(capsys, "selftest")
     assert rc == 3
     assert any(line.startswith("FAIL table-reproduction") for line in out.splitlines())

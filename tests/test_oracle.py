@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ratroot.core import Params
 from ratroot.oracle import (
     GUARD_DIGITS,
+    certified_floor,
     digits_of_ratio,
     integer_nth_root,
     log10_error_bound,
@@ -237,3 +238,69 @@ def test_log10_error_bound_tracks_true_error():
     got = log10_error_bound(99, 70, Params(2, 2), 40)
     assert abs(got - expected) < 1e-9
     assert -4.2 < got < -4.0
+
+
+@st.composite
+def floor_cases(draw):
+    """(p, q, params, d): p/q placed on either edge of certified_floor's
+    window or one unit off it, with p*S % q zero or not; tiny, negative and
+    far ratios; perfect powers drawn on purpose."""
+    n = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, integer_nth_root(10**4, n))) ** n
+    else:
+        k = draw(st.integers(1, 10**4))
+    params, d = Params(n, k), draw(st.integers(1, 60))
+    g, s = 10**GUARD_DIGITS, 10 ** (d + GUARD_DIGITS)
+    kind = draw(st.sampled_from(("low-edge", "high-edge", "tiny", "far")))
+    if kind == "tiny":  # |p*S/q| < G, so f - G + 1 <= 0
+        return draw(st.integers(-10, 10)), draw(st.integers(s, s * 10**4)), params, d
+    if kind == "far":
+        return draw(st.integers(-(10**30), 10**30)), draw(st.integers(1, 10**30)), params, d
+    lo = nth_root_bracket(params, d + GUARD_DIGITS)
+    exact = draw(st.booleans())  # p*S % q == 0, so c = f
+    # lo = f - G + 1 on the low edge, lo = c + G - 2 on the high edge
+    f = lo + g - 1 if kind == "low-edge" else lo - g + 2 - (not exact)
+    f += draw(st.sampled_from((-1, 0, 1)))
+    if exact:
+        m = draw(st.integers(1, 10**6))
+        return f * m, s * m, params, d
+    q = draw(st.integers(s + 1, s * 10**3))
+    return f * q // s + 1, q, params, d  # the least p with p*S > f*q
+
+
+@given(floor_cases())
+@example((-(10**10), 1, Params(2, 2), 1))  # a negative bound at even n
+@example((5, 10**6 * 7, Params(4, 81), 1))
+@settings(max_examples=300, deadline=None)
+def test_certified_floor_certifies_where_digits_of_ratio_reaches_d(case):
+    p, q, params, d = case
+    got = certified_floor(p, q, params, d)
+    assert (got is not None) == (digits_of_ratio(p, q, params, d) == d)
+    if got is not None:
+        assert got == p * 10**d // q
+
+
+@pytest.mark.parametrize("params", [Params(2, 2), Params(3, 17), Params(5, 7), Params(4, 81)])
+@pytest.mark.parametrize("d", [1, 12, 45])
+def test_certified_floor_window_edges(params, d):
+    # the window is f - G + 1 <= lo < c + G - 1, c = f + (p*S % q > 0):
+    # each edge certifies, and one unit past it does not
+    g, s = 10**GUARD_DIGITS, 10 ** (d + GUARD_DIGITS)
+    lo, q = nth_root_bracket(params, d + GUARD_DIGITS), 7 * s
+    for f, rem, certifies in ((lo + g - 1, 0, True), (lo + g, 0, False),
+                              (lo - g + 2, 0, True), (lo - g + 1, 0, False),
+                              (lo - g + 1, 3, True), (lo - g, 3, False)):
+        p, r = divmod(f * q + rem * s, s)
+        assert r == 0 and divmod(p * s, q) == (f, rem * s)
+        got = certified_floor(p, q, params, d)
+        assert got == (f // g if certifies else None), (f - lo, rem)
+        assert (digits_of_ratio(p, q, params, d) == d) == certifies, (f - lo, rem)
+
+
+@pytest.mark.parametrize("q, d", [(0, 5), (-7, 5), (7, 0), (7, -1)])
+def test_certified_floor_refuses_what_digits_of_ratio_refuses(q, d):
+    with pytest.raises(ValueError):
+        certified_floor(10, q, Params(2, 2), d)
+    with pytest.raises(ValueError):
+        digits_of_ratio(10, q, Params(2, 2), d)

@@ -83,8 +83,8 @@ _COMMANDS = [
     "table --n 3 --k 7 --t1 2000 --format csv",
     "table --n 5 --k 40 --t1 1500 --index 3",
     "trace --mode linear --n 2 --k 3 --steps 2000 --format json",
-    # heavy approx answers whose bracket roots take one or more isqrt steps
-    # (n 4, 6 and 8) or none (n 5); about 40 kbit fractions at n 6
+    # heavy approx answers certified by n-th powers of 6k-10k digits
+    # (n 4, 5, 6 and 8); about 40 kbit fractions at n 6
     *(f"approx {a}" for a in ("--n 4 --k 7 --digits 1500", "--n 6 --k 42 --digits 1499",
                               "--n 8 --k 3 --digits 1200", "--n 5 --k 21 --digits 1399")),
     # tables that cross the split into spans built by forked children (with
