@@ -72,19 +72,31 @@ which then skips ``format_decimal`` or ``oracle.digits_of_ratio``. The ends
 are measured by those same two functions, so the freeze needs no
 precision of its own, and the output is the same as without it.
 
-Every integer in a fraction, decimal, ``chpow`` or ``trace`` cell is
-rendered by ``format_int``, which equals ``str``. Up to ``INT_STR_CUTOVER``
-bits it is ``str``, quadratic in CPython 3.11; above it the integer is split
-in halves with shifts and recombined in exact ``decimal`` arithmetic (the
-radix conversion of Brent & Zimmermann, *Modern Computer Arithmetic*, 1.7),
-which is subquadratic and does no integer division. ``format_fraction``
-sends both halves of a fraction whose wider half passes the cutover down
-that path together, split at the same widths, so they share one table of
-powers of two. ``format_int`` is the only code that meets CPython's int/str
-digit limit (CVE-2020-10735): an integer that ``str`` refuses takes the
-``decimal`` path, which the limit does not cover. The limit is never
-changed, so output is the same under any limit and argv is parsed under the
-one the interpreter has.
+Every integer in a decimal, ``chpow`` or ``trace`` cell, and in every
+fraction but one kind, is rendered by ``format_int``, which equals ``str``.
+Up to ``INT_STR_CUTOVER`` bits it is ``str``, quadratic in CPython 3.11;
+above it the integer is split in halves with shifts and recombined in exact
+``decimal`` arithmetic (the radix conversion of Brent & Zimmermann, *Modern
+Computer Arithmetic*, 1.7), which is subquadratic and does no integer
+division. ``format_fraction`` sends both halves of a fraction whose wider
+half passes the cutover down that path together, split at the same widths,
+so they share one table of powers of two.
+
+The one other kind is ``approx``'s n = 2 answer whose reduced q passes the
+cutover. No int of it is converted: the decimal twin (``_twin_fraction``)
+runs the ladder for the same t again on exact ``Decimal`` coefficients,
+halving both while both are even after every step, so it ends on the
+reduced pair, and ``str`` of a ``Decimal`` is linear in its length. On
+CPython 3.11.7 such a request takes 0.52-0.77 of the time it took with the
+conversion (BENCH_42.json). For n >= 3 the ``Decimal`` ladder alone costs
+more than the conversion, so those fractions keep ``format_fraction``.
+
+``format_int`` is the only code that converts a large int to decimal
+digits, so it is the only code that meets CPython's int/str digit limit
+(CVE-2020-10735): an integer that ``str`` refuses takes the ``decimal``
+path, and the twin prints ``Decimal``s, neither of which the limit covers.
+The limit is never changed, so output is the same under any limit and argv
+is parsed under the one the interpreter has.
 
 ``selftest`` runs acceptance C1, C2, C4 and C5 (2,2) from the same code as
 the acceptance suite (the ``check_*`` functions here), at smaller sizes.
@@ -93,9 +105,10 @@ Start-up: ``import ratroot.cli`` loads ``argparse`` and the package. Six
 stdlib modules are imported where they are first used: ``json`` by
 ``--format json``, ``csv`` by ``--format csv``, ``decimal`` by
 ``format_int`` for an integer that ``str`` does not render (past the
-cutover or the digit limit), ``fractions`` (which loads ``decimal``) by
-``trace --mode scalar``, ``random`` by ``selftest``, and ``signal`` when
-an exception leaves a split ``table`` whose children must be killed. A plain
+cutover or the digit limit) and by ``approx``'s decimal twin,
+``fractions`` (which loads ``decimal``) by ``trace --mode scalar``,
+``random`` by ``selftest``, and ``signal`` when an exception leaves a
+split ``table`` whose children must be killed. A plain
 ``approx``, ``table`` or ``chpow`` loads none of them unless it renders an
 integer past the int/str digit limit or the cutover. At the default limit
 ``str`` refuses integers from about 14,300 bits, so ``approx --n 2 --k 2
@@ -189,12 +202,23 @@ def _decimal_strs(ints, width: int) -> list[str]:
         hi = m >> half
         return convert(m - (hi << half), half) + convert(hi, w - half) * pow2(half)
 
+    with _exact_decimal():
+        return [("-" if m < 0 else "") + str(convert(abs(m), width)) for m in ints]
+
+
+@contextlib.contextmanager
+def _exact_decimal():
+    """The ``decimal`` module, under a local context in which arithmetic on
+    integers is exact: unbounded precision and exponents, and Inexact
+    trapped, so a step that would round raises instead."""
+    import decimal
+
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
         ctx.Emax = decimal.MAX_EMAX
         ctx.Emin = decimal.MIN_EMIN
         ctx.traps[decimal.Inexact] = True
-        return [("-" if m < 0 else "") + str(convert(abs(m), width)) for m in ints]
+        yield decimal
 
 
 def format_fraction(p: int, q: int) -> str:
@@ -206,6 +230,29 @@ def format_fraction(p: int, q: int) -> str:
     if p.bit_length() <= INT_STR_CUTOVER >= q.bit_length():
         return f"{format_int(p)}/{format_int(q)}"
     return "/".join(_decimal_strs((p, q), max(p.bit_length(), q.bit_length())))
+
+
+def _twin_fraction(params: Params, t: int) -> str:
+    """The reduced fraction of ``approx``'s n = 2 convergent at step t, written
+    from the decimal twin of its ladder.
+
+    The pair is (1 + x)**(t + 1), so the ladder of (1 + x)**t runs again on
+    exact ``Decimal`` coefficients, halved by :func:`_halved` after every
+    step, and ``engine.ones_pair`` takes the last step. The twin thus holds
+    the pair ``engine.reduced_pair`` gives, and ``str`` of each coefficient
+    is linear in its length, so no big int is converted to decimal.
+    """
+    with _exact_decimal() as decimal:
+        c = engine.ring_pow_one_plus_x(params, t, decimal.Decimal, _halved)
+        return "/".join(map(str, _halved(engine.ones_pair(params, c))))
+
+
+def _halved(c):
+    """The coefficients c halved while all are even: for n = 2,
+    ``engine.reduced_pair``'s content rule, on ints or exact Decimals."""
+    while not any(a % 2 for a in c):
+        c = [a // 2 for a in c]
+    return c
 
 
 def format_decimal(p: int, q: int, places: int) -> str:
@@ -539,7 +586,9 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
     only the attempt that certifies is reduced. The certificate's one
     division, floor(p * 10**target_digits / q), is the decimal cell, and
     ``achieved`` is the target: no root but k's own is taken, and no digit
-    count is measured.
+    count is measured. An n = 2 fraction whose reduced q passes
+    INT_STR_CUTOVER is written by :func:`_twin_fraction`, which runs the
+    ladder once more, for the certified t, on ``Decimal`` coefficients.
     """
     if target_digits < 1:
         raise UsageError(f"target digits must be >= 1, got {target_digits}")
@@ -552,7 +601,8 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
     }
     root = oracle.integer_nth_root(params.k, params.n)
     if root**params.n == params.k:
-        t, p, q, floor = 0, root, 1, oracle.certified_floor(root, 1, params, target_digits)
+        t, floor = 0, oracle.certified_floor(root, 1, params, target_digits)
+        fraction = format_fraction(root, 1)
         meta["exact"] = "true"
     else:
         try:
@@ -582,9 +632,13 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
             p, q = engine.ones_pair(params, power)
             floor = oracle.certified_floor(p, q, params, target_digits)
         p, q = engine.reduced_pair(p, q, params.n)
+        if params.n == 2 and q.bit_length() > INT_STR_CUTOVER:
+            fraction = _twin_fraction(params, t)
+        else:
+            fraction = format_fraction(p, q)
         meta.update({"exact": "false", "rho": repr(rho), "digits_per_step": repr(dps)})
     meta.update({"t_used": str(t), "achieved": str(target_digits)})
-    rows = [[str(t), format_fraction(p, q), _point_at(floor, target_digits), str(target_digits)]]
+    rows = [[str(t), fraction, _point_at(floor, target_digits), str(target_digits)]]
     return OutputRecord("approx", meta, list(CONVERGENT_COLUMNS), rows)
 
 
@@ -602,6 +656,9 @@ def check_opening_table():
     that cube root table the two certifiers agree at its digit count and
     one more: ``oracle.certified_floor`` gives floor(p * 10**d / q) exactly
     where ``oracle.digits_of_ratio`` certifies d digits, and None elsewhere.
+    And ``approx``'s (2, 9185) answer at 91 digits, whose reduced pair passes
+    INT_STR_CUTOVER and so is written by the decimal twin, prints the bytes
+    ``format_fraction`` gives for the reduced pair of the integer ladder.
 
     Each digit count d is the largest with |p/q - 2**0.5| < 10**-d: the
     errors are 0.41, 0.086, 0.014, 0.0025, 0.00042 and 0.000072. The cube
@@ -609,7 +666,7 @@ def check_opening_table():
     step 143, so a wrong enclosure or a wrong freeze shows as a cell that
     its own fraction does not give. Every state of k = 2 has content 1, but
     (1 + x)**2 = 4 + 2x at k = 3 has content 2, so only the (2, 3) column
-    shows a wrong n = 2 reduction.
+    and the odd k = 9185 show a wrong n = 2 reduction.
     """
     got = [row[1:] for row in build_table(Params(2, 2), 0, 5, 1).rows]
     want = [["1/1", "1.000000", "0"], ["3/2", "1.500000", "1"], ["7/5", "1.400000", "1"],
@@ -628,6 +685,12 @@ def check_opening_table():
             want = p * 10**d // q if oracle.digits_of_ratio(p, q, params, d) == d else None
             got = oracle.certified_floor(p, q, params, d)
             assert got == want, f"(3, 2) step {t}: certified_floor at {d} digits {got} != {want}"
+    params = Params(2, 9185)
+    record = build_approx(params, 91)
+    t = int(record.meta["t_used"])
+    p, q = engine.reduced_pair(*engine.ones_pair(params, engine.ring_pow_one_plus_x(params, t)), 2)
+    assert q.bit_length() > INT_STR_CUTOVER, f"(2, 9185) at t={t} is not past the cutover"
+    assert record.rows[0][1] == format_fraction(p, q), f"(2, 9185) twin fraction wrong at t={t}"
 
 
 def check_cayley_hamilton(n_max: int):

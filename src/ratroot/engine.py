@@ -56,6 +56,17 @@ subtractions only (:func:`power_basis_coeffs`, once per entry of
 For n = 2 the coefficient pair is the whole ring element, whose content is
 a power of two, so it is reduced by shifts and no gcd of full-size entries
 is ever taken.
+
+The ladder is duck-typed in its coefficients. :func:`ring_pow_one_plus_x`
+converts its binomial row to the type it is handed, and the square and the
+step run on that type unchanged, so over exact ``decimal.Decimal``
+coefficients (a context with unbounded precision that traps Inexact) it
+builds the same power. It also takes a reduction, run on the row and after
+each bit. ``approx`` uses both for an n = 2 answer too long for ``str`` to
+convert quickly: its decimal twin halves both coefficients while both are
+even, :func:`reduced_pair`'s n = 2 content rule applied per step, so the
+ladder holds the reduced pair throughout and never carries the 2**s
+content, and each coefficient prints in linear time.
 """
 from __future__ import annotations
 
@@ -188,7 +199,11 @@ def _binomial_row(n: int, k: int, m: int) -> list[int]:
     return acc
 
 
-def ring_pow_one_plus_x(params: Params, t: int) -> tuple[int, ...]:
+def _same(c):
+    return c
+
+
+def ring_pow_one_plus_x(params: Params, t: int, kind=int, reduce=_same) -> tuple:
     """(1 + x)**t in Z[x]/(x**n - k): a binomial row, then a ladder.
 
     The longest prefix m0 of the bits of t with m0 <= 2*n*n is built
@@ -196,6 +211,14 @@ def ring_pow_one_plus_x(params: Params, t: int) -> tuple[int, ...]:
     from the top, the accumulator is squared by :func:`square_ring`, and on a
     set bit stepped once by :func:`step_one_plus_x`. Coefficient i is entry
     i+1 of M**t applied to the first standard basis vector.
+
+    The coefficients are of type ``kind``: the row is converted to it, and
+    the square and the step run on it unchanged, so ``decimal.Decimal``
+    gives the same power as int under a context that keeps every
+    operation exact. ``reduce`` maps the accumulator, a list, to a list; it
+    runs on the row and after each bit's square and step. With the default
+    the result is the power itself; a reduction that divides out a common
+    factor returns the power divided by that factor.
     """
     if t < 0:
         raise UsageError(f"exponent must be nonnegative, got {t}")
@@ -208,11 +231,12 @@ def ring_pow_one_plus_x(params: Params, t: int) -> tuple[int, ...]:
     rest = 0
     while t >> rest > 2 * n * n:
         rest += 1
-    c = _binomial_row(n, k, t >> rest)
+    c = reduce([*map(kind, _binomial_row(n, k, t >> rest))])
     for i in range(rest - 1, -1, -1):
         c = square_ring(c, k)
         if t >> i & 1:
             c = step_one_plus_x(c, k)
+        c = reduce(c)
     return tuple(c)
 
 

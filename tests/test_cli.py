@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import decimal
 import errno
 import io
 import json
@@ -186,18 +187,25 @@ def test_chpow_fib_chain(capsys):
 
 
 @pytest.mark.parametrize("n,k,digits,t_used", [
-    (3, 9973, 150, 10170),  # one miss
+    (3, 9973, 150, 10170),  # one miss; a 41 kbit q
     (3, 1000001, 2, 1276),  # two misses
-    (2, 1000001, 1, 9296),  # three misses
+    (2, 1000001, 1, 9296),  # three misses; an 83 kbit q
+    (2, 9185, 91, 20102),  # one miss; an odd k and a 113 kbit q
+    (2, 1001, 30, 2206),  # one miss; an odd k and an 11 kbit q
 ])
 def test_approx_runs_one_ladder_per_request(capsys, monkeypatch, n, k, digits, t_used):
-    # a miss squares the last attempt's power instead of rebuilding it
+    # a miss squares the last attempt's power instead of rebuilding it; an
+    # n = 2 answer whose reduced q passes INT_STR_CUTOVER runs the ladder once
+    # more, on Decimals at t_used, to write its fraction (the decimal twin)
     true_ladder = engine.ring_pow_one_plus_x
+    params = Params(n, k)
+    _, q = engine.reduced_pair(*engine.ones_pair(params, true_ladder(params, t_used)), n)
+    twin = n == 2 and q.bit_length() > INT_STR_CUTOVER
     ladders = []
 
-    def counting_ladder(params, t):
-        ladders.append(t)
-        return true_ladder(params, t)
+    def counting_ladder(params, t, *args):
+        ladders.append((t, args[0] if args else int))
+        return true_ladder(params, t, *args)
 
     monkeypatch.setattr(engine, "ring_pow_one_plus_x", counting_ladder)
     rc, out, err = run_cli(
@@ -206,7 +214,11 @@ def test_approx_runs_one_ladder_per_request(capsys, monkeypatch, n, k, digits, t
     )
     assert rc == 0, err
     assert json.loads(out)["meta"]["t_used"] == str(t_used)
-    assert len(ladders) == 1 and ladders[0] < t_used, ladders
+    int_ladders = [t for t, kind in ladders if kind is int]
+    assert len(int_ladders) == 1 and int_ladders[0] < t_used, ladders
+    decimal_ladders = [t for t, kind in ladders if kind is decimal.Decimal]
+    assert decimal_ladders == ([t_used] if twin else []), ladders
+    assert len(ladders) == len(int_ladders) + len(decimal_ladders), ladders
 
 
 def _count_reductions(monkeypatch):
@@ -1359,6 +1371,87 @@ def test_shared_parser_matches_a_fresh_parser_per_call(capsys):
     assert shared == fresh
 
 
+# --- the decimal twin of approx's n = 2 ladder ---------------------------------
+
+# k in each class mod 8: for n = 2 the content of (1 + x)**t is 1 at even k
+# and grows with t at odd k
+k_mod8_st = st.builds(lambda j, r: 8 * j + r, st.integers(0, 1250), st.integers(1, 8))
+
+
+def _two_content(c):
+    """The largest s with 2**s dividing every int in c (none all zero)."""
+    low = 0
+    for a in c:
+        low |= a
+    return (low & -low).bit_length() - 1
+
+
+@given(st.integers(2, 8), k_mod8_st, st.integers(0, 1000))
+@settings(max_examples=80, deadline=None)
+def test_halved_decimal_ladder_is_the_int_power_over_its_two_content(n, k, t):
+    # the twin's ladder holds the power with its common factor of two taken
+    # out at every step, so it ends at the int power shifted by its common
+    # trailing zeros; at n = 2 the pair it gives is reduced_pair's
+    params = Params(n, k)
+    power = engine.ring_pow_one_plus_x(params, t)
+    s = _two_content(power)
+    with cli._exact_decimal():
+        twin = engine.ring_pow_one_plus_x(params, t, decimal.Decimal, cli._halved)
+        assert tuple(map(str, twin)) == tuple(str(a >> s) for a in power)
+        if n == 2:
+            pair = cli._halved(engine.ones_pair(params, twin))
+            want = engine.reduced_pair(*engine.ones_pair(params, power), 2)
+            assert tuple(map(str, pair)) == tuple(map(str, want))
+
+
+@given(st.integers(2, 8), k_mod8_st, st.integers(1, 60), st.sampled_from(["plain", "csv", "json"]))
+@settings(max_examples=60, deadline=None)
+def test_approx_prints_the_same_with_the_twin_forced_on_and_off(n, k, digits, fmt):
+    # cutover 0 sends every inexact n = 2 answer through the twin, and a
+    # cutover past every answer sends none; every byte must match
+    argv = ["approx", "--n", str(n), "--k", str(k), "--digits", str(digits), "--format", fmt]
+    twins = []
+    true_twin = cli._twin_fraction
+
+    def counting_twin(params, t):
+        twins.append(t)
+        return true_twin(params, t)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "_twin_fraction", counting_twin)
+        m.setattr(cli, "INT_STR_CUTOVER", 0)
+        on = grid.replay(argv)
+        forced = len(twins)
+        m.setattr(cli, "INT_STR_CUTOVER", 2**40)
+        off = grid.replay(argv)
+    assert on == off and on[0] == 0, on
+    exact = any(r**n == k for r in range(1, 101))  # k <= 10007
+    assert forced == (n == 2 and not exact) and len(twins) == forced, (twins, exact)
+
+
+@pytest.mark.parametrize("n,k,digits,cutover", [
+    (3, 9973, 150, INT_STR_CUTOVER),  # a 41 kbit q
+    *((n, 7, 30, 0) for n in range(3, 9)),  # every answer past a cutover of 0
+])
+def test_approx_never_runs_the_twin_for_n_above_2(capsys, monkeypatch, n, k, digits, cutover):
+    def no_twin(params, t):
+        pytest.fail("the decimal twin ran")
+
+    true_ladder = engine.ring_pow_one_plus_x
+    kinds = []
+
+    def counting_ladder(params, t, *args):
+        kinds.append(args[0] if args else int)
+        return true_ladder(params, t, *args)
+
+    monkeypatch.setattr(cli, "_twin_fraction", no_twin)
+    monkeypatch.setattr(cli, "INT_STR_CUTOVER", cutover)
+    monkeypatch.setattr(engine, "ring_pow_one_plus_x", counting_ladder)
+    rc, _, err = run_cli(capsys, "approx", "--n", str(n), "--k", str(k), "--digits", str(digits))
+    assert rc == 0, err
+    assert kinds == [int]
+
+
 def test_selftest_catches_sabotaged_engine(capsys, monkeypatch):
     # a wrong ring route must trip the engine-agreement group
     from ratroot import engine
@@ -1421,6 +1514,15 @@ def test_selftest_catches_sabotaged_reduction(capsys, monkeypatch):
         return (p, q) if n == 2 else true_reduce(p, q, n)
 
     monkeypatch.setattr(engine, "reduced_pair", raw_for_n2)
+    rc, out, _ = run_cli(capsys, "selftest")
+    assert rc == 3
+    assert any(line.startswith("FAIL table-reproduction") for line in out.splitlines())
+
+
+def test_selftest_catches_sabotaged_twin_halving(capsys, monkeypatch):
+    # a decimal twin that keeps the power-of-two content must trip the table
+    # group; its odd-k answer carries one
+    monkeypatch.setattr(cli, "_halved", lambda c: c)
     rc, out, _ = run_cli(capsys, "selftest")
     assert rc == 3
     assert any(line.startswith("FAIL table-reproduction") for line in out.splitlines())

@@ -1,3 +1,4 @@
+import decimal
 from math import comb, gcd
 
 import pytest
@@ -155,6 +156,20 @@ ladder_t_st = st.one_of(
 @settings(max_examples=100, deadline=None)
 def test_ring_pow_matches_repeated_step(params, t):
     assert ring_pow_one_plus_x(params, t) == step_pow_one_plus_x(params, t)
+
+
+@given(st.integers(2, 8), st.builds(lambda j, r: 8 * j + r, st.integers(0, 1250),
+                                    st.integers(1, 8)), st.integers(0, 1000))
+@settings(max_examples=80, deadline=None)
+def test_ring_pow_over_exact_decimals_is_the_int_ladder(n, k, t):
+    # the kernels are duck-typed: the same ladder on Decimal coefficients, in
+    # a context where no step rounds, prints the int ladder's bytes
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                            Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
+    with decimal.localcontext(exact):
+        power = ring_pow_one_plus_x(Params(n, k), t, decimal.Decimal)
+    assert {type(c) for c in power} == {decimal.Decimal}
+    assert tuple(map(str, power)) == tuple(map(str, ring_pow_one_plus_x(Params(n, k), t)))
 
 
 # k - 1 = 2*3*5*7*11 for 2311 and 2*3*5*7*11*13 for 30031; 2**1024 + 1 is

@@ -2,9 +2,12 @@
 """Paired A/B timing of two ratroot trees, interleaved request by request.
 
     python3 tools/ab.py TREE_A TREE_B --workload NAME [--seed N] [--rounds R] [--requests M]
+    python3 tools/ab.py TREE_A TREE_B --argv-file FILE [--seed N] [--rounds R] [--requests M]
 
 R and M are at least 1. The requests are the first M of the workload's list in
-``perfbench/workloads.py`` of the checkout holding this script; nothing
+``perfbench/workloads.py`` of the checkout holding this script, or of FILE,
+which holds one JSON list of argument strings per line (``approx_big.jsonl``
+beside this script is a fixed set of large ``approx`` requests); nothing
 under ``perfbench/`` is changed or run. Each round starts one fresh worker
 per tree, a ``python3`` process that imports ratroot from that tree's
 ``src/``, so no cache (the oracle's brackets, the parser) carries from one
@@ -121,15 +124,22 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("tree_a", help="checkout timed as A (the parent)")
     ap.add_argument("tree_b", help="checkout timed as B (the change)")
-    ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
-    ap.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
+    source = ap.add_mutually_exclusive_group(required=True)
+    source.add_argument("--workload", choices=sorted(workloads.WORKLOADS))
+    source.add_argument("--argv-file", help="one JSON argv list per line, in place of --workload")
+    ap.add_argument("--seed", type=int, default=1,
+                    help="workload seed, and seed of the order coin (default 1)")
     ap.add_argument("--rounds", type=positive_int, default=5,
                     help="rounds of fresh workers (default 5)")
     ap.add_argument("--requests", type=positive_int, default=245,
                     help="requests per round, from the head of the list (default 245)")
     args = ap.parse_args(argv)
-    requests = workloads.requests(args.workload, args.seed)[:args.requests]
-    rng = random.Random(f"ab/{args.workload}/{args.seed}")
+    if args.workload is not None:
+        source, requests = {"workload": args.workload}, workloads.requests(args.workload, args.seed)
+    else:
+        source, requests = {"argv_file": args.argv_file}, read_argv_file(ap, args.argv_file)
+    requests = requests[:args.requests]
+    rng = random.Random(f"ab/{args.workload or args.argv_file}/{args.seed}")
     rounds = []
     for i in range(args.rounds):
         r = run_round([args.tree_a, args.tree_b], requests, rng)
@@ -137,11 +147,34 @@ def main(argv=None) -> int:
         if not emit(f"round {i + 1}: sum {r['sum_ratio']:.3f}  median {r['median_ratio']:.3f}  "
                     f"geomean {r['geomean_ratio']:.3f}  mismatches {r['mismatches']}"):
             return 141
-    if not emit(json.dumps({"workload": args.workload, "seed": args.seed,
-                            "requests": len(requests), "trees": [args.tree_a, args.tree_b],
-                            "rounds": rounds})):
+    if not emit(json.dumps({**source, "seed": args.seed, "requests": len(requests),
+                            "trees": [args.tree_a, args.tree_b], "rounds": rounds})):
         return 141
     return 1 if any(r["mismatches"] for r in rounds) else 0
+
+
+def read_argv_file(ap: argparse.ArgumentParser, path: str) -> list[list[str]]:
+    """The argv lists of FILE, one JSON list of strings per nonblank line;
+    any other file is refused through ``ap.error`` (exit 2)."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except OSError as exc:
+        ap.error(f"argument --argv-file: cannot read {path}: {exc.strerror}")
+    requests = []
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            argv = json.loads(line)
+        except ValueError:
+            argv = None
+        if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)):
+            ap.error(f"argument --argv-file: line {number} of {path} is not a JSON list of strings")
+        requests.append(argv)
+    if not requests:
+        ap.error(f"argument --argv-file: {path} holds no request")
+    return requests
 
 
 def emit(line: str) -> bool:

@@ -48,6 +48,12 @@ _COMMANDS = [
     "chpow --n 2 --k 3 --t 200000",
     "table --n 2 --k 2 --t0 100000 --t1 100002",
     *(f"chpow --fib 15 --format csv --n {n} --k 50" for n in (16, 33)),
+    # n = 2 answers past the cutover, whose fraction the decimal twin of the
+    # ladder writes, for k = 1, 3, 5 and 7 mod 8 (9366 above is even)
+    "approx --n 2 --k 9185 --digits 91",
+    "approx --n 2 --k 4099 --digits 120 --format csv",
+    "approx --n 2 --k 5077 --digits 100 --format json",
+    "approx --n 2 --k 8191 --digits 80",
     # the last ratio index
     *(f"table --k 7 --t1 40 --index {n - 1} --format csv --n {n}" for n in (3, 5, 8)),
     # traces from explicit starts, three of them refused
