@@ -62,11 +62,10 @@ converts its binomial row to the type it is handed, and the square and the
 step run on that type unchanged, so over exact ``decimal.Decimal``
 coefficients (a context with unbounded precision that traps Inexact) it
 builds the same power. It also takes a reduction, run on the row and after
-each bit. ``approx`` uses both for an n = 2 answer too long for ``str`` to
-convert quickly: its decimal twin halves both coefficients while both are
-even, :func:`reduced_pair`'s n = 2 content rule applied per step, so the
-ladder holds the reduced pair throughout and never carries the 2**s
-content, and each coefficient prints in linear time.
+each bit. ``approx``'s decimal twin uses both: for n = 2 the all-ones state
+M**t (1, 1) is (1 + x)**(t + 1), so the ladder for t + 1 over ``Decimal``s,
+reduced by :func:`halved` after every bit, ends on the pair
+:func:`reduced_pair` gives, and each coefficient prints in linear time.
 """
 from __future__ import annotations
 
@@ -262,6 +261,21 @@ def reduced_pair(p: int, q: int, n: int) -> tuple[int, int]:
         return p >> s, q >> s
     g = math.gcd(p, q)
     return p // g, q // g
+
+
+def halved(c):
+    """The coefficients c halved while all are even: the n = 2 content rule
+    of :func:`reduced_pair`, for any exact type with ``%`` and ``//``.
+
+    The rule has two forms. ``reduced_pair`` shifts ints once, as the
+    content of (1 + x)**m grows to m/2 to m - 1 bits for odd k. This loop is
+    the ladder's reduction for ``approx``'s decimal twin (run on exact
+    ``Decimal``s after every bit), where the content a step adds is only a
+    few bits, so the ladder ends on the reduced pair.
+    """
+    while not any(a % 2 for a in c):
+        c = [a // 2 for a in c]
+    return c
 
 
 def ones_pair(params: Params, c) -> tuple[int, int]:

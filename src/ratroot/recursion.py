@@ -16,6 +16,13 @@ k >= 2 that holds at (3, 2) alone, where the error falls by about 0.075
 digits a step; elsewhere r* repels, and (3, 3) from 1 is the 2-cycle
 1, 2, 1, 2, ...
 
+For n = 2 the error e_t = r_t - sqrt(k) of a positive ratio obeys
+e_{t+1} = e_t * (1 - sqrt(k)) / (r_t + 1), so it falls at step t exactly
+when r_t > sqrt(k) - 2, that is (p + 2q)**2 > k*q**2 for r_t = p/q. From
+the all-ones start it falls at every step t >= 1 for k <= 21, but not for
+larger k: r_2 = (3k + 1)/(k + 3) is below sqrt(k) - 2 from k = 22 on, so
+the error rises from step 2 to step 3.
+
 The linear iteration also certifies its own limit, with no oracle and no
 limit argument. M = I + S, where S, the k-weighted cyclic shift
 (Sx)_0 = k*x_{n-1}, (Sx)_i = x_{i-1}, is nonnegative and irreducible with

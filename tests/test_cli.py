@@ -196,7 +196,8 @@ def test_chpow_fib_chain(capsys):
 def test_approx_runs_one_ladder_per_request(capsys, monkeypatch, n, k, digits, t_used):
     # a miss squares the last attempt's power instead of rebuilding it; an
     # n = 2 answer whose reduced q passes INT_STR_CUTOVER runs the ladder once
-    # more, on Decimals at t_used, to write its fraction (the decimal twin)
+    # more, on Decimals at t_used + 1, to write its fraction (the decimal
+    # twin: M**t (1, 1) is (1 + x)**(t + 1))
     true_ladder = engine.ring_pow_one_plus_x
     params = Params(n, k)
     _, q = engine.reduced_pair(*engine.ones_pair(params, true_ladder(params, t_used)), n)
@@ -217,7 +218,7 @@ def test_approx_runs_one_ladder_per_request(capsys, monkeypatch, n, k, digits, t
     int_ladders = [t for t, kind in ladders if kind is int]
     assert len(int_ladders) == 1 and int_ladders[0] < t_used, ladders
     decimal_ladders = [t for t, kind in ladders if kind is decimal.Decimal]
-    assert decimal_ladders == ([t_used] if twin else []), ladders
+    assert decimal_ladders == ([t_used + 1] if twin else []), ladders
     assert len(ladders) == len(int_ladders) + len(decimal_ladders), ladders
 
 
@@ -1200,36 +1201,35 @@ FRACTION_PAIRS_PAST_THE_CUTOVER = _fraction_pairs_past_the_cutover()
 
 
 @pytest.fixture
-def decimal_strs_calls(monkeypatch):
-    """The (ints, width) of every cli._decimal_strs call made in the test."""
-    true_decimal_strs = cli._decimal_strs
+def format_int_calls(monkeypatch):
+    """The int of every cli.format_int call made in the test."""
+    true_format_int = cli.format_int
     calls = []
 
-    def spy(ints, width):
-        calls.append((tuple(ints), width))
-        return true_decimal_strs(ints, width)
+    def spy(n):
+        calls.append(n)
+        return true_format_int(n)
 
-    monkeypatch.setattr(cli, "_decimal_strs", spy)
+    monkeypatch.setattr(cli, "format_int", spy)
     return calls
 
 
 @pytest.mark.parametrize("case", FRACTION_PAIRS_PAST_THE_CUTOVER)
-def test_format_fraction_shares_one_width_past_the_cutover(decimal_strs_calls, case):
-    # both halves go through one decimal conversion at the wider half's
-    # width, so q reuses every power of two p formed; the output is str's
-    # at any int/str digit limit
+def test_format_fraction_shares_one_width_past_the_cutover(format_int_calls, case):
+    # each half goes through format_int on its own, past the cutover at its
+    # own width; the output is str's at any int/str digit limit
     p, q = FRACTION_PAIRS_PAST_THE_CUTOVER[case]
     with _int_str_limit_set(0):
         want = f"{p}/{q}"
     for limit in (640, getattr(sys.int_info, "default_max_str_digits", 0)):
-        decimal_strs_calls.clear()
+        format_int_calls.clear()
         with _int_str_limit_set(limit):
             got = format_fraction(p, q)
         assert got == want, limit
-        assert decimal_strs_calls == [((p, q), max(p.bit_length(), q.bit_length()))], limit
+        assert format_int_calls == [p, q], limit
 
 
-def test_format_fraction_below_the_cutover_renders_each_half_alone(decimal_strs_calls):
+def test_format_fraction_below_the_cutover_renders_each_half_alone(format_int_calls):
     # below the cutover each half is format_int's; at limit 640 str refuses
     # both, and each takes the decimal path at its own width
     p, q = 3**20000, -(7**9000)
@@ -1238,7 +1238,7 @@ def test_format_fraction_below_the_cutover_renders_each_half_alone(decimal_strs_
         want = f"{p}/{q}"
     with _int_str_limit_set(640):
         assert format_fraction(p, q) == want
-    assert decimal_strs_calls == [((p,), p.bit_length()), ((q,), q.bit_length())]
+    assert format_int_calls == [p, q]
 
 
 def test_oracle_runs_under_the_interpreters_limit(capsys, monkeypatch, default_int_str_limit):
@@ -1391,15 +1391,16 @@ def _two_content(c):
 def test_halved_decimal_ladder_is_the_int_power_over_its_two_content(n, k, t):
     # the twin's ladder holds the power with its common factor of two taken
     # out at every step, so it ends at the int power shifted by its common
-    # trailing zeros; at n = 2 the pair it gives is reduced_pair's
+    # trailing zeros; at n = 2 its power for t + 1 is reduced_pair's pair of
+    # M**t (1, 1)
     params = Params(n, k)
     power = engine.ring_pow_one_plus_x(params, t)
     s = _two_content(power)
     with cli._exact_decimal():
-        twin = engine.ring_pow_one_plus_x(params, t, decimal.Decimal, cli._halved)
+        twin = engine.ring_pow_one_plus_x(params, t, decimal.Decimal, engine.halved)
         assert tuple(map(str, twin)) == tuple(str(a >> s) for a in power)
         if n == 2:
-            pair = cli._halved(engine.ones_pair(params, twin))
+            pair = engine.ring_pow_one_plus_x(params, t + 1, decimal.Decimal, engine.halved)
             want = engine.reduced_pair(*engine.ones_pair(params, power), 2)
             assert tuple(map(str, pair)) == tuple(map(str, want))
 
@@ -1452,225 +1453,100 @@ def test_approx_never_runs_the_twin_for_n_above_2(capsys, monkeypatch, n, k, dig
     assert kinds == [int]
 
 
-def test_selftest_catches_sabotaged_engine(capsys, monkeypatch):
-    # a wrong ring route must trip the engine-agreement group
-    from ratroot import engine
-
-    true_apply = engine.apply_power
-
-    def corrupt_apply(params, t, r0):
-        out = true_apply(params, t, r0)
-        return (out[0] + 1,) + out[1:]
-
-    monkeypatch.setattr(engine, "apply_power", corrupt_apply)
-    rc, out, _ = run_cli(capsys, "selftest")
-    assert rc == 3
-    assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())
+def _bumped(seq):
+    """seq with its first entry one more, as the same sequence type."""
+    return type(seq)([seq[0] + 1, *seq[1:]])
 
 
-def test_selftest_catches_sabotaged_square(capsys, monkeypatch):
-    # a wrong squaring kernel must trip the engine-agreement group
-    from ratroot import engine
-
-    true_sqr = engine.square_ring
-
-    def corrupt_sqr(c, k):
-        out = true_sqr(c, k)
-        return [out[0] + 1, *out[1:]]
-
-    monkeypatch.setattr(engine, "square_ring", corrupt_sqr)
-    rc, out, _ = run_cli(capsys, "selftest")
-    assert rc == 3
-    assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())
+def _bumped_corner(matrix):
+    """matrix with its top-left entry one more."""
+    return (_bumped(matrix[0]), *matrix[1:])
 
 
-def test_selftest_catches_sabotaged_karatsuba(capsys, monkeypatch):
-    # a wrong square past the schoolbook cutover must trip the engine-agreement
-    # group, though no random case squares that many coefficients
-    from ratroot import engine
-
-    true_square = engine._square
-
-    def corrupt_square(a):
-        out = true_square(a)
-        if len(a) > engine.SQR_CUTOVER:
-            out[0] += 1
-        return out
-
-    monkeypatch.setattr(engine, "_square", corrupt_square)
-    rc, out, _ = run_cli(capsys, "selftest")
-    assert rc == 3
-    assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())
+def _after(true, change):
+    """true with change applied to every result."""
+    return lambda *args: change(true(*args))
 
 
-def test_selftest_catches_sabotaged_reduction(capsys, monkeypatch):
-    # an n = 2 convergent left unreduced must trip the table group; every
-    # k = 2 state has content 1, so only a k = 3 row shows it
-    from ratroot import engine
-
-    true_reduce = engine.reduced_pair
-
-    def raw_for_n2(p, q, n):
-        return (p, q) if n == 2 else true_reduce(p, q, n)
-
-    monkeypatch.setattr(engine, "reduced_pair", raw_for_n2)
-    rc, out, _ = run_cli(capsys, "selftest")
-    assert rc == 3
-    assert any(line.startswith("FAIL table-reproduction") for line in out.splitlines())
+def _bracket_ends(params, state):
+    lo = oracle.nth_root_bracket(params, 45)
+    return (lo, 10**45), (lo + 1, 10**45)
 
 
-def test_selftest_catches_sabotaged_twin_halving(capsys, monkeypatch):
-    # a decimal twin that keeps the power-of-two content must trip the table
-    # group; its odd-k answer carries one
-    monkeypatch.setattr(cli, "_halved", lambda c: c)
-    rc, out, _ = run_cli(capsys, "selftest")
-    assert rc == 3
-    assert any(line.startswith("FAIL table-reproduction") for line in out.splitlines())
-
-
-def test_selftest_catches_sabotaged_binomial_row(capsys, monkeypatch):
-    # a wrong binomial start of the ladder must trip the engine-agreement group
-    from ratroot import engine
-
-    true_row = engine._binomial_row
-
-    def corrupt_row(n, k, m):
-        out = true_row(n, k, m)
-        return [out[0] + 1, *out[1:]]
-
-    monkeypatch.setattr(engine, "_binomial_row", corrupt_row)
-    rc, out, _ = run_cli(capsys, "selftest")
-    assert rc == 3
-    assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())
-
-
-def test_selftest_catches_sabotaged_companion_matrix(capsys, monkeypatch):
-    # a wrong iteration matrix must trip the cayley-hamilton group
-    from ratroot import engine
-
-    true_companion = engine.companion_matrix
-
-    def corrupt_companion(params):
-        (m00, *row0), *rows = true_companion(params)
-        return ((m00 + 1, *row0), *rows)
-
-    monkeypatch.setattr(engine, "companion_matrix", corrupt_companion)
-    rc, out, _ = run_cli(capsys, "selftest")
-    assert rc == 3
-    assert any(line.startswith("FAIL cayley-hamilton") for line in out.splitlines())
-
-
-def test_selftest_catches_sabotaged_rate(capsys, monkeypatch):
-    # a predicted rate 10% low must trip the rate-check group
-    from ratroot import spectral
-
-    true_rate = spectral.convergence_rate
-
-    def low_rate(params):
-        rho, dps = true_rate(params)
-        return rho, 0.9 * dps
-
-    monkeypatch.setattr(spectral, "convergence_rate", low_rate)
-    rc, out, _ = run_cli(capsys, "selftest")
-    assert rc == 3
-    assert any(line.startswith("FAIL rate-check-2-2") for line in out.splitlines())
-
-
-def test_selftest_catches_sabotaged_step(capsys, monkeypatch):
-    # a wrong O(n) step of M must trip the engine-agreement group
-    from ratroot import engine
-
-    true_step = engine.step_one_plus_x
-
-    def corrupt_step(c, k):
-        out = true_step(c, k)
-        return [out[0] + 1, *out[1:]]
-
-    monkeypatch.setattr(engine, "step_one_plus_x", corrupt_step)
-    rc, out, _ = run_cli(capsys, "selftest")
-    assert rc == 3
-    assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())
-
-
-def test_selftest_catches_sabotaged_power_basis(capsys, monkeypatch):
-    # a wrong power-basis expansion must trip the engine-agreement group
-    true_basis = engine.power_basis_coeffs
-
-    def corrupt_basis(params, t):
-        a0, *rest = true_basis(params, t)
-        return (a0 + 1, *rest)
-
-    monkeypatch.setattr(engine, "power_basis_coeffs", corrupt_basis)
-    rc, out, _ = run_cli(capsys, "selftest")
-    assert rc == 3
-    assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())
-
-
-def test_selftest_catches_sabotaged_fib_chain(capsys, monkeypatch):
-    # a chain that starts one Fibonacci number early must trip the
-    # engine-agreement group
-    true_chain = engine.fib_power_chain
-
-    def early_chain(params, chain_length):
-        return [(1, engine.power_basis_coeffs(params, 1)), *true_chain(params, chain_length - 1)]
-
-    monkeypatch.setattr(engine, "fib_power_chain", early_chain)
-    rc, out, _ = run_cli(capsys, "selftest")
-    assert rc == 3
-    assert any(line.startswith("FAIL engine-agreement") for line in out.splitlines())
-
-
-def test_selftest_catches_sabotaged_matrix_power(capsys, monkeypatch):
-    # a wrong matrix reference must trip both checks that reach it
-    true_pow = engine.mat_pow
-
-    def corrupt_pow(a, t):
-        (p00, *row0), *rows = true_pow(a, t)
-        return ((p00 + 1, *row0), *rows)
-
-    monkeypatch.setattr(engine, "mat_pow", corrupt_pow)
-    rc, out, _ = run_cli(capsys, "selftest")
-    assert rc == 3
-    failed = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL ")]
-    assert failed == ["FAIL cayley-hamilton", "FAIL engine-agreement"]
-
-
-def test_selftest_catches_sabotaged_certifier(capsys, monkeypatch):
-    # a certifier that claims one digit too many must trip the table group
-    true_digits = oracle.digits_of_ratio
-    monkeypatch.setattr(oracle, "digits_of_ratio", lambda *args: true_digits(*args) + 1)
-    rc, out, _ = run_cli(capsys, "selftest")
-    assert rc == 3
-    assert any(line.startswith("FAIL table-reproduction") for line in out.splitlines())
-
-
-@pytest.mark.parametrize("sabotage", ["every-pair", "wrong-floor"])
-def test_selftest_catches_sabotaged_certified_floor(capsys, monkeypatch, sabotage):
+# id: (module, attribute, the corruption built from the true function, the
+# selftest groups that must print FAIL, and whether they must be the only
+# FAIL lines, in order)
+SABOTAGES = {
+    # a wrong ring route
+    "engine": (engine, "apply_power", lambda f: _after(f, _bumped), ["engine-agreement"], False),
+    # a wrong squaring kernel
+    "square": (engine, "square_ring", lambda f: _after(f, _bumped), ["engine-agreement"], False),
+    # a wrong square past the schoolbook cutover, though no random case
+    # squares that many coefficients
+    "karatsuba": (engine, "_square",
+                  lambda f: lambda a: _bumped(f(a)) if len(a) > engine.SQR_CUTOVER else f(a),
+                  ["engine-agreement"], False),
+    # an n = 2 convergent left unreduced; every k = 2 state has content 1, so
+    # only a k = 3 row shows it
+    "reduction": (engine, "reduced_pair",
+                  lambda f: lambda p, q, n: (p, q) if n == 2 else f(p, q, n),
+                  ["table-reproduction"], False),
+    # a decimal twin that keeps the power-of-two content; its odd-k answer
+    # carries one
+    "twin_halving": (engine, "halved", lambda f: lambda c: c, ["table-reproduction"], False),
+    # a wrong binomial start of the ladder
+    "binomial_row": (engine, "_binomial_row", lambda f: _after(f, _bumped), ["engine-agreement"],
+                     False),
+    # a wrong iteration matrix
+    "companion_matrix": (engine, "companion_matrix", lambda f: _after(f, _bumped_corner),
+                         ["cayley-hamilton"], False),
+    # a predicted rate 10% low
+    "rate": (spectral, "convergence_rate", lambda f: _after(f, lambda r: (r[0], 0.9 * r[1])),
+             ["rate-check-2-2"], False),
+    # a wrong O(n) step of M
+    "step": (engine, "step_one_plus_x", lambda f: _after(f, _bumped), ["engine-agreement"], False),
+    # a wrong power-basis expansion
+    "power_basis": (engine, "power_basis_coeffs", lambda f: _after(f, _bumped),
+                    ["engine-agreement"], False),
+    # a chain that starts one Fibonacci number early
+    "fib_chain": (engine, "fib_power_chain",
+                  lambda f: lambda params, length: [(1, engine.power_basis_coeffs(params, 1)),
+                                                    *f(params, length - 1)],
+                  ["engine-agreement"], False),
+    # a wrong matrix reference trips both checks that reach it, and no other
+    "matrix_power": (engine, "mat_pow", lambda f: _after(f, _bumped_corner),
+                     ["cayley-hamilton", "engine-agreement"], True),
+    # a certifier that claims one digit too many
+    "certifier": (oracle, "digits_of_ratio", lambda f: _after(f, lambda d: d + 1),
+                  ["table-reproduction"], False),
     # a certified_floor that certifies every pair, or returns a floor one too
-    # high, must trip the table group
-    true_floor = oracle.certified_floor
-    claims = {
-        "every-pair": lambda p, q, params, d: p * 10**d // q,
-        "wrong-floor": lambda *args: None if (f := true_floor(*args)) is None else f + 1,
-    }
-    monkeypatch.setattr(oracle, "certified_floor", claims[sabotage])
-    rc, out, _ = run_cli(capsys, "selftest")
-    assert rc == 3
-    assert any(line.startswith("FAIL table-reproduction") for line in out.splitlines())
-
-
-def test_selftest_catches_sabotaged_enclosure(capsys, monkeypatch):
+    # high
+    "certified_floor-every-pair": (oracle, "certified_floor",
+                                   lambda f: lambda p, q, params, d: p * 10**d // q,
+                                   ["table-reproduction"], False),
+    "certified_floor-wrong-floor": (oracle, "certified_floor",
+                                    lambda f: _after(f, lambda x: None if x is None else x + 1),
+                                    ["table-reproduction"], False),
     # an enclosure of the oracle's own 45-digit bracket certifies the cap at
     # once, so the digits cell freezes at the first check, rows before the
     # cap; the table group must see those rows' own certificates differ
-    def bracket_ends(params, state):
-        lo = oracle.nth_root_bracket(params, 45)
-        return (lo, 10**45), (lo + 1, 10**45)
+    "enclosure": (recursion, "enclosure", lambda f: _bracket_ends, ["table-reproduction"], False),
+}
 
-    monkeypatch.setattr(recursion, "enclosure", bracket_ends)
+
+@pytest.mark.parametrize("sabotage", SABOTAGES)
+def test_selftest_catches_sabotaged(capsys, monkeypatch, sabotage):
+    # selftest reaches the code through module attributes, so a corrupted
+    # attribute must make its groups print FAIL and the run exit 3
+    module, attribute, corrupt, groups, only = SABOTAGES[sabotage]
+    monkeypatch.setattr(module, attribute, corrupt(getattr(module, attribute)))
     rc, out, _ = run_cli(capsys, "selftest")
     assert rc == 3
-    assert any(line.startswith("FAIL table-reproduction") for line in out.splitlines())
+    failed = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL ")]
+    if only:
+        assert failed == [f"FAIL {group}" for group in groups]
+    else:
+        assert all(f"FAIL {group}" in failed for group in groups), failed
 
 
 def test_cayley_hamilton_check_reaches_n_max(monkeypatch):

@@ -156,12 +156,50 @@ def test_scalar_map_fixes_exact_roots(m, n):
 @pytest.mark.parametrize("k", [2, 3, 5, 10, 17])
 @pytest.mark.parametrize("start", [(1, 1), (3, 1), (1, 4)])
 def test_digits_monotone_for_square_roots(k, start):
-    # real subdominant eigenvalue: error decays monotonically, so certified
-    # digits never drop once past a short burn-in
+    # for n = 2 the error falls at step t exactly when r_t > sqrt(k) - 2, as
+    # |e_{t+1}| / |e_t| = (sqrt(k) - 1) / (r_t + 1); for these k <= 17 and
+    # starts that fails only at steps 0 and 2, so past the 10-step burn-in
+    # the error falls at every step and certified digits never drop
     params = Params(2, k)
     states = iterate_linear(params, start, 90)
     digits = [digits_of_ratio(*s, params, 75) for s in states[10:]]
     assert digits == sorted(digits)
+
+
+def _closer(a, b, k):
+    """|a - sqrt(k)| < |b - sqrt(k)| for distinct positive fractions a and b,
+    each a pair (p, q), decided in integers: for a > b it holds exactly when
+    (a + b)**2 < 4k, and for a < b exactly when (a + b)**2 > 4k."""
+    (pa, qa), (pb, qb) = a, b
+    twice_mean, four_k = (pa * qb + pb * qa) ** 2, 4 * k * (qa * qb) ** 2
+    return twice_mean < four_k if pa * qb > pb * qa else twice_mean > four_k
+
+
+NON_SQUARES = [k for k in range(2, 61) if math.isqrt(k) ** 2 != k]
+
+
+@pytest.mark.parametrize("k", NON_SQUARES)
+def test_square_root_error_falls_exactly_when_the_ratio_passes_root_k_minus_2(k):
+    # the ratio map gives |e_{t+1}| / |e_t| = (sqrt(k) - 1) / (r_t + 1), so
+    # the error falls at step t exactly when r_t = p/q > sqrt(k) - 2, that is
+    # (p + 2q)**2 > k*q**2; no step holds the error, as sqrt(k) is irrational
+    states = iterate_linear(Params(2, k), ones(2), 80)
+    for t in range(80):
+        p, q = states[t]
+        falls = _closer(states[t + 1], states[t], k)
+        assert falls == ((p + 2 * q) ** 2 > k * q * q), (k, t)
+
+
+def test_square_root_error_rises_from_step_2_to_3_at_k_22():
+    # "the n = 2 error falls at every step from t = 1" holds up to k = 21
+    # alone: at k = 22, r_2 = 67/25 is below sqrt(22) - 2, so from the
+    # all-ones start the error rises from step 2 to step 3
+    states = iterate_linear(Params(2, 22), ones(2), 3)
+    assert states[2] == (67, 25)
+    assert _closer(states[2], states[3], 22)
+    for k in NON_SQUARES[:NON_SQUARES.index(22)]:
+        states = iterate_linear(Params(2, k), ones(2), 80)
+        assert all(_closer(states[t + 1], states[t], k) for t in range(1, 80)), k
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (3, 17), (5, 7)])
