@@ -26,7 +26,6 @@ with q > 0, reduced or not; a Fraction f is passed as
 """
 
 from .core import (
-    DegenerateRate,
     IllConditioned,
     NonConvergence,
     Params,
@@ -61,7 +60,6 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegenerateRate",
     "IllConditioned",
     "NonConvergence",
     "Params",

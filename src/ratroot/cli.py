@@ -513,19 +513,21 @@ def build_trace_scalar(params: Params, r0: Fraction, steps: int) -> OutputRecord
 def build_eig(params: Params) -> OutputRecord:
     """The n eigenvalues, dominant (j = 0) first, in O(n): no eigenvector is built.
 
-    The rate comes from the same eigenvalues, so ``eig`` answers whenever
-    r = k**(1/n) fits a float, even where the eigenvectors would not.
+    ``rho`` and ``digits_per_step`` are ``spectral.convergence_rate``'s, read
+    off the same eigenvalues, so ``eig`` answers whenever r = k**(1/n) fits
+    a float, even where the eigenvectors would not. ``degenerate`` marks
+    rho = 0 (n = 2, k = 1), where convergence is a single exact step.
     """
-    _, values, rho = spectral.spectrum(params)
+    _, values, _ = spectral.spectrum(params)
+    rho, dps = spectral.convergence_rate(params)
     meta = {
         "n": str(params.n),
         "k": str(params.k),
         "dominant_index": "0",
+        "rho": repr(rho),
+        "digits_per_step": repr(dps),
+        "degenerate": "true" if rho == 0.0 else "false",
     }
-    if rho == 0.0:  # n = 2, k = 1: convergence is a single exact step
-        meta.update(rho=repr(0.0), digits_per_step="inf", degenerate="true")
-    else:
-        meta.update(rho=repr(rho), digits_per_step=repr(-math.log10(rho)), degenerate="false")
     rows = [
         [str(j), repr(v.real), repr(v.imag), repr(abs(v)), "true" if j == 0 else "false"]
         for j, v in enumerate(values)
@@ -560,9 +562,10 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
     spectral rate picks a starting t, the all-ones start is evolved in one
     shot, and t doubles until ``oracle.certified_floor`` certifies the
     target; exceeding max_t raises NonConvergence. So does a k whose float
-    rate rounds to 1, or whose k**((n-1)/n) overflows a float, or a target
-    whose step count passes the float range: no starting t can be chosen
-    there.
+    rate rounds to 1, or a target whose step count passes the float range,
+    or a k whose k**((n-1)/n) overflows a float (``spectral.eigenvector_scale``
+    refuses it here, as no size bound is known for its powers): no starting
+    t can be chosen there.
 
     Only the first attempt runs the ladder for (1 + x)**t; each doubling
     squares the last attempt's power, and each attempt's entry pair is read
@@ -591,6 +594,7 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
         meta["exact"] = "true"
     else:
         try:
+            spectral.eigenvector_scale(params)
             rho, dps = spectral.convergence_rate(params)
             why = "the floating-point rate rounds to 1"
         except OverflowError as exc:
@@ -778,7 +782,10 @@ class _CliParser(argparse.ArgumentParser):
     looks like a negative number, and its own pattern admits only plain ints
     and decimals. Here "-" then a digit (or ".digit") is a value, so
     ``--start -1,1`` and ``--start -5/1`` parse as with ``--start=``.
-    Subparsers are made by this class too.
+    Help is written here, not by argparse, which from CPython 3.11 drops a
+    failed write; so a failed ``--help`` write reaches ``_to_stdout`` as
+    every other stdout write does, buffered or not. Subparsers are made by
+    this class too.
     """
 
     def __init__(self, *args, **kwargs):
@@ -787,6 +794,9 @@ class _CliParser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        (file or sys.stdout or sys.stderr).write(self.format_help())
 
 
 def _add_command(subs, name: str, help: str, build):

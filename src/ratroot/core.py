@@ -34,10 +34,6 @@ class PoleEncountered(ArithmeticError):
         super().__init__(f"scalar map pole at step {t}: r = {value}")
 
 
-class DegenerateRate(ArithmeticError):
-    """All subdominant eigenvalues vanish; convergence is one exact step."""
-
-
 class IllConditioned(ArithmeticError):
     """Eigenvector decomposition failed the residual bound."""
 

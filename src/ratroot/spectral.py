@@ -9,13 +9,19 @@ engine and oracle modules).
 Eigenvector j has entries (r*w**j)**(n-1-i), r = k**(1/n), w = exp(2*pi*i/n),
 so the eigenvector matrix is V = D*F with D = diag(r**(n-1-i)) and F the DFT
 matrix: V c = b is solved in closed form, and cond_2(V) = r**(n-1) exactly.
+
+:func:`convergence_rate` is the one place the spectrum becomes a rate, and it
+needs only r, so it answers wherever r fits a float. :func:`eigenvector_scale`
+is the one check of r**(n-1) against the float range: :func:`decompose` needs
+it to build the eigenvectors, and ``approx`` asks it too, as it has no size
+bound for powers past it.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
 
-from .core import DegenerateRate, IllConditioned, Params, check_state
+from .core import IllConditioned, Params, check_state
 
 _SNAP = 1e-13  # relative threshold below which a float component is rounding noise
 
@@ -69,15 +75,16 @@ def _real_root(params: Params) -> float:
     return r
 
 
-def _check_largest_entry(params: Params, r: float) -> None:
-    """Raise OverflowError when r**(n-1), r = k**(1/n), is past the float range.
+def eigenvector_scale(params: Params) -> float:
+    """r**(n-1), r = k**(1/n): the largest eigenvector entry, and cond_2(V).
 
-    r**(n-1) is the largest eigenvector entry, and cond_2(V). The
-    eigenvalues need only r, so :func:`spectrum` does not check it.
+    Raises OverflowError when it is past the float range. The eigenvalues
+    need only r, so :func:`spectrum` and :func:`convergence_rate` do not
+    check it.
     """
     n, k = params.n, params.k
     try:
-        r ** (n - 1)
+        return _real_root(params) ** (n - 1)
     except OverflowError:
         raise OverflowError(
             f"k**((n-1)/n) is past the floating-point range (n={n}, k of {k.bit_length()} bits)"
@@ -114,17 +121,12 @@ def spectrum(params: Params) -> tuple[list[complex], list[complex], float]:
 def convergence_rate(params: Params) -> tuple[float, float]:
     """(rho, digits_per_step): subdominant-to-dominant ratio and -log10 of it.
 
-    Takes the n eigenvalues alone, in O(n). Raises DegenerateRate when
-    rho = 0 (n = 2, k = 1), where convergence is a single exact step.
-    Raises OverflowError, like :func:`decompose`, when r**(n-1) is past
-    the float range: ``approx`` refuses such (n, k), whose powers it has
-    no size bound for.
+    Takes the n eigenvalues alone, in O(n), so it answers every (n, k) whose
+    r = k**(1/n) fits a float. Where rho = 0 (n = 2, k = 1), convergence is
+    a single exact step and the rate is (0.0, inf).
     """
-    bases, _, rho = spectrum(params)
-    _check_largest_entry(params, bases[0].real)
-    if rho == 0.0:
-        raise DegenerateRate(f"all subdominant eigenvalues vanish for {params}")
-    return rho, -math.log10(rho)
+    _, _, rho = spectrum(params)
+    return rho, (-math.log10(rho) if rho else math.inf)
 
 
 def decompose(params: Params, r0) -> Decomposition:
@@ -133,12 +135,13 @@ def decompose(params: Params, r0) -> Decomposition:
     r0 is any sequence of n ints, not all zero. The closed-form c gets one
     refinement step; without it the residual for r0 = (1, ..., n) at
     (9, 10**6) is 1.4e-9. Raises IllConditioned (with cond_2(V)) if c cannot
-    reconstruct r0 to the residual bound.
+    reconstruct r0 to the residual bound. Raises OverflowError where
+    :func:`eigenvector_scale` does.
     """
     n = params.n
     r0 = check_state(r0, n)
     bases, values, _ = spectrum(params)
-    _check_largest_entry(params, bases[0].real)
+    cond = eigenvector_scale(params)
     values = tuple(values)
     vectors = tuple(tuple(base ** (n - 1 - i) for i in range(n)) for base in bases)
 
@@ -152,5 +155,5 @@ def decompose(params: Params, r0) -> Decomposition:
     dec = Decomposition(tuple(ci + di for ci, di in zip(c, step)), values, vectors)
     residual = max(abs(ri - bi) for ri, bi in zip(dec.predict(0), b))
     if not residual < RESIDUAL_BOUND:
-        raise IllConditioned(residual, _real_root(params) ** (n - 1))
+        raise IllConditioned(residual, cond)
     return dec

@@ -32,19 +32,19 @@ def test_params_rejects_non_integers():
 def test_params_is_hashable_value_type():
     assert Params(3, 5) == Params(3, 5)
     assert len({Params(3, 5), Params(3, 5), Params(3, 6)}) == 2
-    # the repr reaches error messages such as DegenerateRate's
+    # the repr names both fields, as a failing assertion or traceback shows it
     assert repr(Params(3, 5)) == "Params(n=3, k=5)"
     with pytest.raises(AttributeError):
         Params(3, 5).n = 4
 
 
-def test_state_vector_basics():
+def test_check_state_returns_a_tuple():
     s = check_state([1, 1], 2)
     assert s == (1, 1)
     assert type(s) is tuple
 
 
-def test_state_vector_rejects_degenerate_inputs():
+def test_check_state_rejects_all_zero_and_wrong_length():
     with pytest.raises(ValueError, match="nonzero entry"):
         check_state((), 2)
     with pytest.raises(ValueError, match="nonzero entry"):
@@ -53,11 +53,11 @@ def test_state_vector_rejects_degenerate_inputs():
         check_state((1, 1), 3)
 
 
-def test_state_vector_allows_partial_zeros():
+def test_check_state_allows_partial_zeros():
     assert check_state((0, 5), 2) == (0, 5)
 
 
-def test_matrix_rejects_non_square():
+def test_mat_pow_rejects_non_square():
     # a matrix is a tuple of row tuples; the reference power checks its shape
     with pytest.raises(ValueError, match="square and nonempty"):
         mat_pow(((1, 2),), 1)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ratroot.core import Params, PoleEncountered, ZeroVector
 from ratroot.engine import apply_power
-from ratroot.oracle import digits_of_ratio, log10_error_bound, nth_root_bracket
+from ratroot.oracle import digits_of_ratio, integer_nth_root, log10_error_bound, nth_root_bracket
 from ratroot.recursion import enclosure, iterate_linear, iterate_scalar_map
 
 
@@ -293,3 +293,74 @@ def test_every_ratio_certifies_what_both_ends_certify(params, t):
     floor = min(digits_of_ratio(*end, params, 60) for end in enclosure(params, x))
     for i in range(1, params.n):
         assert digits_of_ratio(x[i - 1], x[i], params, 60) >= floor
+
+
+def _quotients(params, x):
+    """The n quotients (Sx)_i / x_i of x as unreduced pairs, i = 0 first."""
+    return [(params.k * x[-1], x[0]), *zip(x, x[1:])]
+
+
+def _eq(a, b):
+    return a[0] * b[1] == b[0] * a[1]
+
+
+# entries of 1 and 2 and small k make adjacent quotients equal often, so an
+# end that stays put is drawn as well as one that moves
+_small_params = st.builds(Params, st.integers(2, 8),
+                          st.one_of(st.integers(1, 9), st.integers(1, 10**4)))
+_small_or_positive_starts = st.one_of(st.lists(st.integers(1, 2), min_size=8, max_size=8),
+                                      _positive_starts)
+
+
+@given(_small_params, _small_or_positive_starts, st.one_of(st.just(0), st.integers(0, 12)))
+@example(Params(5, 5), [1] * 8, 2)  # both ends stay
+@example(Params(3, 7), [1] * 8, 0)  # the lower end stays
+@example(Params(3, 1), [4, 2, 1, 1, 1, 1, 1, 1], 0)  # the upper end stays
+@example(Params(3, 8), [4, 2, 1, 1, 1, 1, 1, 1], 0)  # an eigenvector
+@settings(max_examples=200, deadline=None)
+def test_an_end_stays_put_exactly_where_two_adjacent_quotients_sit_on_it(params, start, t):
+    # quotient i of Mx is the mediant of quotients i and i - 1 of x, taken
+    # cyclically, with quotient n - 1 weighted by k at i = 0
+    n, k = params.n, params.k
+    x = apply_power(params, t, start[:n])
+    y = apply_power(params, 1, x)
+    qx, qy = _quotients(params, x), _quotients(params, y)
+    assert qy[0] == (qx[0][0] + k * qx[-1][0], qx[0][1] + k * qx[-1][1])
+    for i in range(1, n):
+        assert qy[i] == (qx[i][0] + qx[i - 1][0], qx[i][1] + qx[i - 1][1])
+    (lo, hi), (next_lo, next_hi) = enclosure(params, x), enclosure(params, y)
+    assert _le(lo, next_lo) and _le(next_hi, hi)
+    for end, next_end in [(lo, next_lo), (hi, next_hi)]:
+        sits = any(_eq(qx[i], end) and _eq(qx[i - 1], end) for i in range(n))
+        assert _eq(end, next_end) == sits
+
+
+# every step of the all-ones trajectory whose enclosure keeps its width, for
+# n 2-10, k 2-120 not a perfect n-th power and t < 120; each is at t < n - 1
+# (checked exhaustively as well for n 2-12, k 2-400 and t < 200)
+ALL_ONES_STAYS = [
+    (5, 5, 2), (6, 5, 2), (6, 17, 3), (7, 5, 2), (7, 17, 3), (7, 49, 4), (8, 5, 2),
+    (8, 9, 5), (8, 17, 3), (8, 49, 4), (9, 5, 2), (9, 9, 5), (9, 17, 3), (9, 49, 4),
+    (10, 5, 2), (10, 9, 5), (10, 17, 3), (10, 49, 4),
+]
+
+
+def test_all_ones_enclosure_narrows_at_every_step_from_n_minus_1():
+    stays = []
+    for n in range(2, 11):
+        for k in range(2, 121):
+            if integer_nth_root(k, n) ** n == k:
+                continue
+            params = Params(n, k)
+            ends = [enclosure(params, s) for s in iterate_linear(params, ones(n), 120)]
+            stays += [(n, k, t) for t in range(120)
+                      if _eq(ends[t][0], ends[t + 1][0]) and _eq(ends[t][1], ends[t + 1][1])]
+    assert stays == ALL_ONES_STAYS
+    assert all(t < n - 1 for n, _, t in stays)
+
+
+def test_all_ones_enclosure_keeps_its_width_at_5_5_from_t_2_to_3():
+    # the width need not fall at every step: [4/4, 16/8], then [8/8, 24/12]
+    states = iterate_linear(Params(5, 5), ones(5), 3)
+    assert enclosure(Params(5, 5), states[2]) == ((4, 4), (16, 8))
+    assert enclosure(Params(5, 5), states[3]) == ((8, 8), (24, 12))

@@ -3,10 +3,10 @@ import math
 
 import pytest
 
-from ratroot.core import DegenerateRate, IllConditioned, Params
+from ratroot.core import IllConditioned, Params
 from ratroot.engine import apply_power, companion_matrix
 from ratroot import spectral
-from ratroot.spectral import convergence_rate, decompose, spectrum
+from ratroot.spectral import convergence_rate, decompose, eigenvector_scale, spectrum
 
 from _helpers import mat_apply
 
@@ -129,8 +129,8 @@ def test_convergence_rate_square_root_of_two():
 
 
 def test_convergence_rate_degenerate():
-    with pytest.raises(DegenerateRate):
-        convergence_rate(Params(2, 1))
+    # rho = 0 at (2, 1): convergence is a single exact step
+    assert convergence_rate(Params(2, 1)) == (0.0, math.inf)
 
 
 def test_decompose_unit_start():
@@ -212,3 +212,17 @@ def test_decompose_past_float_range_of_eigenvectors():
         "k**((n-1)/n) is past the floating-point range (n=300, k of 1101 bits)"
     )
     assert len(spectrum(params)[1]) == 300
+
+
+def test_convergence_rate_past_float_range_of_eigenvectors():
+    # the rate needs only r, so it answers where eigenvector_scale refuses,
+    # with decompose's message
+    params = Params(300, 2**1100)
+    rho, digits_per_step = convergence_rate(params)
+    assert 0 < rho < 1 and digits_per_step == -math.log10(rho)
+    with pytest.raises(OverflowError) as scale_exc:
+        eigenvector_scale(params)
+    with pytest.raises(OverflowError) as decompose_exc:
+        decompose(params, (1,) * 300)
+    assert str(scale_exc.value) == str(decompose_exc.value)
+

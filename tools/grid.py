@@ -124,6 +124,9 @@ _COMMANDS = [
     *(f"trace --mode {mode} --n 2 --k 2 --steps -3" for mode in ("linear", "scalar")),
     "trace --mode linear --n 2 --k 2 --start x",
     "trace --mode scalar --n 2 --k 2 --start 1/0",
+    # r = k**(1/300) fits a float and r**299 does not: eig answers, while
+    # approx refuses, as it has no size bound for such powers
+    *(f"{c} --n 300 --k {2**1100}" for c in ("eig", "approx --digits 1")),
 ]
 GRID = [command.split() for command in _COMMANDS]
 
