@@ -74,12 +74,15 @@ precision of its own, and the output is the same as without it.
 
 Every integer in a decimal, ``chpow`` or ``trace`` cell, and in every
 fraction but one kind, is rendered by ``format_int``, which equals ``str``;
-``format_fraction`` renders each half of a fraction by it, on its own.
-Up to ``INT_STR_CUTOVER`` bits it is ``str``, quadratic in CPython 3.11;
-above it the integer is split in halves with shifts and recombined in exact
-``decimal`` arithmetic (the radix conversion of Brent & Zimmermann, *Modern
-Computer Arithmetic*, 1.7), which is subquadratic and does no integer
-division.
+``format_fraction`` renders each half of a fraction by it, on its own. It
+has three ranges. Up to 3,986 bits (below 10**1200) it is ``str``,
+quadratic in CPython 3.11. The other two are radix conversions of Brent &
+Zimmermann, *Modern Computer Arithmetic*, 1.7. Up to ``INT_STR_CUTOVER``
+bits the integer is split by ``divmod`` at the cached powers
+10**(600 * 2**j), and ``str`` writes each leaf below 10**600: 0.58-0.83 of
+``str``'s time from 6k to 32k bits on CPython 3.11.7 (BENCH_45.json).
+Above the cutover it is split in halves with shifts and recombined in exact
+``decimal`` arithmetic, which is subquadratic and does no integer division.
 
 The one other kind is ``approx``'s n = 2 answer whose reduced q passes the
 cutover. No int of it is converted: the decimal twin (``_twin_fraction``)
@@ -93,8 +96,9 @@ alone costs more than the conversion, so those fractions keep
 
 ``format_int`` is the only code that converts a large int to decimal
 digits, so it is the only code that meets CPython's int/str digit limit
-(CVE-2020-10735): an integer that ``str`` refuses takes the ``decimal``
-path, and the twin prints ``Decimal``s, neither of which the limit covers.
+(CVE-2020-10735): an integer that ``str`` refuses takes the split, whose
+leaves are below every limit CPython accepts (640 digits or more), and the
+``decimal`` path and the twin's ``Decimal``s are not covered by the limit.
 The limit is never changed, so output is the same under any limit and argv
 is parsed under the one the interpreter has.
 
@@ -104,15 +108,14 @@ the acceptance suite (the ``check_*`` functions here), at smaller sizes.
 Start-up: ``import ratroot.cli`` loads ``argparse`` and the package. Six
 stdlib modules are imported where they are first used: ``json`` by
 ``--format json``, ``csv`` by ``--format csv``, ``decimal`` by
-``format_int`` for an integer that ``str`` does not render (past the
-cutover or the digit limit) and by ``approx``'s decimal twin,
-``fractions`` (which loads ``decimal``) by ``trace --mode scalar``,
+``format_int`` for an integer past the cutover and by ``approx``'s decimal
+twin, ``fractions`` (which loads ``decimal``) by ``trace --mode scalar``,
 ``random`` by ``selftest``, and ``signal`` when an exception leaves a
 split ``table`` whose children must be killed. A plain
 ``approx``, ``table`` or ``chpow`` loads none of them unless it renders an
-integer past the int/str digit limit or the cutover. At the default limit
-``str`` refuses integers from about 14,300 bits, so ``approx --n 2 --k 2
---digits 6000`` loads ``decimal`` for its 6,001-digit decimal cell.
+integer past the cutover: ``approx --n 2 --k 2 --digits 6000`` loads none
+for its 6,001-digit decimal cell (about 19.9 kbit), which the split
+renders although the default limit refuses it to ``str``.
 """
 from __future__ import annotations
 
@@ -150,26 +153,79 @@ CONVERGENT_COLUMNS = ("t", "fraction", "decimal", "digits")
 TABLE_ROW_BASE = 2e6
 TABLE_SPLIT_WORK = 4e9
 
-# Bit length above which format_int leaves str(int). timeit on CPython 3.11.7
-# (min of 9 x 20 calls, random ints): the decimal path costs 1.06-1.14x str
-# from 28,000 to 32,300 bits, then 0.78-0.85x from 32,350 to 40,000 bits
-# (0.79x at 2**15), so the crossover sits just below 2**15.
+# Bit length above which format_int leaves its split at powers of ten for
+# the decimal path, and above which approx writes an n = 2 answer from its
+# decimal twin. On CPython 3.11.7 (min of 9 x 8 calls, random ints) the
+# split takes 0.59-0.65 of the decimal path's time from 24k to 32k bits,
+# 0.81-0.90 from 32.8k to 64k and 1.48-1.82 from 72k to 131k. On
+# approx-wide's n = 2 answers the twin takes 1.24-1.57 of the split's time
+# for q of 14.2k-32.1k bits and 0.55-0.75 from 2**15 to 2**16 bits, so the
+# twin starts to pay at 2**15.
 INT_STR_CUTOVER = 2**15
 _DECIMAL_LEAF_BITS = 2048  # pieces this short go to Decimal(int) directly
+# Digits of a leaf of format_int's split, the largest round size below the
+# lowest int/str digit limit CPython accepts (640), so str writes every leaf
+# under any limit. On random ints of 4.5k-32k bits (CPython 3.11.7) leaves
+# of 300, 900 and 1,200 digits are no faster (BENCH_45.json).
+_LEAF_DIGITS = 600
+_STR_BITS = (10 ** (2 * _LEAF_DIGITS)).bit_length() - 1  # 3,986: below two leaves
 
 
 def format_int(n: int) -> str:
-    """str(n), subquadratic above INT_STR_CUTOVER bits, under any digit limit.
+    """str(n), subquadratic from 3,987 bits, under any int/str digit limit.
 
-    Up to the cutover this is str(n), unless the int/str digit limit refuses
-    n. Otherwise n takes :func:`_decimal_str`.
+    Up to 3,986 bits (just under 10**1200, two leaves) this is str(n),
+    unless the int/str digit limit refuses n. Up to INT_STR_CUTOVER bits
+    |n| is split by :func:`_split_str` at cached powers of ten, which on
+    CPython 3.11.7 takes 0.83 of str's time at 6k bits, 0.79 at 8k, 0.74
+    at 16k and 0.58-0.74 at 32k (BENCH_45.json). Past the cutover n takes
+    :func:`_decimal_str`.
     """
-    if n.bit_length() <= INT_STR_CUTOVER:
+    bits = n.bit_length()
+    if bits <= _STR_BITS:
         try:
             return str(n)
         except ValueError:  # past the int/str digit limit
             pass
-    return _decimal_str(n)
+    elif bits > INT_STR_CUTOVER:
+        return _decimal_str(n)
+    return ("-" if n < 0 else "") + _split_str(abs(n))
+
+
+@cache
+def _ten_power(j: int) -> int:
+    """P(j) = 10**(_LEAF_DIGITS * 2**j), the j-th power of format_int's split.
+
+    Built on first use, per process, and cached by j, so threads that race
+    to build one get equal values. Integers of at most INT_STR_CUTOVER bits
+    need P(0) to P(4), the largest 10**9600 (about 32 kbit).
+    """
+    return 10**_LEAF_DIGITS if j == 0 else _ten_power(j - 1) ** 2
+
+
+def _split_str(n: int) -> str:
+    """str(n) for n >= 0, by divmod at the powers P(j), ..., P(0).
+
+    The level j is the largest with P(j) <= n, estimated from n's bit
+    length. A level above n is skipped, and a high part still at least P(j)
+    is split again, so the digits do not depend on the estimate. Every
+    piece left for str is below P(0) = 10**_LEAF_DIGITS.
+    """
+    if n < _ten_power(0):
+        return str(n)
+    j = (n.bit_length() // _ten_power(0).bit_length()).bit_length() - 1
+    while n < _ten_power(j):
+        j -= 1
+    hi, lo = divmod(n, _ten_power(j))
+    return _split_str(hi) + _padded_str(lo, j)
+
+
+def _padded_str(n: int, j: int) -> str:
+    """str(n) for 0 <= n < P(j), zero-padded to _LEAF_DIGITS * 2**j digits."""
+    if j == 0:
+        return str(n).zfill(_LEAF_DIGITS)
+    hi, lo = divmod(n, _ten_power(j - 1))
+    return _padded_str(hi, j - 1) + _padded_str(lo, j - 1)
 
 
 def _decimal_str(n: int) -> str:

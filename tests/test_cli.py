@@ -1170,12 +1170,15 @@ def test_approx_renders_past_int_str_limit(capsys, default_int_str_limit, n, k, 
 
 def _assert_format_int_is_str(x):
     # The reference str runs with the int/str limit lifted; format_int runs
-    # at the default limit for every size, as it does in main.
+    # at the lowest limit CPython takes, at the default limit (as it does in
+    # main) and with the limit lifted, for every size: at 640 str refuses
+    # 641 to 1,200 digits, which then take the split at powers of ten.
     with _int_str_limit_set(0):
         want = str(x)
-    with _int_str_limit_set(getattr(sys.int_info, "default_max_str_digits", 0)):
-        got = format_int(x)
-    assert got == want, f"format_int differs from str at {x.bit_length()} bits"
+    for limit in (640, getattr(sys.int_info, "default_max_str_digits", 0), 0):
+        with _int_str_limit_set(limit):
+            got = format_int(x)
+        assert got == want, f"format_int differs from str at {x.bit_length()} bits, limit {limit}"
 
 
 def test_format_int_edges_match_str():
@@ -1192,6 +1195,13 @@ def test_format_int_edges_match_str():
     values += [10**4300 - 1, 10**4300]
     for bits in (14284, 14285, 14286, 14400, 14401):
         values += [2**bits - 1, 1 << (bits - 1), rng.getrandbits(bits) | 1 << (bits - 1)]
+    # the split at P(j) = 10**(600 * 2**j): each power and its neighbours,
+    # the last bit length str writes (2**3986 < 10**1200, two leaves), and
+    # zero runs that cross a leaf, which the lower halves must pad
+    for j in range(4):
+        values += [10 ** (600 * 2**j) - 1, 10 ** (600 * 2**j), 10 ** (600 * 2**j) + 1]
+    values += [2**3986 - 1, 2**3986 + 1, 10**1800 + 1, 7 * 10**2400 + 10**599,
+               10**4799 + 10**600 - 1]
     for x in values:
         _assert_format_int_is_str(x)
         _assert_format_int_is_str(-x)
@@ -1202,6 +1212,32 @@ def test_format_int_edges_match_str():
 def test_format_int_matches_str(bits, rng, negative):
     x = rng.getrandbits(bits)
     _assert_format_int_is_str(-x if negative else x)
+
+
+@given(st.integers(3980, INT_STR_CUTOVER + 8), st.randoms(use_true_random=False), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_format_int_split_matches_str(bits, rng, negative):
+    # the bit lengths of the split at powers of ten, and its edges on both sides
+    x = rng.getrandbits(bits) | 1 << (bits - 1)
+    _assert_format_int_is_str(-x if negative else x)
+
+
+def test_split_is_exact_when_its_level_estimate_overshoots(monkeypatch):
+    # with 300-digit leaves P(1) = 10**600 has 1,994 bits, twice P(0)'s 997,
+    # so a 1,994-bit n below 10**600 gets level 1 from its bit length, above
+    # n: the split must step down, not write a zero high part
+    monkeypatch.setattr(cli, "_LEAF_DIGITS", 300)
+    cli._ten_power.cache_clear()
+    try:
+        values = [2**1993, 2**1993 + 10**300 + 1, 10**600 - 1, 10**600, 10**600 + 1,
+                  10**1200 - 1, 10**1200 + 10**299, 3**5000]
+        for x in values:
+            with _int_str_limit_set(0):
+                want = str(x)
+            with _int_str_limit_set(640):
+                assert cli._split_str(x) == want, x.bit_length()
+    finally:
+        cli._ten_power.cache_clear()
 
 
 def _fraction_pairs_past_the_cutover():
@@ -1256,7 +1292,7 @@ def test_format_fraction_renders_each_half_past_the_cutover(format_int_calls, ca
 
 def test_format_fraction_below_the_cutover_renders_each_half_alone(format_int_calls):
     # below the cutover each half is format_int's; at limit 640 str refuses
-    # both, and each takes the decimal path at its own width
+    # both, and each takes the split at powers of ten at its own width
     p, q = 3**20000, -(7**9000)
     assert max(p.bit_length(), q.bit_length()) <= INT_STR_CUTOVER
     with _int_str_limit_set(0):
@@ -1342,6 +1378,8 @@ def test_cli_import_leaves_heavy_modules_unloaded():
 def test_hot_paths_leave_deferred_modules_unloaded():
     # plain output of integers at or below INT_STR_CUTOVER needs none of them,
     # nor does a table split over forked children (with two usable CPUs);
+    # --digits 6000 renders a 6,001-digit decimal cell (about 19.9 kbit),
+    # past the default int/str limit, by the split at powers of ten;
     # --digits 20000 renders integers past the cutover, so decimal loads
     code = textwrap.dedent(f"""
         import io, sys
@@ -1352,7 +1390,8 @@ def test_hot_paths_leave_deferred_modules_unloaded():
                 assert main(argv.split()) == 0, argv
             print(*(m for m in {DEFERRED_MODULES!r} if m in sys.modules), file=stdout)
         loaded("approx --n 3 --k 2 --digits 30", "table --n 2 --k 2 --t1 40",
-               "table --n 3 --k 7 --t1 1100", "chpow --n 5 --k 7 --fib 12")
+               "table --n 3 --k 7 --t1 1100", "chpow --n 5 --k 7 --fib 12",
+               "approx --n 2 --k 2 --digits 6000")
         loaded("approx --n 2 --k 2 --digits 20000")
     """)
     small, large = (set(line.split()) for line in _run_bare(code).splitlines())

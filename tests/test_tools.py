@@ -32,7 +32,7 @@ def test_ab_of_one_tree_reads_one():
     for r in result["rounds"]:
         assert r["mismatches"] == 0
         # loose: short requests on a shared host
-        for key in ("sum_ratio", "median_ratio", "geomean_ratio"):
+        for key in ("sum_ratio", "median_ratio", "geomean_ratio", "p90_ratio"):
             assert 0.5 < r[key] < 2, (key, r)
 
 
@@ -141,6 +141,36 @@ def test_ab_times_the_requests_of_an_argv_file(capsys, fake_workers, tmp_path, c
     result = json.loads(lines[-1])
     assert result["argv_file"] == str(path) and "workload" not in result
     assert result["requests"] == len(want) and len(result["rounds"]) == 2
+
+
+class _SlowTailWorker(_FakeWorker):
+    """A fake worker whose i-th request takes i ms, and twice that for
+    requests 1, 9 and 10 when it serves the tree named ``slow``."""
+
+    def readline(self):
+        i = len(self.seen)
+        slow = self.tree.endswith("slow") and i in (1, 9, 10)
+        return json.dumps([0.001 * i * (2 if slow else 1), "digest"]) + "\n"
+
+
+@pytest.mark.parametrize("count", [1, 10])
+def test_ab_p90_ratio_is_the_ratio_of_the_90th_percentiles(capsys, monkeypatch, tmp_path, count):
+    # B's 90th-percentile time over A's: 19.8 ms over 9.9 ms for ten
+    # requests (perfbench's quantiles), and the one request's ratio for one;
+    # the sum and median ratios read something else
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(subprocess, "Popen", lambda args, **kwargs: _SlowTailWorker(args))
+    path = tmp_path / "requests.jsonl"
+    path.write_text((json.dumps(["eig", "--n", "3", "--k", "2"]) + "\n") * 10)
+    rc = ab.main([str(ROOT), str(tmp_path / "slow"), "--argv-file", str(path), "--rounds", "1",
+                  "--requests", str(count)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    (r,) = json.loads(lines[-1])["rounds"]
+    assert r["p90_ratio"] == pytest.approx(2)
+    assert "  p90 2.000  " in lines[0]
+    if count == 10:
+        assert r["sum_ratio"] == pytest.approx(75 / 55) and r["median_ratio"] == 1
 
 
 @pytest.mark.parametrize("source,message", [

@@ -19,9 +19,11 @@ answers with that time and a sha256 digest of the exit code, stderr and
 stdout.
 
 Per round it prints B against A: the ratio of the summed times, the median
-and the geometric mean of the per-request ratios, and the number of
-requests whose digests differ, which must be 0 for trees meant to print the
-same bytes. Below 1, B is faster. The last line is one JSON object holding
+and the geometric mean of the per-request ratios, the ratio of the 90th
+percentiles of the request times (taken as ``perfbench/run.py`` takes
+``latency_p90_ms``; with one request, that request's ratio), and the
+number of requests whose digests differ, which must be 0 for trees meant
+to print the same bytes. Below 1, B is faster. The last line is one JSON object holding
 every round. The exit status is 1 when any digest differs, and 141, with
 nothing on stderr, when stdout's reader closes it before the last line (as
 ``ratroot.cli`` does); every worker is closed first.
@@ -100,9 +102,15 @@ def run_round(trees: list[str], requests: list[list[str]], rng: random.Random) -
         "sum_ratio": sum(times[1]) / sum(times[0]),
         "median_ratio": statistics.median(ratios),
         "geomean_ratio": statistics.geometric_mean(ratios),
+        "p90_ratio": p90(times[1]) / p90(times[0]),
         "mismatches": mismatches,
         "sum_s": [sum(times[0]), sum(times[1])],
     }
+
+
+def p90(times: list[float]) -> float:
+    """The 90th percentile of the times, or the one time there is."""
+    return statistics.quantiles(times, n=10)[8] if len(times) > 1 else times[0]
 
 
 def positive_int(text: str) -> int:
@@ -145,7 +153,8 @@ def main(argv=None) -> int:
         r = run_round([args.tree_a, args.tree_b], requests, rng)
         rounds.append(r)
         if not emit(f"round {i + 1}: sum {r['sum_ratio']:.3f}  median {r['median_ratio']:.3f}  "
-                    f"geomean {r['geomean_ratio']:.3f}  mismatches {r['mismatches']}"):
+                    f"geomean {r['geomean_ratio']:.3f}  p90 {r['p90_ratio']:.3f}  "
+                    f"mismatches {r['mismatches']}"):
             return 141
     if not emit(json.dumps({**source, "seed": args.seed, "requests": len(requests),
                             "trees": [args.tree_a, args.tree_b], "rounds": rounds})):
