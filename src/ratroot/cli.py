@@ -72,8 +72,8 @@ which then skips ``format_decimal`` or ``oracle.digits_of_ratio``. The ends
 are measured by those same two functions, so the freeze needs no
 precision of its own, and the output is the same as without it.
 
-Every integer in a decimal, ``chpow`` or ``trace`` cell, and in every
-fraction but one kind, is rendered by ``format_int``, which equals ``str``;
+Every int in a decimal, ``chpow`` or ``trace`` cell, and in every
+fraction, is rendered by ``format_int``, which equals ``str``;
 ``format_fraction`` renders each half of a fraction by it, on its own. It
 has three ranges. Up to 3,986 bits (below 10**1200) it is ``str``,
 quadratic in CPython 3.11. The other two are radix conversions of Brent &
@@ -84,21 +84,17 @@ bits the integer is split by ``divmod`` at the cached powers
 Above the cutover it is split in halves with shifts and recombined in exact
 ``decimal`` arithmetic, which is subquadratic and does no integer division.
 
-The one other kind is ``approx``'s n = 2 answer whose reduced q passes the
-cutover. No int of it is converted: the decimal twin (``_twin_fraction``)
-runs the ladder for t + 1 on exact ``Decimal`` coefficients, as M**t (1, 1)
-is (1 + x)**(t + 1), reduced by ``engine.halved`` after every step, so it
-ends on the reduced pair, and ``str`` of a ``Decimal`` is linear in its
-length. On CPython 3.11.7 such a request takes 0.52-0.77 of the time it
-took with the conversion (BENCH_42.json). For n >= 3 the ``Decimal`` ladder
-alone costs more than the conversion, so those fractions keep
-``format_fraction``.
+An ``approx`` n = 2 attempt whose reduced q is predicted to pass the
+cutover holds no int to convert: its ladder runs on exact ``Decimal``
+coefficients, is certified in them and is written by ``str``, linear in a
+``Decimal``'s length (``build_approx``). For n >= 3 the ``Decimal`` ladder
+alone costs more than the conversion, so those answers stay ints.
 
 ``format_int`` is the only code that converts a large int to decimal
 digits, so it is the only code that meets CPython's int/str digit limit
 (CVE-2020-10735): an integer that ``str`` refuses takes the split, whose
 leaves are below every limit CPython accepts (640 digits or more), and the
-``decimal`` path and the twin's ``Decimal``s are not covered by the limit.
+``decimal`` path and ``approx``'s ``Decimal`` answers are not covered by it.
 The limit is never changed, so output is the same under any limit and argv
 is parsed under the one the interpreter has.
 
@@ -108,10 +104,10 @@ the acceptance suite (the ``check_*`` functions here), at smaller sizes.
 Start-up: ``import ratroot.cli`` loads ``argparse`` and the package. Six
 stdlib modules are imported where they are first used: ``json`` by
 ``--format json``, ``csv`` by ``--format csv``, ``decimal`` by
-``format_int`` for an integer past the cutover and by ``approx``'s decimal
-twin, ``fractions`` (which loads ``decimal``) by ``trace --mode scalar``,
-``random`` by ``selftest``, and ``signal`` when an exception leaves a
-split ``table`` whose children must be killed. A plain
+``format_int`` for an integer past the cutover and by ``approx``'s
+``Decimal`` ladder, ``fractions`` (which loads ``decimal``) by ``trace
+--mode scalar``, ``random`` by ``selftest``, and ``signal`` when an
+exception leaves a split ``table`` whose children must be killed. A plain
 ``approx``, ``table`` or ``chpow`` loads none of them unless it renders an
 integer past the cutover: ``approx --n 2 --k 2 --digits 6000`` loads none
 for its 6,001-digit decimal cell (about 19.9 kbit), which the split
@@ -131,7 +127,8 @@ from collections import namedtuple
 from functools import cache
 
 from . import engine, oracle, recursion, spectral
-from .core import NonConvergence, Params, PoleEncountered, UsageError, ZeroVector
+from .core import (NonConvergence, Params, PoleEncountered, UsageError, ZeroVector,
+                   exact_decimal)
 
 TABLE_DECIMAL_PLACES = 6
 TABLE_DIGITS_CAP = 40
@@ -154,13 +151,14 @@ TABLE_ROW_BASE = 2e6
 TABLE_SPLIT_WORK = 4e9
 
 # Bit length above which format_int leaves its split at powers of ten for
-# the decimal path, and above which approx writes an n = 2 answer from its
-# decimal twin. On CPython 3.11.7 (min of 9 x 8 calls, random ints) the
-# split takes 0.59-0.65 of the decimal path's time from 24k to 32k bits,
-# 0.81-0.90 from 32.8k to 64k and 1.48-1.82 from 72k to 131k. On
-# approx-wide's n = 2 answers the twin takes 1.24-1.57 of the split's time
-# for q of 14.2k-32.1k bits and 0.55-0.75 from 2**15 to 2**16 bits, so the
-# twin starts to pay at 2**15.
+# the decimal path, and above which an approx n = 2 attempt's predicted
+# reduced q puts its ladder on Decimals. On CPython 3.11.7 (min of 9 x 8
+# calls, random ints) the split takes 0.59-0.65 of the decimal path's time
+# from 24k to 32k bits, 0.81-0.90 from 32.8k to 64k and 1.48-1.82 from 72k
+# to 131k. On approx's n = 2 answers the Decimal ladder takes 1.06-1.17 of
+# the int path's time below 2**15 bits of q and 0.32-0.52 above; with the
+# trigger at 2**15.5 or 2**16 bits approx-wide takes 1.03 or 1.07 of its
+# time at 2**15 (BENCH_46.json).
 INT_STR_CUTOVER = 2**15
 _DECIMAL_LEAF_BITS = 2048  # pieces this short go to Decimal(int) directly
 # Digits of a leaf of format_int's split, the largest round size below the
@@ -257,23 +255,8 @@ def _decimal_str(n: int) -> str:
         hi = m >> half
         return convert(m - (hi << half), half) + convert(hi, w - half) * pow2(half)
 
-    with _exact_decimal() as decimal:
+    with exact_decimal() as decimal:
         return ("-" if n < 0 else "") + str(convert(abs(n), n.bit_length()))
-
-
-@contextlib.contextmanager
-def _exact_decimal():
-    """The ``decimal`` module, under a local context in which arithmetic on
-    integers is exact: unbounded precision and exponents, and Inexact
-    trapped, so a step that would round raises instead."""
-    import decimal
-
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = True
-        yield decimal
 
 
 def format_fraction(p: int, q: int) -> str:
@@ -281,29 +264,14 @@ def format_fraction(p: int, q: int) -> str:
     return f"{format_int(p)}/{format_int(q)}"
 
 
-def _twin_fraction(params: Params, t: int) -> str:
-    """The reduced fraction of ``approx``'s n = 2 convergent at step t, written
-    from the decimal twin of its ladder.
-
-    The pair is (1 + x)**(t + 1), so the ladder for t + 1 runs again on
-    exact ``Decimal`` coefficients, reduced by ``engine.halved`` after every
-    step. It thus ends on the pair ``engine.reduced_pair`` gives, and
-    ``str`` of each coefficient is linear in its length, so no big int is
-    converted to decimal.
-    """
-    with _exact_decimal() as decimal:
-        return "/".join(map(str, engine.ring_pow_one_plus_x(params, t + 1, decimal.Decimal,
-                                                             engine.halved)))
-
-
 def format_decimal(p: int, q: int, places: int) -> str:
     """Exact decimal expansion of p/q, q > 0, places >= 0, truncated (not rounded) toward zero."""
-    return ("-" if p < 0 else "") + _point_at(abs(p) * 10**places // q, places)
+    return ("-" if p < 0 else "") + _point_at(format_int(abs(p) * 10**places // q), places)
 
 
-def _point_at(m: int, places: int) -> str:
-    """m / 10**places for m >= 0, written with places digits after the point."""
-    digits = format_int(m).zfill(places + 1)
+def _point_at(digits: str, places: int) -> str:
+    """m / 10**places, from the digits of m >= 0, with places digits after the point."""
+    digits = digits.zfill(places + 1)
     return f"{digits[:-places]}.{digits[-places:]}" if places else digits
 
 
@@ -630,9 +598,18 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
     only the attempt that certifies is reduced. The certificate's one
     division, floor(p * 10**target_digits / q), is the decimal cell, and
     ``achieved`` is the target: no root but k's own is taken, and no digit
-    count is measured. An n = 2 fraction whose reduced q passes
-    INT_STR_CUTOVER is written by :func:`_twin_fraction`, which runs the
-    ladder once more, for the certified t + 1, on ``Decimal`` coefficients.
+    count is measured.
+
+    The ladder holds ints until an n = 2 attempt's reduced q is predicted
+    to pass INT_STR_CUTOVER bits. That q has about (t + 1)*b -
+    bit_length(k)/2 bits: a step adds log2(1 + k**(1/2)) = 1 - log2(1 - rho)
+    bits, less the 1, 1/2 or 0 bits of content ``engine.reduced_pair``
+    takes off for k = 1, 3 and 0 or 2 mod 4. That attempt builds its ladder
+    afresh on exact ``Decimal``s (``core.exact_decimal``), and later
+    attempts square it; no int power is converted. ``engine.halved``
+    reduces the power after every step and each pair before it is
+    certified, the certificate and the floor are ``Decimal``s, and ``str``
+    writes the answer.
     """
     if target_digits < 1:
         raise UsageError(f"target digits must be >= 1, got {target_digits}")
@@ -643,10 +620,10 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
         "k": str(params.k),
         "target_digits": str(target_digits),
     }
-    root = oracle.integer_nth_root(params.k, params.n)
+    root, render = oracle.integer_nth_root(params.k, params.n), format_int
     if root**params.n == params.k:
-        t, floor = 0, oracle.certified_floor(root, 1, params, target_digits)
-        fraction = format_fraction(root, 1)
+        t, p, q = 0, root, 1
+        floor = oracle.certified_floor(root, 1, params, target_digits)
         meta["exact"] = "true"
     else:
         try:
@@ -665,6 +642,10 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
                 f"{target_digits} digits: {why}"
             )
         t, power, floor = math.ceil(target_digits / dps) + APPROX_BURN_IN, None, None
+        # the bits a step adds to an n = 2 attempt's reduced q, and the
+        # (t + 1)*b past which that q passes INT_STR_CUTOVER
+        b = (1, 0, 1, 0.5)[params.k % 4] - math.log2(1 - rho) if params.n == 2 else 0
+        big = INT_STR_CUTOVER + params.k.bit_length() / 2
         while floor is None:
             if power is not None:
                 t *= 2
@@ -672,16 +653,25 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
                 raise NonConvergence(
                     f"needed t={t} exceeds ceiling {max_t} for {target_digits} digits"
                 )
-            power = (engine.ring_pow_one_plus_x(params, t) if power is None
-                     else engine.square_ring(power, params.k))
-            p, q = engine.ones_pair(params, power)
+            if render is format_int and (t + 1) * b > big:
+                render, power = str, None
+            if render is format_int:
+                power = (engine.ring_pow_one_plus_x(params, t) if power is None
+                         else engine.square_ring(power, params.k))
+                p, q = engine.ones_pair(params, power)
+            else:
+                with exact_decimal() as decimal:
+                    power = (engine.ring_pow_one_plus_x(params, t, decimal.Decimal, engine.halved)
+                             if power is None
+                             else engine.halved(engine.square_ring(power, params.k)))
+                    p, q = engine.halved(engine.ones_pair(params, power))
             floor = oracle.certified_floor(p, q, params, target_digits)
-        p, q = engine.reduced_pair(p, q, params.n)
-        twin = params.n == 2 and q.bit_length() > INT_STR_CUTOVER
-        fraction = _twin_fraction(params, t) if twin else format_fraction(p, q)
+        if render is format_int:
+            p, q = engine.reduced_pair(p, q, params.n)
         meta.update({"exact": "false", "rho": repr(rho), "digits_per_step": repr(dps)})
     meta.update({"t_used": str(t), "achieved": str(target_digits)})
-    rows = [[str(t), fraction, _point_at(floor, target_digits), str(target_digits)]]
+    rows = [[str(t), f"{render(p)}/{render(q)}", _point_at(render(floor), target_digits),
+             str(target_digits)]]
     return OutputRecord("approx", meta, list(CONVERGENT_COLUMNS), rows)
 
 
@@ -700,7 +690,7 @@ def check_opening_table():
     one more: ``oracle.certified_floor`` gives floor(p * 10**d / q) exactly
     where ``oracle.digits_of_ratio`` certifies d digits, and None elsewhere.
     And ``approx``'s (2, 9185) answer at 91 digits, whose reduced pair passes
-    INT_STR_CUTOVER and so is written by the decimal twin, prints the bytes
+    INT_STR_CUTOVER and so is built on ``Decimal``s, prints the bytes
     ``format_fraction`` gives for the reduced pair of the integer ladder.
 
     Each digit count d is the largest with |p/q - 2**0.5| < 10**-d: the
@@ -733,7 +723,7 @@ def check_opening_table():
     t = int(record.meta["t_used"])
     p, q = engine.reduced_pair(*engine.ones_pair(params, engine.ring_pow_one_plus_x(params, t)), 2)
     assert q.bit_length() > INT_STR_CUTOVER, f"(2, 9185) at t={t} is not past the cutover"
-    assert record.rows[0][1] == format_fraction(p, q), f"(2, 9185) twin fraction wrong at t={t}"
+    assert record.rows[0][1] == format_fraction(p, q), f"(2, 9185) Decimal fraction wrong at t={t}"
 
 
 def check_cayley_hamilton(n_max: int):

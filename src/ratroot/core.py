@@ -5,12 +5,16 @@ iteration is a plain tuple of n ints, entries listed top to bottom;
 :func:`check_state` is the one check of a start state. An adjacent-entry
 ratio is never formed as a fraction: it stays the integer pair of its two
 entries, and ``engine.reduced_pair`` reduces it where it is printed. Only
-the scalar map's iterates are ``fractions.Fraction``.
+the scalar map's iterates are ``fractions.Fraction``. :func:`exact_decimal`
+is the one context in which ``decimal.Decimal`` arithmetic on integers
+runs: ``approx``'s large n = 2 ladders, their certificates and the
+rendering of integers past the cutover.
 Everything here is immutable and hashable, so values can be shared freely
 between threads or processes.
 """
 from __future__ import annotations
 
+import contextlib
 from collections import namedtuple
 
 
@@ -94,3 +98,18 @@ def check_state(r0, n: int) -> tuple[int, ...]:
         raise UsageError(f"state length {len(r0)} != n={n}")
     return r0
 
+
+@contextlib.contextmanager
+def exact_decimal():
+    """The ``decimal`` module, under a local context in which arithmetic on
+    integers is exact: unbounded precision and exponents, and Inexact
+    trapped, so a step that would round raises instead. ``decimal`` is
+    imported on the first entry, not with this module."""
+    import decimal
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        yield decimal

@@ -58,14 +58,15 @@ a power of two, so it is reduced by shifts and no gcd of full-size entries
 is ever taken.
 
 The ladder is duck-typed in its coefficients. :func:`ring_pow_one_plus_x`
-converts its binomial row to the type it is handed, and the square and the
-step run on that type unchanged, so over exact ``decimal.Decimal``
-coefficients (a context with unbounded precision that traps Inexact) it
-builds the same power. It also takes a reduction, run on the row and after
-each bit. ``approx``'s decimal twin uses both: for n = 2 the all-ones state
-M**t (1, 1) is (1 + x)**(t + 1), so the ladder for t + 1 over ``Decimal``s,
-reduced by :func:`halved` after every bit, ends on the pair
-:func:`reduced_pair` gives, and each coefficient prints in linear time.
+converts its binomial row to the type it is handed, and the square, the
+step and :func:`ones_pair` run on that type unchanged, so over exact
+``decimal.Decimal`` coefficients (``core.exact_decimal``) they build the
+same power. The ladder also takes a reduction, run on the row and after
+each bit. ``approx`` uses both for an n = 2 attempt whose reduced q would
+pass the rendering cutover: its ladder runs on ``Decimal``s reduced by
+:func:`halved`, each miss's square is halved too, and the certified pair,
+halved once more, is the pair :func:`reduced_pair` gives, each
+coefficient of which prints in linear time.
 """
 from __future__ import annotations
 
@@ -269,9 +270,9 @@ def halved(c):
 
     The rule has two forms. ``reduced_pair`` shifts ints once, as the
     content of (1 + x)**m grows to m/2 to m - 1 bits for odd k. This loop is
-    the ladder's reduction for ``approx``'s decimal twin (run on exact
-    ``Decimal``s after every bit), where the content a step adds is only a
-    few bits, so the ladder ends on the reduced pair.
+    the reduction of ``approx``'s n = 2 ``Decimal`` ladder, run after every
+    bit, after each square of a miss and on the certified pair, where the
+    content added since the last run is only a few bits.
     """
     while not any(a % 2 for a in c):
         c = [a // 2 for a in c]

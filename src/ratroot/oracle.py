@@ -12,14 +12,15 @@ so no floating point decides a certificate at any digit count;
 ``certified_floor`` answers the one question ``approx`` asks, whether a
 pair certifies its whole target, without taking a root: the bracket is
 never formed, and two exact n-th powers tell whether its bottom lies in
-the window the pair allows. It reads only p, q, n and k.
+the window the pair allows. It reads only p, q, n and k, and reads a pair
+of ints or of exact ``Decimal``s alike.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
 
-from .core import Params
+from .core import Params, exact_decimal
 
 GUARD_DIGITS = 5  # bracket is kept this much finer than any tested threshold
 
@@ -132,7 +133,7 @@ def log10_error_bound(p: int, q: int, params: Params, ref_digits: int) -> float:
     return math.log10(num) - math.log10(q) - ref_digits
 
 
-def certified_floor(p: int, q: int, params: Params, d: int) -> int | None:
+def certified_floor(p, q, params: Params, d: int):
     """floor(p * 10**d / q) if ``digits_of_ratio(p, q, params, d) == d``, else None.
 
     No root is taken. With G = 10**GUARD_DIGITS, S = 10**(d + GUARD_DIGITS),
@@ -144,10 +145,31 @@ def certified_floor(p: int, q: int, params: Params, d: int) -> int | None:
     without the clamps an even n would turn a negative bound positive. The
     same division gives the answer: floor(p*10**d/q) = f // G. Needs q > 0
     and d >= 1, as ``digits_of_ratio`` does.
+
+    The pair is read in its own exact type, int or integral
+    ``decimal.Decimal``, and the floor comes back in that type. A Decimal
+    pair is worked under ``core.exact_decimal``, whatever the caller's
+    context, with G and S as 1E+5 and 1E+(d + 5), so p*S is no product of
+    digits; libmpdec divides p*S by q faster than CPython 3.11's
+    schoolbook ``divmod`` once the quotient and q both have thousands of
+    digits. Decimal division truncates toward zero, so a Decimal p must be
+    nonnegative.
     """
     if q <= 0 or d < 1:
         raise ValueError(f"need a positive denominator and d >= 1, got q={q}, d={d}")
-    g, s, n = 10**GUARD_DIGITS, 10 ** (d + GUARD_DIGITS), params.n
+    if isinstance(q, int):
+        return _floor_in_window(p, q, params, 10**GUARD_DIGITS, 10 ** (d + GUARD_DIGITS))
+    if p < 0:
+        raise ValueError("a Decimal numerator must be nonnegative")
+    with exact_decimal() as decimal:
+        one = decimal.Decimal(1)
+        return _floor_in_window(p, q, params, one.scaleb(GUARD_DIGITS),
+                                one.scaleb(d + GUARD_DIGITS))
+
+
+def _floor_in_window(p, q, params: Params, g, s):
+    """:func:`certified_floor`'s test, with G = g and S = s of p's type."""
     f, rem = divmod(p * s, q)
+    n = params.n
     ok = max(f - g + 1, 0) ** n <= params.k * s**n < max(f + (rem > 0) + g - 1, 0) ** n
     return f // g if ok else None

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import grid
-from ratroot import cli, engine, oracle, recursion, spectral
+from ratroot import cli, core, engine, oracle, recursion, spectral
 from ratroot.cli import (
     INT_STR_CUTOVER,
     build_approx,
@@ -219,14 +219,13 @@ def test_chpow_fib_chain(capsys):
     (2, 1001, 30, 2206),  # one miss; an odd k and an 11 kbit q
 ])
 def test_approx_runs_one_ladder_per_request(capsys, monkeypatch, n, k, digits, t_used):
-    # a miss squares the last attempt's power instead of rebuilding it; an
-    # n = 2 answer whose reduced q passes INT_STR_CUTOVER runs the ladder once
-    # more, on Decimals at t_used + 1, to write its fraction (the decimal
-    # twin: M**t (1, 1) is (1 + x)**(t + 1))
+    # a miss squares the last attempt's power instead of rebuilding it. An
+    # n = 2 attempt whose reduced q passes INT_STR_CUTOVER runs on Decimals:
+    # the first such attempt builds its ladder afresh, and no int ladder runs
+    # when the first attempt is one. So there is at most one ladder per
+    # number type, and none at t_used + 1 (the retired decimal twin's)
     true_ladder = engine.ring_pow_one_plus_x
     params = Params(n, k)
-    _, q = engine.reduced_pair(*engine.ones_pair(params, true_ladder(params, t_used)), n)
-    twin = n == 2 and q.bit_length() > INT_STR_CUTOVER
     ladders = []
 
     def counting_ladder(params, t, *args):
@@ -240,11 +239,15 @@ def test_approx_runs_one_ladder_per_request(capsys, monkeypatch, n, k, digits, t
     )
     assert rc == 0, err
     assert json.loads(out)["meta"]["t_used"] == str(t_used)
-    int_ladders = [t for t, kind in ladders if kind is int]
-    assert len(int_ladders) == 1 and int_ladders[0] < t_used, ladders
-    decimal_ladders = [t for t, kind in ladders if kind is decimal.Decimal]
-    assert decimal_ladders == ([t_used + 1] if twin else []), ladders
-    assert len(ladders) == len(int_ladders) + len(decimal_ladders), ladders
+    first = ladders[0][0]
+    attempts = [first << i for i in range((t_used // first).bit_length())]
+    assert attempts[-1] == t_used and first < t_used, ladders
+    past = [n == 2 and engine.reduced_pair(*engine.ones_pair(params, true_ladder(params, t)),
+                                           n)[1].bit_length() > INT_STR_CUTOVER
+            for t in attempts]
+    want = [(t, decimal.Decimal if big else int) for i, (t, big) in enumerate(zip(attempts, past))
+            if i == 0 or big and not past[i - 1]]
+    assert ladders == want
 
 
 def _count_reductions(monkeypatch):
@@ -262,9 +265,13 @@ def _count_reductions(monkeypatch):
 
 def test_approx_reduces_only_the_certified_attempt(capsys, monkeypatch):
     # (3, 9973): t = 5085 misses the target and t = 10170 certifies; only it
-    # is reduced. (2, 9366): t = 14717 misses and t = 29434 certifies.
+    # is reduced. (2, 1001): t = 1103 misses and t = 2206 certifies.
+    # (2, 9366): t = 14717 misses and t = 29434 certifies, both on Decimals
+    # past INT_STR_CUTOVER, whose ladder engine.halved reduces, so
+    # reduced_pair never runs
     reduced = _count_reductions(monkeypatch)
-    for n, k, digits, t_used in ((3, 9973, 150, 10170), (2, 9366, 132, 29434)):
+    for n, k, digits, t_used in ((3, 9973, 150, 10170), (2, 1001, 30, 2206),
+                                 (2, 9366, 132, 29434)):
         reduced.clear()
         rc, out, err = run_cli(
             capsys, "approx", "--n", str(n), "--k", str(k), "--digits", str(digits),
@@ -273,7 +280,7 @@ def test_approx_reduces_only_the_certified_attempt(capsys, monkeypatch):
         assert rc == 0, err
         assert json.loads(out)["meta"]["t_used"] == str(t_used)
         state = apply_power(Params(n, k), t_used, (1,) * n)
-        assert reduced == [(state[0], state[1], n)], (n, k)
+        assert reduced == ([] if k == 9366 else [(state[0], state[1], n)]), (n, k)
 
 
 @pytest.mark.parametrize("digits", [30, 1500, 20000])
@@ -1379,8 +1386,10 @@ def test_hot_paths_leave_deferred_modules_unloaded():
     # plain output of integers at or below INT_STR_CUTOVER needs none of them,
     # nor does a table split over forked children (with two usable CPUs);
     # --digits 6000 renders a 6,001-digit decimal cell (about 19.9 kbit),
-    # past the default int/str limit, by the split at powers of ten;
-    # --digits 20000 renders integers past the cutover, so decimal loads
+    # past the default int/str limit, by the split at powers of ten; the
+    # (2, 1000) answer at 89 digits has a 32,680-bit reduced q, just below
+    # the trigger of approx's Decimal ladder, which its 90-digit answer
+    # passes; --digits 20000 renders integers past the cutover
     code = textwrap.dedent(f"""
         import io, sys
         from ratroot.cli import main
@@ -1391,13 +1400,14 @@ def test_hot_paths_leave_deferred_modules_unloaded():
             print(*(m for m in {DEFERRED_MODULES!r} if m in sys.modules), file=stdout)
         loaded("approx --n 3 --k 2 --digits 30", "table --n 2 --k 2 --t1 40",
                "table --n 3 --k 7 --t1 1100", "chpow --n 5 --k 7 --fib 12",
-               "approx --n 2 --k 2 --digits 6000")
+               "approx --n 2 --k 2 --digits 6000", "approx --n 2 --k 1000 --digits 89")
+        loaded("approx --n 2 --k 1000 --digits 90")
         loaded("approx --n 2 --k 2 --digits 20000")
     """)
-    small, large = (set(line.split()) for line in _run_bare(code).splitlines())
+    small, trigger, large = (set(line.split()) for line in _run_bare(code).splitlines())
     assert small == set()
-    assert "decimal" in large
-    assert not {"json", "csv", "fractions", "random"} & large
+    assert "decimal" in trigger and "decimal" in large
+    assert not {"json", "csv", "fractions", "random"} & (trigger | large)
 
 
 def test_cli_import_builds_no_parser():
@@ -1435,7 +1445,7 @@ def test_shared_parser_matches_a_fresh_parser_per_call(capsys):
     assert shared == fresh
 
 
-# --- the decimal twin of approx's n = 2 ladder ---------------------------------
+# --- approx's n = 2 ladder on exact Decimals ----------------------------------
 
 # k in each class mod 8: for n = 2 the content of (1 + x)**t is 1 at even k
 # and grows with t at odd k
@@ -1453,45 +1463,52 @@ def _two_content(c):
 @given(st.integers(2, 8), k_mod8_st, st.integers(0, 1000))
 @settings(max_examples=80, deadline=None)
 def test_halved_decimal_ladder_is_the_int_power_over_its_two_content(n, k, t):
-    # the twin's ladder holds the power with its common factor of two taken
+    # the Decimal ladder holds the power with its common factor of two taken
     # out at every step, so it ends at the int power shifted by its common
-    # trailing zeros; at n = 2 its power for t + 1 is reduced_pair's pair of
-    # M**t (1, 1)
+    # trailing zeros; at n = 2 the pair approx reads off it and halves is
+    # reduced_pair's pair of M**t (1, 1), and so is the halved ladder for
+    # t + 1
     params = Params(n, k)
     power = engine.ring_pow_one_plus_x(params, t)
     s = _two_content(power)
-    with cli._exact_decimal():
-        twin = engine.ring_pow_one_plus_x(params, t, decimal.Decimal, engine.halved)
-        assert tuple(map(str, twin)) == tuple(str(a >> s) for a in power)
+    with core.exact_decimal():
+        halved = engine.ring_pow_one_plus_x(params, t, decimal.Decimal, engine.halved)
+        assert tuple(map(str, halved)) == tuple(str(a >> s) for a in power)
         if n == 2:
+            want = tuple(map(str, engine.reduced_pair(*engine.ones_pair(params, power), 2)))
+            pair = engine.halved(engine.ones_pair(params, halved))
+            assert tuple(map(str, pair)) == want
             pair = engine.ring_pow_one_plus_x(params, t + 1, decimal.Decimal, engine.halved)
-            want = engine.reduced_pair(*engine.ones_pair(params, power), 2)
-            assert tuple(map(str, pair)) == tuple(map(str, want))
+            assert tuple(map(str, pair)) == want
 
 
 @given(st.integers(2, 8), k_mod8_st, st.integers(1, 60), st.sampled_from(["plain", "csv", "json"]))
 @settings(max_examples=60, deadline=None)
 def test_approx_prints_the_same_with_the_twin_forced_on_and_off(n, k, digits, fmt):
-    # cutover 0 sends every inexact n = 2 answer through the twin, and a
-    # cutover past every answer sends none; every byte must match
+    # the Decimal ladder (which replaced the decimal twin) forced on and off
+    # through its trigger: a cutover of 0 puts every inexact n = 2 request
+    # on one Decimal ladder from its first attempt, and a cutover past every
+    # answer puts none there; every byte must match
     argv = ["approx", "--n", str(n), "--k", str(k), "--digits", str(digits), "--format", fmt]
-    twins = []
-    true_twin = cli._twin_fraction
+    kinds = []
+    true_ladder = engine.ring_pow_one_plus_x
 
-    def counting_twin(params, t):
-        twins.append(t)
-        return true_twin(params, t)
+    def counting_ladder(params, t, *args):
+        kinds.append(args[0] if args else int)
+        return true_ladder(params, t, *args)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(cli, "_twin_fraction", counting_twin)
+        m.setattr(engine, "ring_pow_one_plus_x", counting_ladder)
         m.setattr(cli, "INT_STR_CUTOVER", 0)
         on = grid.replay(argv)
-        forced = len(twins)
+        forced = kinds.copy()
+        kinds.clear()
         m.setattr(cli, "INT_STR_CUTOVER", 2**40)
         off = grid.replay(argv)
     assert on == off and on[0] == 0, on
     exact = any(r**n == k for r in range(1, 101))  # k <= 10007
-    assert forced == (n == 2 and not exact) and len(twins) == forced, (twins, exact)
+    assert forced == ([] if exact else [decimal.Decimal] if n == 2 else [int]), (forced, exact)
+    assert kinds == ([] if exact else [int]), kinds
 
 
 @pytest.mark.parametrize("n,k,digits,cutover", [
@@ -1499,17 +1516,20 @@ def test_approx_prints_the_same_with_the_twin_forced_on_and_off(n, k, digits, fm
     *((n, 7, 30, 0) for n in range(3, 9)),  # every answer past a cutover of 0
 ])
 def test_approx_never_runs_the_twin_for_n_above_2(capsys, monkeypatch, n, k, digits, cutover):
-    def no_twin(params, t):
-        pytest.fail("the decimal twin ran")
-
-    true_ladder = engine.ring_pow_one_plus_x
+    # no Decimal ladder (which replaced the decimal twin) runs for n >= 3,
+    # whatever the cutover, and no attempt is certified on Decimals
+    true_ladder, true_floor = engine.ring_pow_one_plus_x, oracle.certified_floor
     kinds = []
 
     def counting_ladder(params, t, *args):
         kinds.append(args[0] if args else int)
         return true_ladder(params, t, *args)
 
-    monkeypatch.setattr(cli, "_twin_fraction", no_twin)
+    def int_floor(p, q, params, d):
+        assert isinstance(q, int), type(q)
+        return true_floor(p, q, params, d)
+
+    monkeypatch.setattr(oracle, "certified_floor", int_floor)
     monkeypatch.setattr(cli, "INT_STR_CUTOVER", cutover)
     monkeypatch.setattr(engine, "ring_pow_one_plus_x", counting_ladder)
     rc, _, err = run_cli(capsys, "approx", "--n", str(n), "--k", str(k), "--digits", str(digits))
@@ -1555,8 +1575,8 @@ SABOTAGES = {
     "reduction": (engine, "reduced_pair",
                   lambda f: lambda p, q, n: (p, q) if n == 2 else f(p, q, n),
                   ["table-reproduction"], False),
-    # a decimal twin that keeps the power-of-two content; its odd-k answer
-    # carries one
+    # a Decimal ladder that keeps the power-of-two content; its odd-k
+    # answer carries one
     "twin_halving": (engine, "halved", lambda f: lambda c: c, ["table-reproduction"], False),
     # a wrong binomial start of the ladder
     "binomial_row": (engine, "_binomial_row", lambda f: _after(f, _bumped), ["engine-agreement"],

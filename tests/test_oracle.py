@@ -1,3 +1,4 @@
+import decimal
 import math
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ratroot.core import Params
+from ratroot import engine, spectral
+from ratroot.core import Params, exact_decimal
 from ratroot.oracle import (
     GUARD_DIGITS,
     certified_floor,
@@ -304,3 +306,58 @@ def test_certified_floor_refuses_what_digits_of_ratio_refuses(q, d):
         certified_floor(10, q, Params(2, 2), d)
     with pytest.raises(ValueError):
         digits_of_ratio(10, q, Params(2, 2), d)
+
+
+def _n2_pairs(k, t):
+    """The n = 2 entry pair of M**t (1, 1) as ints, and as exact Decimals
+    off the halved Decimal ladder, as approx reads each."""
+    params = Params(2, k)
+    ints = engine.ones_pair(params, engine.ring_pow_one_plus_x(params, t))
+    with exact_decimal() as exact:
+        power = engine.ring_pow_one_plus_x(params, t, exact.Decimal, engine.halved)
+        return ints, engine.ones_pair(params, power)
+
+
+@given(st.builds(lambda j, r: 8 * j + r, st.integers(0, 1250), st.integers(1, 8)),
+       st.integers(1, 300), st.floats(0.5, 1.5))
+@example(7, 200, 0.5)  # a miss
+@example(7, 200, 1.5)  # a certificate
+@settings(max_examples=80, deadline=None)
+def test_certified_floor_reads_an_exact_decimal_pair_as_its_int_pair(k, d, u):
+    # k in every class mod 8, and a step from half to one and a half times
+    # the one the rate predicts for d digits, so pairs that certify and
+    # pairs that miss; the Decimal pair, off the halved ladder, is the int
+    # pair over a power of two (a ratio's certificate does not see a common
+    # factor), and its floor is a Decimal of the same digits
+    rate = spectral.convergence_rate(Params(2, k))[1]
+    (p, q), pair = _n2_pairs(k, int(d / rate * u) if rate < math.inf else 0)
+    want, got = certified_floor(p, q, Params(2, k), d), certified_floor(*pair, Params(2, k), d)
+    assert (want is None) == (got is None)
+    if got is not None:
+        assert isinstance(got, decimal.Decimal) and str(got) == str(want)
+
+
+def test_certified_floor_works_a_decimal_pair_exactly_under_the_default_context():
+    # under a fresh context of 28 digits, in which p*S and the division would
+    # round, a Decimal pair still certifies exactly as its int pair does, and
+    # the caller's context is left as it was: at (2, 2) and 200 digits the
+    # state at t = 200 misses and the one at t = 300 certifies
+    params, d = Params(2, 2), 200
+    with decimal.localcontext(decimal.Context()) as ctx:
+        assert ctx.prec == 28
+        results = []
+        for t in (200, 300):
+            (p, q), _ = _n2_pairs(2, t)
+            want = certified_floor(p, q, params, d)
+            got = certified_floor(decimal.Decimal(p), decimal.Decimal(q), params, d)
+            assert (want is None) == (got is None) and str(got) == str(want), t
+            results.append(got)
+        assert results[0] is None and results[1] is not None
+        assert decimal.getcontext() is ctx and ctx.prec == 28 and not ctx.flags[decimal.Inexact]
+
+
+def test_certified_floor_refuses_a_negative_decimal_numerator():
+    # Decimal division truncates toward zero, so a negative p would be
+    # floored wrong; it is refused instead
+    with pytest.raises(ValueError, match="nonnegative"):
+        certified_floor(decimal.Decimal(-10), decimal.Decimal(7), Params(2, 2), 5)

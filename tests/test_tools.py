@@ -137,7 +137,7 @@ def test_ab_times_the_requests_of_an_argv_file(capsys, fake_workers, tmp_path, c
     assert [w.tree for w in fake_workers] == [str(ROOT), str(tmp_path)] * 2
     assert all(w.seen == want for w in fake_workers)
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines[:-1]] == ["round 1", "round 2"]
+    assert [line.split(":")[0] for line in lines[:-1]] == ["round 1", "round 2", "summary"]
     result = json.loads(lines[-1])
     assert result["argv_file"] == str(path) and "workload" not in result
     assert result["requests"] == len(want) and len(result["rounds"]) == 2
@@ -173,6 +173,38 @@ def test_ab_p90_ratio_is_the_ratio_of_the_90th_percentiles(capsys, monkeypatch, 
         assert r["sum_ratio"] == pytest.approx(75 / 55) and r["median_ratio"] == 1
 
 
+def test_ab_summarizes_the_rounds(capsys, monkeypatch, tmp_path):
+    # B takes 1, 3 and 2 times A's time in rounds 1 to 3, so each of the sum,
+    # median and p90 ratios has median 2 and range 1-3 over the rounds, in
+    # the summary line and in the JSON
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    factors = iter([1, 3, 2])
+
+    class Worker(_FakeWorker):
+        def __init__(self, args, **kwargs):
+            super().__init__(args, **kwargs)
+            self.seconds = 0.001 * (next(factors) if self.tree.endswith("slow") else 1)
+
+        def readline(self):
+            return json.dumps([self.seconds, "digest"]) + "\n"
+
+    monkeypatch.setattr(subprocess, "Popen", Worker)
+    path = tmp_path / "requests.jsonl"
+    path.write_text((json.dumps(["eig", "--n", "3", "--k", "2"]) + "\n") * 4)
+    rc = ab.main([str(ROOT), str(tmp_path / "slow"), "--argv-file", str(path), "--rounds", "3"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == ["round 1", "round 2", "round 3",
+                                                           "summary"]
+    assert lines[3] == ("summary: sum 2.000 (1.000-3.000)  median 2.000 (1.000-3.000)  "
+                        "p90 2.000 (1.000-3.000)")
+    result = json.loads(lines[-1])
+    assert [r["sum_ratio"] for r in result["rounds"]] == pytest.approx([1, 3, 2])
+    assert list(result["summary"]) == ["sum_ratio", "median_ratio", "p90_ratio"]
+    for summary in result["summary"].values():
+        assert summary == pytest.approx({"median": 2, "min": 1, "max": 3})
+
+
 @pytest.mark.parametrize("source,message", [
     ([], "one of the arguments --workload --argv-file is required"),
     (["--workload", "approx-wide", "--argv-file", "x.jsonl"], "not allowed with argument"),
@@ -198,21 +230,22 @@ def test_ab_refuses_a_bad_request_source(capsys, fake_workers, tmp_path, source,
 
 def test_approx_big_list_holds_n2_answers_past_the_cutover_in_every_class_mod_8(monkeypatch):
     # every line is an approx argv the parser accepts; its n = 2 requests at
-    # k <= 50 reach the decimal twin (a reduced q past INT_STR_CUTOVER) for
-    # k in each class mod 8
-    from ratroot import cli
+    # k <= 50 run a Decimal ladder (a reduced q past INT_STR_CUTOVER) for k
+    # in each class mod 8
+    from ratroot import cli, engine
 
     requests = ab.read_argv_file(None, ROOT / "tools" / "approx_big.jsonl")
     parsed = [cli.build_parser().parse_args(argv) for argv in requests]
     assert {args.command for args in parsed} == {"approx"}
-    true_twin = cli._twin_fraction
+    true_ladder = engine.ring_pow_one_plus_x
     classes = set()
 
-    def counting_twin(params, t):
-        classes.add(params.k % 8)
-        return true_twin(params, t)
+    def counting_ladder(params, t, *args):
+        if args:
+            classes.add(params.k % 8)
+        return true_ladder(params, t, *args)
 
-    monkeypatch.setattr(cli, "_twin_fraction", counting_twin)
+    monkeypatch.setattr(engine, "ring_pow_one_plus_x", counting_ladder)
     for argv, args in zip(requests, parsed):
         if args.n == 2 and args.k <= 50:
             assert grid.replay(argv)[0] == 0, argv

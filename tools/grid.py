@@ -48,8 +48,8 @@ _COMMANDS = [
     "chpow --n 2 --k 3 --t 200000",
     "table --n 2 --k 2 --t0 100000 --t1 100002",
     *(f"chpow --fib 15 --format csv --n {n} --k 50" for n in (16, 33)),
-    # n = 2 answers past the cutover, whose fraction the decimal twin of the
-    # ladder writes, for k = 1, 3, 5 and 7 mod 8 (9366 above is even)
+    # n = 2 answers past the cutover, built on a ladder of exact Decimals,
+    # for k = 1, 3, 5 and 7 mod 8 (9366 above is even)
     "approx --n 2 --k 9185 --digits 91",
     "approx --n 2 --k 4099 --digits 120 --format csv",
     "approx --n 2 --k 5077 --digits 100 --format json",
