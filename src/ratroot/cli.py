@@ -55,7 +55,8 @@ states M**t (1, ..., 1), whose entries are all positive, so no ratio they
 print is undefined.
 
 ``approx`` certifies each attempt by ``oracle.certified_floor``: two exact
-n-th powers and one division by q, whose floor of p * 10**D / q is the
+n-th powers and one division by q, of only the top bits of p and q where q
+is much longer than the quotient, whose floor of p * 10**D / q is the
 answer's decimal cell, so no root is taken but the perfect-power test's
 floor(k**(1/n)). ``table`` certifies by ``oracle.digits_of_ratio``, which
 reads one cached bracket per table. Both decimal cells are written by
@@ -78,9 +79,13 @@ fraction, is rendered by ``format_int``, which equals ``str``;
 has three ranges. Up to 3,986 bits (below 10**1200) it is ``str``,
 quadratic in CPython 3.11. The other two are radix conversions of Brent &
 Zimmermann, *Modern Computer Arithmetic*, 1.7. Up to ``INT_STR_CUTOVER``
-bits the integer is split by ``divmod`` at the cached powers
-10**(600 * 2**j), and ``str`` writes each leaf below 10**600: 0.58-0.83 of
-``str``'s time from 6k to 32k bits on CPython 3.11.7 (BENCH_45.json).
+bits the integer is split at the powers 10**E, E = 600 * 2**j, and ``str``
+writes each leaf below 10**600. As 10**E = 5**E * 2**E, a split divides
+n >> E by a cached 5**E, a divisor 30% shorter than 10**E, and passes n's
+low E bits to the remainder; ``division.divmod_big`` divides recursively
+on CPython 3.10 and 3.11. On 3.11.7 that takes 0.68-0.76 of ``str``'s
+time from 5k to 8k bits and 0.42-0.64 from 10k to 32k, and 0.64-0.90 of
+the time of the split by 10**E (BENCH_47.json).
 Above the cutover it is split in halves with shifts and recombined in exact
 ``decimal`` arithmetic, which is subquadratic and does no integer division.
 
@@ -101,7 +106,8 @@ is parsed under the one the interpreter has.
 ``selftest`` runs acceptance C1, C2, C4 and C5 (2,2) from the same code as
 the acceptance suite (the ``check_*`` functions here), at smaller sizes.
 
-Start-up: ``import ratroot.cli`` loads ``argparse`` and the package. Six
+Start-up: ``import ratroot.cli`` loads ``argparse`` and the package, the
+small ``division`` module included. Six
 stdlib modules are imported where they are first used: ``json`` by
 ``--format json``, ``csv`` by ``--format csv``, ``decimal`` by
 ``format_int`` for an integer past the cutover and by ``approx``'s
@@ -129,6 +135,7 @@ from functools import cache
 from . import engine, oracle, recursion, spectral
 from .core import (NonConvergence, Params, PoleEncountered, UsageError, ZeroVector,
                    exact_decimal)
+from .division import divmod_big
 
 TABLE_DECIMAL_PLACES = 6
 TABLE_DIGITS_CAP = 40
@@ -152,13 +159,15 @@ TABLE_SPLIT_WORK = 4e9
 
 # Bit length above which format_int leaves its split at powers of ten for
 # the decimal path, and above which an approx n = 2 attempt's predicted
-# reduced q puts its ladder on Decimals. On CPython 3.11.7 (min of 9 x 8
-# calls, random ints) the split takes 0.59-0.65 of the decimal path's time
-# from 24k to 32k bits, 0.81-0.90 from 32.8k to 64k and 1.48-1.82 from 72k
-# to 131k. On approx's n = 2 answers the Decimal ladder takes 1.06-1.17 of
-# the int path's time below 2**15 bits of q and 0.32-0.52 above; with the
-# trigger at 2**15.5 or 2**16 bits approx-wide takes 1.03 or 1.07 of its
-# time at 2**15 (BENCH_46.json).
+# reduced q puts its ladder on Decimals. With its divisions by powers of
+# five, recursive on 3.10 and 3.11, the split takes 0.49-0.97 of the
+# decimal path's time from 2**15 to 2**18 bits on CPython 3.11.7, and on
+# 3.12.1 0.54-0.79 up to 112k bits and 0.94-1.19 from 2**17 (two runs on
+# random ints, BENCH_47.json), so the cutover could move up; that is a timed claim of
+# its own, and the trigger stays here. On approx's n = 2 answers the
+# Decimal ladder takes 1.06-1.17 of the int path's time below 2**15 bits
+# of q and 0.32-0.52 above; with the trigger at 2**15.5 or 2**16 bits
+# approx-wide takes 1.03 or 1.07 of its time at 2**15 (BENCH_46.json).
 INT_STR_CUTOVER = 2**15
 _DECIMAL_LEAF_BITS = 2048  # pieces this short go to Decimal(int) directly
 # Digits of a leaf of format_int's split, the largest round size below the
@@ -174,9 +183,9 @@ def format_int(n: int) -> str:
 
     Up to 3,986 bits (just under 10**1200, two leaves) this is str(n),
     unless the int/str digit limit refuses n. Up to INT_STR_CUTOVER bits
-    |n| is split by :func:`_split_str` at cached powers of ten, which on
-    CPython 3.11.7 takes 0.83 of str's time at 6k bits, 0.79 at 8k, 0.74
-    at 16k and 0.58-0.74 at 32k (BENCH_45.json). Past the cutover n takes
+    |n| is split by :func:`_split_str` at powers of ten, which on CPython
+    3.11.7 takes 0.75 of str's time at 6k bits, 0.68 at 8k, 0.54 at 16k
+    and 0.42 at 32k (BENCH_47.json). Past the cutover n takes
     :func:`_decimal_str`.
     """
     bits = n.bit_length()
@@ -191,30 +200,40 @@ def format_int(n: int) -> str:
 
 
 @cache
-def _ten_power(j: int) -> int:
-    """P(j) = 10**(_LEAF_DIGITS * 2**j), the j-th power of format_int's split.
+def _five_power(j: int) -> int:
+    """5**E(j), E(j) = _LEAF_DIGITS * 2**j: the odd part of P(j) = 10**E(j),
+    the j-th power of format_int's split.
 
     Built on first use, per process, and cached by j, so threads that race
     to build one get equal values. Integers of at most INT_STR_CUTOVER bits
-    need P(0) to P(4), the largest 10**9600 (about 32 kbit).
+    need j = 0 to 4, the largest 5**9600 (about 22 kbit).
     """
-    return 10**_LEAF_DIGITS if j == 0 else _ten_power(j - 1) ** 2
+    return 5**_LEAF_DIGITS if j == 0 else _five_power(j - 1) ** 2
+
+
+def _split_at(n: int, j: int) -> tuple[int, int]:
+    """divmod(n, P(j)) for n >= 0: as 10**E = 5**E * 2**E, the quotient is
+    (n >> E) // 5**E, and the low E bits of n pass to the remainder."""
+    e = _LEAF_DIGITS << j
+    hi, lo = divmod_big(n >> e, _five_power(j))
+    return hi, lo << e | n & ((1 << e) - 1)
 
 
 def _split_str(n: int) -> str:
-    """str(n) for n >= 0, by divmod at the powers P(j), ..., P(0).
+    """str(n) for n >= 0, by division at the powers P(j), ..., P(0).
 
     The level j is the largest with P(j) <= n, estimated from n's bit
-    length. A level above n is skipped, and a high part still at least P(j)
-    is split again, so the digits do not depend on the estimate. Every
-    piece left for str is below P(0) = 10**_LEAF_DIGITS.
+    length; n < P(j) exactly when n >> E(j) < 5**E(j). A level above n is
+    skipped, and a high part still at least P(j) is split again, so the
+    digits do not depend on the estimate. Every piece left for str is
+    below P(0) = 10**_LEAF_DIGITS.
     """
-    if n < _ten_power(0):
+    if n >> _LEAF_DIGITS < _five_power(0):
         return str(n)
-    j = (n.bit_length() // _ten_power(0).bit_length()).bit_length() - 1
-    while n < _ten_power(j):
+    j = (n.bit_length() // (_five_power(0).bit_length() + _LEAF_DIGITS)).bit_length() - 1
+    while n >> (_LEAF_DIGITS << j) < _five_power(j):
         j -= 1
-    hi, lo = divmod(n, _ten_power(j))
+    hi, lo = _split_at(n, j)
     return _split_str(hi) + _padded_str(lo, j)
 
 
@@ -222,7 +241,7 @@ def _padded_str(n: int, j: int) -> str:
     """str(n) for 0 <= n < P(j), zero-padded to _LEAF_DIGITS * 2**j digits."""
     if j == 0:
         return str(n).zfill(_LEAF_DIGITS)
-    hi, lo = divmod(n, _ten_power(j - 1))
+    hi, lo = _split_at(n, j - 1)
     return _padded_str(hi, j - 1) + _padded_str(lo, j - 1)
 
 

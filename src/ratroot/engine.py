@@ -52,10 +52,11 @@ subtractions only (:func:`power_basis_coeffs`, once per entry of
 :func:`fib_power_chain`).
 
 ``approx`` and ``table`` print each convergent reduced by
-:func:`reduced_pair`, the one reducer. For n >= 3 it divides by the gcd.
-For n = 2 the coefficient pair is the whole ring element, whose content is
-a power of two, so it is reduced by shifts and no gcd of full-size entries
-is ever taken.
+:func:`reduced_pair`, the one reducer. For n >= 3 it divides by the gcd,
+through ``division.divmod_big`` where the gcd is long, and not at all
+where it is 1. For n = 2 the coefficient pair is the whole ring element,
+whose content is a power of two, so it is reduced by shifts and no gcd of
+full-size entries is ever taken.
 
 The ladder is duck-typed in its coefficients. :func:`ring_pow_one_plus_x`
 converts its binomial row to the type it is handed, and the square, the
@@ -74,6 +75,7 @@ import math
 from operator import add, sub
 
 from .core import Params, UsageError, ZeroVector, check_state
+from .division import DIV_LIMIT, divmod_big
 
 
 def companion_matrix(params: Params) -> tuple[tuple[int, ...], ...]:
@@ -245,7 +247,10 @@ def reduced_pair(p: int, q: int, n: int) -> tuple[int, int]:
 
     The one reducer of a convergent. Every entry of such a state is
     positive, as M is nonnegative with a unit diagonal, so q > 0 and no sign
-    needs fixing. For n >= 3 the pair is divided by its gcd.
+    needs fixing. For n >= 3 the pair is divided by its gcd: a gcd of 1
+    divides nothing, and one longer than ``division.DIV_LIMIT`` bits divides
+    through ``division.divmod_big``, recursive on CPython 3.10 and 3.11 where
+    the quotient passes that limit too.
 
     For n = 2 the state is p + q*x = (1 + x)**(t + 1) in Z[x]/(x**2 - k),
     and the content of (1 + x)**m is a power of two, so it is shifted off
@@ -261,7 +266,11 @@ def reduced_pair(p: int, q: int, n: int) -> tuple[int, int]:
         s = (low & -low).bit_length() - 1
         return p >> s, q >> s
     g = math.gcd(p, q)
-    return p // g, q // g
+    if g == 1:
+        return p, q
+    if g.bit_length() <= DIV_LIMIT:  # divmod_big would call divmod: skip its calls
+        return p // g, q // g
+    return divmod_big(p, g)[0], divmod_big(q, g)[0]
 
 
 def halved(c):

@@ -13,16 +13,26 @@ so no floating point decides a certificate at any digit count;
 pair certifies its whole target, without taking a root: the bracket is
 never formed, and two exact n-th powers tell whether its bottom lies in
 the window the pair allows. It reads only p, q, n and k, and reads a pair
-of ints or of exact ``Decimal``s alike.
+of ints or of exact ``Decimal``s alike. Its one division, floor(p*S/q),
+divides only the top bits of an int pair whose q is much longer than the
+quotient, bracketing p/q between two ratios of those bits. Its divisions
+run through ``division.divmod_big``, and each that runs recursively is
+re-checked here by one product, so a wrong division raises and never
+certifies a cell.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
 
+from . import division
 from .core import Params, exact_decimal
 
 GUARD_DIGITS = 5  # bracket is kept this much finer than any tested threshold
+# certified_floor divides only the top bits of p and q where that cuts more
+# than this many bits off q; below it, dividing in full is faster: the cut
+# took 1.3-2.2x its time at 300-2,000-bit q (CPython 3.11.7, BENCH_47.json)
+_CUT_MIN_BITS = 2048
 
 
 def integer_nth_root(m: int, n: int) -> int:
@@ -147,29 +157,71 @@ def certified_floor(p, q, params: Params, d: int):
     and d >= 1, as ``digits_of_ratio`` does.
 
     The pair is read in its own exact type, int or integral
-    ``decimal.Decimal``, and the floor comes back in that type. A Decimal
-    pair is worked under ``core.exact_decimal``, whatever the caller's
-    context, with G and S as 1E+5 and 1E+(d + 5), so p*S is no product of
-    digits; libmpdec divides p*S by q faster than CPython 3.11's
-    schoolbook ``divmod`` once the quotient and q both have thousands of
-    digits. Decimal division truncates toward zero, so a Decimal p must be
-    nonnegative.
+    ``decimal.Decimal``, and the floor comes back in that type. An int pair
+    gets f and whether c > f from :func:`_scaled_floor`, which divides only
+    the top bits of p and q where q is much longer than the quotient, and
+    re-checks by one product each quotient that ``division.divmod_big``
+    finds recursively, so a wrong division raises ArithmeticError and
+    certifies nothing. A Decimal pair is worked under
+    ``core.exact_decimal``, whatever the caller's context, with G and S as
+    1E+5 and 1E+(d + 5), so p*S is no product of digits; libmpdec divides
+    p*S by q faster than CPython 3.11's schoolbook ``divmod`` once the
+    quotient and q both have thousands of digits. Decimal division
+    truncates toward zero, so a Decimal p must be nonnegative.
     """
     if q <= 0 or d < 1:
         raise ValueError(f"need a positive denominator and d >= 1, got q={q}, d={d}")
     if isinstance(q, int):
-        return _floor_in_window(p, q, params, 10**GUARD_DIGITS, 10 ** (d + GUARD_DIGITS))
+        g, s = 10**GUARD_DIGITS, 10 ** (d + GUARD_DIGITS)
+        return _floor_in_window(*_scaled_floor(p, q, s), params, g, s)
     if p < 0:
         raise ValueError("a Decimal numerator must be nonnegative")
     with exact_decimal() as decimal:
         one = decimal.Decimal(1)
-        return _floor_in_window(p, q, params, one.scaleb(GUARD_DIGITS),
-                                one.scaleb(d + GUARD_DIGITS))
+        g, s = one.scaleb(GUARD_DIGITS), one.scaleb(d + GUARD_DIGITS)
+        f, rem = divmod(p * s, q)
+        return _floor_in_window(f, rem > 0, params, g, s)
 
 
-def _floor_in_window(p, q, params: Params, g, s):
-    """:func:`certified_floor`'s test, with G = g and S = s of p's type."""
-    f, rem = divmod(p * s, q)
+def _floor_in_window(f, inexact: bool, params: Params, g, s):
+    """:func:`certified_floor`'s test of f = floor(p*S/q), with G = g and S = s
+    of f's type; ``inexact`` is whether p*S/q exceeds f."""
     n = params.n
-    ok = max(f - g + 1, 0) ** n <= params.k * s**n < max(f + (rem > 0) + g - 1, 0) ** n
+    ok = max(f - g + 1, 0) ** n <= params.k * s**n < max(f + inexact + g - 1, 0) ** n
     return f // g if ok else None
+
+
+def _scaled_floor(p: int, q: int, s: int) -> tuple[int, bool]:
+    """floor(p*s/q), and whether p*s/q exceeds it, for ints with q, s > 0.
+
+    The quotient has about L = bits(p) + bits(s) - bits(q) bits. Where
+    p > 0, q is more than twice as long as L + 64 bits and the cut drops
+    more than _CUT_MIN_BITS bits, p and q are first cut to p' = p >> sh and
+    q' = q >> sh, leaving q' L + 64 bits. That is exact: p'/(q' + 1) < p/q < (p' + 1)/q', so when
+    floor(p'*s/(q' + 1)) equals floor((p' + 1)*s/q'), that value is the
+    floor, strictly below p*s/q. Otherwise, and for p <= 0, p*s is divided
+    by q in full. Each division of a p >= 0 goes through :func:`_divmod`.
+    """
+    quotient_bits = p.bit_length() + s.bit_length() - q.bit_length()
+    sh = q.bit_length() - quotient_bits - 64
+    if p > 0 and quotient_bits >= 0 and sh > max(quotient_bits + 64, _CUT_MIN_BITS):
+        p1, q1 = p >> sh, q >> sh
+        f = _divmod(p1 * s, q1 + 1)[0]
+        if f == _divmod((p1 + 1) * s, q1)[0]:
+            return f, True
+    f, rem = _divmod(p * s, q) if p >= 0 else divmod(p * s, q)
+    return f, rem > 0
+
+
+def _divmod(a: int, b: int) -> tuple[int, int]:
+    """divmod(a, b) for a >= 0 and b > 0, by ``division.divmod_big``.
+
+    Where it divides recursively (``division.recurses``), the quotient is
+    re-checked by one product, f*b + rem == a with 0 <= rem < b: a wrong
+    division raises ArithmeticError and never certifies a cell.
+    """
+    f, rem = division.divmod_big(a, b)
+    if division.recurses(a, b) and not (0 <= rem < b and f * b + rem == a):
+        raise ArithmeticError(f"divmod_big of a {a.bit_length()}-bit int by a "
+                              f"{b.bit_length()}-bit int fails its re-check")
+    return f, rem

@@ -1234,7 +1234,7 @@ def test_split_is_exact_when_its_level_estimate_overshoots(monkeypatch):
     # so a 1,994-bit n below 10**600 gets level 1 from its bit length, above
     # n: the split must step down, not write a zero high part
     monkeypatch.setattr(cli, "_LEAF_DIGITS", 300)
-    cli._ten_power.cache_clear()
+    cli._five_power.cache_clear()
     try:
         values = [2**1993, 2**1993 + 10**300 + 1, 10**600 - 1, 10**600, 10**600 + 1,
                   10**1200 - 1, 10**1200 + 10**299, 3**5000]
@@ -1244,7 +1244,7 @@ def test_split_is_exact_when_its_level_estimate_overshoots(monkeypatch):
             with _int_str_limit_set(640):
                 assert cli._split_str(x) == want, x.bit_length()
     finally:
-        cli._ten_power.cache_clear()
+        cli._five_power.cache_clear()
 
 
 def _fraction_pairs_past_the_cutover():

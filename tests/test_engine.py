@@ -191,6 +191,21 @@ def test_n2_reduction_is_the_ring_power_over_its_gcd(k, t):
     assert reduced_pair(a, b, 2) == (a // g, b // g)
 
 
+def test_n3_reduction_divides_by_a_long_gcd_and_skips_a_gcd_of_1(monkeypatch):
+    # n >= 3: a 5k-bit gcd of 25k-bit entries is divided out by
+    # divmod_big, past its recursive threshold; a 35-bit gcd by builtin
+    # division, and a coprime pair is returned with no division at all
+    calls, true = [], engine.divmod_big
+    monkeypatch.setattr(engine, "divmod_big", lambda a, b: calls.append(b) or true(a, b))
+    p, q, g = 3**12500 + 2, 7**8900, 11**1450
+    assert gcd(p, q) == 1 and g.bit_length() > 5000
+    assert reduced_pair(p * g, q * g, 3) == (p, q)
+    assert calls == [g, g]
+    calls.clear()
+    assert reduced_pair(p * 11**10, q * 11**10, 5) == (p, q) and calls == []
+    assert reduced_pair(p, q, 4) == (p, q) and calls == []
+
+
 # lengths on both sides of the schoolbook/Karatsuba cutover, odd and even
 sqr_n_st = st.one_of(
     st.integers(1, 80),

@@ -1,12 +1,13 @@
 import decimal
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ratroot import engine, spectral
+from ratroot import division, engine, oracle, spectral
 from ratroot.core import Params, exact_decimal
 from ratroot.oracle import (
     GUARD_DIGITS,
@@ -361,3 +362,120 @@ def test_certified_floor_refuses_a_negative_decimal_numerator():
     # floored wrong; it is refused instead
     with pytest.raises(ValueError, match="nonnegative"):
         certified_floor(decimal.Decimal(-10), decimal.Decimal(7), Params(2, 2), 5)
+
+
+def _full_division_floor(p, q, params, d):
+    """certified_floor's answer with p*S divided by q in full, by builtin divmod."""
+    s = 10 ** (d + GUARD_DIGITS)
+    f, rem = divmod(p * s, q)
+    return oracle._floor_in_window(f, rem > 0, params, 10**GUARD_DIGITS, s)
+
+
+def _root_pair(params, q_bits, seed, offset=0):
+    """(floor(q * k**(1/n)) + offset, q) for a seeded q of q_bits bits."""
+    q = random.Random(seed).getrandbits(q_bits) | 1 << (q_bits - 1)
+    return integer_nth_root(params.k * q**params.n, params.n) + offset, q
+
+
+@st.composite
+def long_denominator_cases(draw):
+    """(p, q, params, d): q 1 to 100 times as long as the quotient p*S/q, and
+    p/q within about 10**-e of k**(1/n), e from 0 to d + 8, so pairs that
+    certify and pairs that miss; or p*S/q exact, with q long."""
+    params = Params(draw(st.integers(2, 8)), draw(st.integers(2, 10**4)))
+    d = draw(st.integers(1, 30))
+    s = 10 ** (d + GUARD_DIGITS)
+    quotient_bits = s.bit_length() + params.k.bit_length() // params.n
+    q_bits = max(1, int(quotient_bits * draw(st.floats(1, 100))))
+    if draw(st.booleans()):  # p*S/q = f exactly: the two top-bits floors differ
+        f = nth_root_bracket(params, d + GUARD_DIGITS) + draw(st.integers(-(10**6), 10**6))
+        m = draw(st.integers(2 ** (q_bits - s.bit_length()), 2 ** q_bits))
+        return f * m, s * m, params, d
+    q = draw(st.integers(2 ** (q_bits - 1), 2**q_bits - 1))
+    p = integer_nth_root(params.k * q**params.n, params.n)
+    p += draw(st.sampled_from((-1, 1))) * (q // 10 ** draw(st.integers(0, d + 8)))
+    return p + draw(st.integers(-2, 2)), q, params, d
+
+
+@given(long_denominator_cases())
+@example((*_root_pair(Params(3, 2), 20000, 1), Params(3, 2), 30))  # certifies
+@example((*_root_pair(Params(3, 2), 20000, 1, 2**19900), Params(3, 2), 30))  # misses
+@settings(max_examples=100, deadline=None)
+def test_certified_floor_matches_the_full_division(case):
+    # the top-bits division of a long pair gives what dividing p*S by q in
+    # full gives, and both agree with digits_of_ratio, as selftest checks
+    p, q, params, d = case
+    got = certified_floor(p, q, params, d)
+    assert got == _full_division_floor(p, q, params, d)
+    assert (got is not None) == (digits_of_ratio(p, q, params, d) == d)
+    if got is not None:
+        assert got == p * 10**d // q
+
+
+def _recording(monkeypatch):
+    """The (a, b) of every division.divmod_big call from here on."""
+    calls, true = [], division.divmod_big
+
+    def recording(a, b):
+        calls.append((a, b))
+        return true(a, b)
+
+    monkeypatch.setattr(division, "divmod_big", recording)
+    return calls
+
+
+def test_certified_floor_divides_only_the_top_bits_of_a_long_pair(monkeypatch):
+    # a 20k-bit q for a 116-bit quotient: two divisions of p >> sh and
+    # q >> sh, whose floors agree, and no division of p*S by q
+    params, d = Params(3, 2), 30
+    p, q = _root_pair(params, 20000, 1)
+    calls = _recording(monkeypatch)
+    assert certified_floor(p, q, params, d) == p * 10**d // q
+    assert len(calls) == 2 and all(b.bit_length() < 200 for _, b in calls)
+
+
+def test_certified_floor_divides_in_full_where_the_top_bits_disagree(monkeypatch):
+    # p*S/q = f exactly, so floor(p'S/(q' + 1)) = f - 1 and
+    # floor((p' + 1)S/q') = f: the full division decides, and certifies
+    params, d = Params(2, 2), 30
+    s, g = 10 ** (d + GUARD_DIGITS), 10**GUARD_DIGITS
+    f, m = nth_root_bracket(params, d + GUARD_DIGITS), 3**12000
+    p, q = f * m, s * m
+    calls = _recording(monkeypatch)
+    assert certified_floor(p, q, params, d) == f // g
+    assert [a // b for a, b in calls[:2]] == [f - 1, f]
+    assert calls[2:] == [(p * s, q)]
+
+
+def test_certified_floor_divides_a_negative_numerator_in_full(monkeypatch):
+    # a negative p is not cut to its top bits; its division is builtin divmod
+    params, d = Params(3, 2), 30
+    p, q = _root_pair(params, 20000, 1)
+    calls = _recording(monkeypatch)
+    for sign_p in (-p, -1, -(p // 10**40)):
+        assert certified_floor(sign_p, q, params, d) is None
+        assert _full_division_floor(sign_p, q, params, d) is None
+    assert calls == []
+
+
+@pytest.mark.parametrize("q_bits", [5500, 60000], ids=["full-division", "top-bits"])
+@pytest.mark.parametrize("wrong", [
+    lambda f, rem, b: (f + 1, rem - b),  # the product holds, rem < 0
+    lambda f, rem, b: (f - 1, rem + b),  # the product holds, rem >= b
+    lambda f, rem, b: (f, rem + 1),  # the product fails
+    lambda f, rem, b: (f + 1, rem),
+], ids=["f+1", "f-1", "rem+1", "f+1-same-rem"])
+def test_certified_floor_raises_on_a_wrong_long_division(monkeypatch, q_bits, wrong):
+    # a sabotaged divmod_big is caught by the re-check of every recursive
+    # division, in full or of the top bits: certified_floor raises, on a
+    # pair that certifies and on one that misses, and never returns a floor
+    params, d = Params(3, 2), 1500
+    true = division.divmod_big
+    pairs = [_root_pair(params, q_bits, 2), _root_pair(params, q_bits, 2, 2 ** (q_bits - 4000))]
+    assert [certified_floor(p, q, params, d) is None for p, q in pairs] == [False, True]
+    # the recursive path, which CPython 3.12 and later never take
+    monkeypatch.setattr(division, "NATIVE", False)
+    monkeypatch.setattr(division, "divmod_big", lambda a, b: wrong(*true(a, b), b))
+    for p, q in pairs:
+        with pytest.raises(ArithmeticError, match="re-check"):
+            certified_floor(p, q, params, d)

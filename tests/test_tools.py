@@ -31,6 +31,7 @@ def test_ab_of_one_tree_reads_one():
     assert result["requests"] == 120 and len(result["rounds"]) == 2
     for r in result["rounds"]:
         assert r["mismatches"] == 0
+        assert r["python"] == [sys.version, sys.version]
         # loose: short requests on a shared host
         for key in ("sum_ratio", "median_ratio", "geomean_ratio", "p90_ratio"):
             assert 0.5 < r[key] < 2, (key, r)
@@ -85,18 +86,26 @@ def test_ab_refuses_counts_below_one(capsys, monkeypatch, flag, value):
 
 
 class _FakeWorker:
-    """Stands in for an ab worker process: records each argv line it is sent
-    and answers it at once with one fixed time and digest."""
+    """Stands in for an ab worker process: says it runs "fake <tree>" as its
+    first line, records each argv line it is sent and answers it at once
+    with the line ``answer`` gives, by default one fixed time and digest."""
 
     def __init__(self, args, **kwargs):
         self.tree = args[-1]
         self.seen = []
+        self.greeted = False
         self.stdin = self.stdout = self
 
     def write(self, line):
         self.seen.append(json.loads(line))
 
     def readline(self):
+        if not self.greeted:
+            self.greeted = True
+            return json.dumps(f"fake {self.tree}") + "\n"
+        return self.answer()
+
+    def answer(self):
         return json.dumps([0.001, "digest"]) + "\n"
 
     def flush(self):
@@ -141,13 +150,16 @@ def test_ab_times_the_requests_of_an_argv_file(capsys, fake_workers, tmp_path, c
     result = json.loads(lines[-1])
     assert result["argv_file"] == str(path) and "workload" not in result
     assert result["requests"] == len(want) and len(result["rounds"]) == 2
+    # each round names the interpreter of each of its workers, A's first
+    for r in result["rounds"]:
+        assert r["python"] == [f"fake {ROOT}", f"fake {tmp_path}"]
 
 
 class _SlowTailWorker(_FakeWorker):
     """A fake worker whose i-th request takes i ms, and twice that for
     requests 1, 9 and 10 when it serves the tree named ``slow``."""
 
-    def readline(self):
+    def answer(self):
         i = len(self.seen)
         slow = self.tree.endswith("slow") and i in (1, 9, 10)
         return json.dumps([0.001 * i * (2 if slow else 1), "digest"]) + "\n"
@@ -185,7 +197,7 @@ def test_ab_summarizes_the_rounds(capsys, monkeypatch, tmp_path):
             super().__init__(args, **kwargs)
             self.seconds = 0.001 * (next(factors) if self.tree.endswith("slow") else 1)
 
-        def readline(self):
+        def answer(self):
             return json.dumps([self.seconds, "digest"]) + "\n"
 
     monkeypatch.setattr(subprocess, "Popen", Worker)

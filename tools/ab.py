@@ -29,8 +29,9 @@ ratios. Quote those, not one round: in an A/A of ``approx_big.jsonl`` the
 round sum ratios spread by 17% while the median ratios stay within 0.7%
 (CPython 3.11.7, 2 CPUs), as one slow stretch of the host weighs on the
 sum of a few large requests. The last line is one JSON object holding
-every round and that summary. The exit status is 1 when any digest
-differs, and 141, with nothing on stderr, when stdout's reader closes it
+every round, with the ``sys.version`` of each of its two workers, and that
+summary, so a result says which interpreter it timed. The exit status is
+1 when any digest differs, and 141, with nothing on stderr, when stdout's reader closes it
 before the last line (as ``ratroot.cli`` does); every worker is closed
 first.
 
@@ -58,13 +59,16 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def serve(tree: str) -> int:
-    """Worker: answer each argv line on stdin with one [seconds, digest] line."""
+    """Worker: write its ``sys.version`` as one JSON line, then answer each
+    argv line on stdin with one [seconds, digest] line."""
     src = (Path(tree) / "src").resolve()
     sys.path.insert(0, str(src))
     from ratroot import cli
 
     if not Path(cli.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"ratroot imported from {cli.__file__}, not from {src}")
+    sys.stdout.write(json.dumps(sys.version) + "\n")
+    sys.stdout.flush()
     for line in sys.stdin:
         argv = json.loads(line)
         start = time.perf_counter()
@@ -77,7 +81,8 @@ def serve(tree: str) -> int:
 
 
 def run_round(trees: list[str], requests: list[list[str]], rng: random.Random) -> dict:
-    """One round over fresh workers: B/A ratios and the digest mismatches."""
+    """One round over fresh workers: B/A ratios, the digest mismatches and
+    each worker's ``sys.version``."""
     workers = [
         subprocess.Popen([sys.executable, __file__, "--serve", tree], stdin=subprocess.PIPE,
                          stdout=subprocess.PIPE, text=True)
@@ -86,6 +91,12 @@ def run_round(trees: list[str], requests: list[list[str]], rng: random.Random) -
     times = ([], [])
     mismatches = 0
     try:
+        versions = []
+        for tree, worker in zip(trees, workers):
+            line = worker.stdout.readline()
+            if not line:
+                raise RuntimeError(f"worker for {tree} ended before its first request")
+            versions.append(json.loads(line))
         for argv in requests:
             answers = [None, None]
             for side in rng.sample((0, 1), 2):
@@ -111,6 +122,7 @@ def run_round(trees: list[str], requests: list[list[str]], rng: random.Random) -
         "p90_ratio": p90(times[1]) / p90(times[0]),
         "mismatches": mismatches,
         "sum_s": [sum(times[0]), sum(times[1])],
+        "python": versions,
     }
 
 
