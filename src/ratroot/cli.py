@@ -46,73 +46,30 @@ same on every path: no child writes to stdout or ``--out``, and every
 child is reaped before ``main`` returns. ``approx``, ``chpow`` and
 ``trace`` run in one process; each is one ladder or one trajectory.
 
-``approx`` and ``table`` print each convergent as a reduced pair (p, q),
-and the row formatters take that pair. ``engine.reduced_pair`` reduces it:
-for n = 2 the common factor of the two entries is a power of two and is
-shifted off, so no gcd of full-size entries runs; for n >= 3 the pair is
-divided by its gcd. Neither command builds a ``Fraction``. Both see only
-states M**t (1, ..., 1), whose entries are all positive, so no ratio they
-print is undefined.
+``approx`` and ``table`` print each convergent as the pair that
+``engine.reduced_pair`` reduces; neither builds a ``Fraction``.
 
-``approx`` certifies each attempt by ``oracle.certified_floor``: two exact
-n-th powers and one division by q, of only the top bits of p and q where q
-is much longer than the quotient, whose floor of p * 10**D / q is the
-answer's decimal cell, so no root is taken but the perfect-power test's
-floor(k**(1/n)). ``table`` certifies by ``oracle.digits_of_ratio``, which
-reads one cached bracket per table. Both decimal cells are written by
-``_point_at``.
+``approx`` certifies each attempt by ``oracle.certified_floor``, and
+``table`` by ``oracle.digits_of_ratio``.
 
-``table`` freezes its decimal and digits cells once the iteration proves
-them for every later row. ``recursion.enclosure`` brackets k**(1/n) by the
-smallest and the largest quotient (Sx)_i / x_i of a state, and by
-Collatz-Wielandt that bracket holds every ratio of the state and of every
-later one. The fractions that print one truncated decimal form an
-interval, and so do the fractions that certify TABLE_DIGITS_CAP digits, so
-a cell that both ends of a bracket give is the cell of every later row,
-which then skips ``format_decimal`` or ``oracle.digits_of_ratio``. The ends
-are measured by those same two functions, so the freeze needs no
-precision of its own, and the output is the same as without it.
+``table`` freezes its decimal and digits cells once ``recursion.enclosure``
+proves them for every later row (``_table_rows``); the output is the same
+as without the freeze.
 
-Every int in a decimal, ``chpow`` or ``trace`` cell, and in every
-fraction, is rendered by ``format_int``, which equals ``str``;
-``format_fraction`` renders each half of a fraction by it, on its own. It
-has three ranges. Up to 3,986 bits (below 10**1200) it is ``str``,
-quadratic in CPython 3.11. The other two are radix conversions of Brent &
-Zimmermann, *Modern Computer Arithmetic*, 1.7. Up to ``INT_STR_CUTOVER``
-bits the integer is split at the powers 10**E, E = 600 * 2**j, and ``str``
-writes each leaf below 10**600. As 10**E = 5**E * 2**E, a split divides
-n >> E by a cached 5**E, a divisor 30% shorter than 10**E, and passes n's
-low E bits to the remainder; ``division.divmod_big`` divides recursively
-on CPython 3.10 and 3.11. On 3.11.7 that takes 0.68-0.76 of ``str``'s
-time from 5k to 8k bits and 0.42-0.64 from 10k to 32k, and 0.64-0.90 of
-the time of the split by 10**E (BENCH_47.json).
-Above the cutover it is split in halves with shifts and recombined in exact
-``decimal`` arithmetic, which is subquadratic and does no integer division.
+Every int and fraction is written by ``render``, whose docstring gives the
+three ranges of ``format_int``, CPython's int/str digit limit, and
+``approx``'s ``Decimal`` ladder past ``render.INT_STR_CUTOVER``.
 
-An ``approx`` n = 2 attempt whose reduced q is predicted to pass the
-cutover holds no int to convert: its ladder runs on exact ``Decimal``
-coefficients, is certified in them and is written by ``str``, linear in a
-``Decimal``'s length (``build_approx``). For n >= 3 the ``Decimal`` ladder
-alone costs more than the conversion, so those answers stay ints.
-
-``format_int`` is the only code that converts a large int to decimal
-digits, so it is the only code that meets CPython's int/str digit limit
-(CVE-2020-10735): an integer that ``str`` refuses takes the split, whose
-leaves are below every limit CPython accepts (640 digits or more), and the
-``decimal`` path and ``approx``'s ``Decimal`` answers are not covered by it.
-The limit is never changed, so output is the same under any limit and argv
-is parsed under the one the interpreter has.
-
-``selftest`` runs acceptance C1, C2, C4 and C5 (2,2) from the same code as
-the acceptance suite (the ``check_*`` functions here), at smaller sizes.
+``selftest`` runs the reference checks of ``checks``, which the acceptance
+suite runs at its own sizes.
 
 Start-up: ``import ratroot.cli`` loads ``argparse`` and the package, the
-small ``division`` module included. Six
-stdlib modules are imported where they are first used: ``json`` by
-``--format json``, ``csv`` by ``--format csv``, ``decimal`` by
-``format_int`` for an integer past the cutover and by ``approx``'s
-``Decimal`` ladder, ``fractions`` (which loads ``decimal``) by ``trace
---mode scalar``, ``random`` by ``selftest``, and ``signal`` when an
+small ``division`` and ``render`` modules included; ``checks`` is imported
+by ``selftest`` alone. Six stdlib modules are imported where they are
+first used: ``json`` by ``--format json``, ``csv`` by ``--format csv``,
+``decimal`` by ``format_int`` for an integer past the cutover and by
+``approx``'s ``Decimal`` ladder, ``fractions`` (which loads ``decimal``) by
+``trace --mode scalar``, ``random`` by ``selftest``, and ``signal`` when an
 exception leaves a split ``table`` whose children must be killed. A plain
 ``approx``, ``table`` or ``chpow`` loads none of them unless it renders an
 integer past the cutover: ``approx --n 2 --k 2 --digits 6000`` loads none
@@ -132,10 +89,12 @@ import sys
 from collections import namedtuple
 from functools import cache
 
-from . import engine, oracle, recursion, spectral
+from . import engine, oracle, recursion, render, spectral
 from .core import (NonConvergence, Params, PoleEncountered, UsageError, ZeroVector,
                    exact_decimal)
-from .division import divmod_big
+# the builders call these through this module's globals, where
+# perfbench/worker.py wraps format_fraction and format_decimal to time them
+from .render import format_decimal, format_fraction, format_int
 
 TABLE_DECIMAL_PLACES = 6
 TABLE_DIGITS_CAP = 40
@@ -156,143 +115,6 @@ CONVERGENT_COLUMNS = ("t", "fraction", "decimal", "digits")
 # 6.5-12 ms in one process, and 0.73-0.90 of that split over two CPUs.
 TABLE_ROW_BASE = 2e6
 TABLE_SPLIT_WORK = 4e9
-
-# Bit length above which format_int leaves its split at powers of ten for
-# the decimal path, and above which an approx n = 2 attempt's predicted
-# reduced q puts its ladder on Decimals. With its divisions by powers of
-# five, recursive on 3.10 and 3.11, the split takes 0.49-0.97 of the
-# decimal path's time from 2**15 to 2**18 bits on CPython 3.11.7, and on
-# 3.12.1 0.54-0.79 up to 112k bits and 0.94-1.19 from 2**17 (two runs on
-# random ints, BENCH_47.json), so the cutover could move up; that is a timed claim of
-# its own, and the trigger stays here. On approx's n = 2 answers the
-# Decimal ladder takes 1.06-1.17 of the int path's time below 2**15 bits
-# of q and 0.32-0.52 above; with the trigger at 2**15.5 or 2**16 bits
-# approx-wide takes 1.03 or 1.07 of its time at 2**15 (BENCH_46.json).
-INT_STR_CUTOVER = 2**15
-_DECIMAL_LEAF_BITS = 2048  # pieces this short go to Decimal(int) directly
-# Digits of a leaf of format_int's split, the largest round size below the
-# lowest int/str digit limit CPython accepts (640), so str writes every leaf
-# under any limit. On random ints of 4.5k-32k bits (CPython 3.11.7) leaves
-# of 300, 900 and 1,200 digits are no faster (BENCH_45.json).
-_LEAF_DIGITS = 600
-_STR_BITS = (10 ** (2 * _LEAF_DIGITS)).bit_length() - 1  # 3,986: below two leaves
-
-
-def format_int(n: int) -> str:
-    """str(n), subquadratic from 3,987 bits, under any int/str digit limit.
-
-    Up to 3,986 bits (just under 10**1200, two leaves) this is str(n),
-    unless the int/str digit limit refuses n. Up to INT_STR_CUTOVER bits
-    |n| is split by :func:`_split_str` at powers of ten, which on CPython
-    3.11.7 takes 0.75 of str's time at 6k bits, 0.68 at 8k, 0.54 at 16k
-    and 0.42 at 32k (BENCH_47.json). Past the cutover n takes
-    :func:`_decimal_str`.
-    """
-    bits = n.bit_length()
-    if bits <= _STR_BITS:
-        try:
-            return str(n)
-        except ValueError:  # past the int/str digit limit
-            pass
-    elif bits > INT_STR_CUTOVER:
-        return _decimal_str(n)
-    return ("-" if n < 0 else "") + _split_str(abs(n))
-
-
-@cache
-def _five_power(j: int) -> int:
-    """5**E(j), E(j) = _LEAF_DIGITS * 2**j: the odd part of P(j) = 10**E(j),
-    the j-th power of format_int's split.
-
-    Built on first use, per process, and cached by j, so threads that race
-    to build one get equal values. Integers of at most INT_STR_CUTOVER bits
-    need j = 0 to 4, the largest 5**9600 (about 22 kbit).
-    """
-    return 5**_LEAF_DIGITS if j == 0 else _five_power(j - 1) ** 2
-
-
-def _split_at(n: int, j: int) -> tuple[int, int]:
-    """divmod(n, P(j)) for n >= 0: as 10**E = 5**E * 2**E, the quotient is
-    (n >> E) // 5**E, and the low E bits of n pass to the remainder."""
-    e = _LEAF_DIGITS << j
-    hi, lo = divmod_big(n >> e, _five_power(j))
-    return hi, lo << e | n & ((1 << e) - 1)
-
-
-def _split_str(n: int) -> str:
-    """str(n) for n >= 0, by division at the powers P(j), ..., P(0).
-
-    The level j is the largest with P(j) <= n, estimated from n's bit
-    length; n < P(j) exactly when n >> E(j) < 5**E(j). A level above n is
-    skipped, and a high part still at least P(j) is split again, so the
-    digits do not depend on the estimate. Every piece left for str is
-    below P(0) = 10**_LEAF_DIGITS.
-    """
-    if n >> _LEAF_DIGITS < _five_power(0):
-        return str(n)
-    j = (n.bit_length() // (_five_power(0).bit_length() + _LEAF_DIGITS)).bit_length() - 1
-    while n >> (_LEAF_DIGITS << j) < _five_power(j):
-        j -= 1
-    hi, lo = _split_at(n, j)
-    return _split_str(hi) + _padded_str(lo, j)
-
-
-def _padded_str(n: int, j: int) -> str:
-    """str(n) for 0 <= n < P(j), zero-padded to _LEAF_DIGITS * 2**j digits."""
-    if j == 0:
-        return str(n).zfill(_LEAF_DIGITS)
-    hi, lo = _split_at(n, j - 1)
-    return _padded_str(hi, j - 1) + _padded_str(lo, j - 1)
-
-
-def _decimal_str(n: int) -> str:
-    """str(n) via decimal, at n's own bit length.
-
-    |n| is split at half its bit length, each half is converted to a
-    Decimal the same way, and the halves are recombined as lo + hi * 2**w;
-    the powers 2**w are formed once, in one dict. The context has unbounded
-    precision and traps Inexact, so every step is exact; no int/str digit
-    limit applies there. It is kept out of :func:`format_int`, every call
-    of which would otherwise create the closures' cells: 135 to 206 ns a
-    call on CPython 3.11.7, 1.2% of ``table-long``.
-    """
-    powers: dict[int, decimal.Decimal] = {}
-
-    def pow2(w: int) -> decimal.Decimal:
-        if w not in powers:
-            if w <= _DECIMAL_LEAF_BITS:
-                powers[w] = decimal.Decimal(1 << w)
-            else:
-                powers[w] = pow2(w >> 1) * pow2(w - (w >> 1))
-        return powers[w]
-
-    def convert(m: int, w: int) -> decimal.Decimal:
-        # m < 2**w
-        if w <= _DECIMAL_LEAF_BITS:
-            return decimal.Decimal(m)
-        half = w >> 1
-        hi = m >> half
-        return convert(m - (hi << half), half) + convert(hi, w - half) * pow2(half)
-
-    with exact_decimal() as decimal:
-        return ("-" if n < 0 else "") + str(convert(abs(n), n.bit_length()))
-
-
-def format_fraction(p: int, q: int) -> str:
-    """p/q as written; the pair is not reduced here."""
-    return f"{format_int(p)}/{format_int(q)}"
-
-
-def format_decimal(p: int, q: int, places: int) -> str:
-    """Exact decimal expansion of p/q, q > 0, places >= 0, truncated (not rounded) toward zero."""
-    return ("-" if p < 0 else "") + _point_at(format_int(abs(p) * 10**places // q), places)
-
-
-def _point_at(digits: str, places: int) -> str:
-    """m / 10**places, from the digits of m >= 0, with places digits after the point."""
-    digits = digits.zfill(places + 1)
-    return f"{digits[:-places]}.{digits[-places:]}" if places else digits
-
 
 class OutputRecord(namedtuple("OutputRecord", "command meta columns rows")):
     """Ready-to-write payload: run metadata plus stringified rows."""
@@ -365,9 +187,12 @@ def _table_rows(params: Params, first: int, last: int, index: int) -> list[list[
 
     The decimal and digits cells freeze once the iteration proves them for
     every later row. ``recursion.enclosure`` brackets the ratio of this
-    step and of every later one, so a cell that both ends of a bracket give
-    is the cell of every later row: the fractions with one truncated
-    decimal form an interval, and so do the fractions that certify the cap.
+    step and, by Collatz-Wielandt, of every later one, so a cell that both
+    ends of a bracket give is the cell of every later row: the fractions
+    with one truncated decimal form an interval, and so do the fractions
+    that certify the cap. The ends are measured by ``format_decimal`` and
+    ``oracle.digits_of_ratio`` themselves, so the freeze needs no precision
+    of its own.
     The first bracket is taken at the first row that certifies more than
     TABLE_DECIMAL_PLACES digits; while a cell is unfrozen the next comes 8
     rows later, then every max(8, (t - first bracket) // 4) rows, until the
@@ -620,15 +445,15 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
     count is measured.
 
     The ladder holds ints until an n = 2 attempt's reduced q is predicted
-    to pass INT_STR_CUTOVER bits. That q has about (t + 1)*b -
-    bit_length(k)/2 bits: a step adds log2(1 + k**(1/2)) = 1 - log2(1 - rho)
-    bits, less the 1, 1/2 or 0 bits of content ``engine.reduced_pair``
-    takes off for k = 1, 3 and 0 or 2 mod 4. That attempt builds its ladder
-    afresh on exact ``Decimal``s (``core.exact_decimal``), and later
-    attempts square it; no int power is converted. ``engine.halved``
-    reduces the power after every step and each pair before it is
-    certified, the certificate and the floor are ``Decimal``s, and ``str``
-    writes the answer.
+    to pass ``render.INT_STR_CUTOVER`` bits, read at each call. That q has
+    about (t + 1)*b - bit_length(k)/2 bits: a step adds log2(1 + k**(1/2))
+    = 1 - log2(1 - rho) bits, less the 1, 1/2 or 0 bits of content
+    ``engine.reduced_pair`` takes off for k = 1, 3 and 0 or 2 mod 4. That
+    attempt builds its ladder afresh on exact ``Decimal``s
+    (``core.exact_decimal``), and later attempts square it; no int power is
+    converted. ``engine.halved`` reduces the power after every step and
+    each pair before it is certified, the certificate and the floor are
+    ``Decimal``s, and ``str`` writes the answer.
     """
     if target_digits < 1:
         raise UsageError(f"target digits must be >= 1, got {target_digits}")
@@ -639,7 +464,7 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
         "k": str(params.k),
         "target_digits": str(target_digits),
     }
-    root, render = oracle.integer_nth_root(params.k, params.n), format_int
+    root, as_text = oracle.integer_nth_root(params.k, params.n), format_int
     if root**params.n == params.k:
         t, p, q = 0, root, 1
         floor = oracle.certified_floor(root, 1, params, target_digits)
@@ -664,7 +489,7 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
         # the bits a step adds to an n = 2 attempt's reduced q, and the
         # (t + 1)*b past which that q passes INT_STR_CUTOVER
         b = (1, 0, 1, 0.5)[params.k % 4] - math.log2(1 - rho) if params.n == 2 else 0
-        big = INT_STR_CUTOVER + params.k.bit_length() / 2
+        big = render.INT_STR_CUTOVER + params.k.bit_length() / 2
         while floor is None:
             if power is not None:
                 t *= 2
@@ -672,9 +497,9 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
                 raise NonConvergence(
                     f"needed t={t} exceeds ceiling {max_t} for {target_digits} digits"
                 )
-            if render is format_int and (t + 1) * b > big:
-                render, power = str, None
-            if render is format_int:
+            if as_text is format_int and (t + 1) * b > big:
+                as_text, power = str, None
+            if as_text is format_int:
                 power = (engine.ring_pow_one_plus_x(params, t) if power is None
                          else engine.square_ring(power, params.k))
                 p, q = engine.ones_pair(params, power)
@@ -685,156 +510,13 @@ def build_approx(params: Params, target_digits: int, max_t: int = DEFAULT_MAX_T)
                              else engine.halved(engine.square_ring(power, params.k)))
                     p, q = engine.halved(engine.ones_pair(params, power))
             floor = oracle.certified_floor(p, q, params, target_digits)
-        if render is format_int:
+        if as_text is format_int:
             p, q = engine.reduced_pair(p, q, params.n)
         meta.update({"exact": "false", "rho": repr(rho), "digits_per_step": repr(dps)})
     meta.update({"t_used": str(t), "achieved": str(target_digits)})
-    rows = [[str(t), f"{render(p)}/{render(q)}", _point_at(render(floor), target_digits),
-             str(target_digits)]]
+    rows = [[str(t), f"{as_text(p)}/{as_text(q)}",
+             render._point_at(as_text(floor), target_digits), str(target_digits)]]
     return OutputRecord("approx", meta, list(CONVERGENT_COLUMNS), rows)
-
-
-# --- checks shared by selftest and the acceptance suite ----------------------
-#
-# Each raises AssertionError on failure. Acceptance C1, C2, C4 and C5 (2,2)
-# run them at the suite's sizes, selftest at smaller ones. They reach the
-# engine through module attributes, so a patched engine is what they check.
-
-def check_opening_table():
-    """table(2, 2, 0..5) is the opening table, exactly: its fractions, their
-    truncated decimals and their certified digits. And every cell that
-    table(3, 2, 0..300) freezes is the cell of its own row's fraction. And
-    table(2, 3, 0..5)'s fractions are in lowest terms. And on each row of
-    that cube root table the two certifiers agree at its digit count and
-    one more: ``oracle.certified_floor`` gives floor(p * 10**d / q) exactly
-    where ``oracle.digits_of_ratio`` certifies d digits, and None elsewhere.
-    And ``approx``'s (2, 9185) answer at 91 digits, whose reduced pair passes
-    INT_STR_CUTOVER and so is built on ``Decimal``s, prints the bytes
-    ``format_fraction`` gives for the reduced pair of the integer ladder.
-
-    Each digit count d is the largest with |p/q - 2**0.5| < 10**-d: the
-    errors are 0.41, 0.086, 0.014, 0.0025, 0.00042 and 0.000072. The cube
-    root table freezes its decimal cell at step 31 and its digits cell at
-    step 143, so a wrong enclosure or a wrong freeze shows as a cell that
-    its own fraction does not give. Every state of k = 2 has content 1, but
-    (1 + x)**2 = 4 + 2x at k = 3 has content 2, so only the (2, 3) column
-    and the odd k = 9185 show a wrong n = 2 reduction.
-    """
-    got = [row[1:] for row in build_table(Params(2, 2), 0, 5, 1).rows]
-    want = [["1/1", "1.000000", "0"], ["3/2", "1.500000", "1"], ["7/5", "1.400000", "1"],
-            ["17/12", "1.416666", "2"], ["41/29", "1.413793", "3"], ["99/70", "1.414285", "4"]]
-    assert got == want, f"fraction, decimal and digits columns {got} != {want}"
-    got = [row[1] for row in build_table(Params(2, 3), 0, 5, 1).rows]
-    want = ["1/1", "2/1", "5/3", "7/4", "19/11", "26/15"]
-    assert got == want, f"(2, 3) fraction column {got} != {want}"
-    params = Params(3, 2)
-    for t, fraction, decimal, digits in build_table(params, 0, 300, 1).rows:
-        p, q = map(int, fraction.split("/"))
-        own = [format_decimal(p, q, TABLE_DECIMAL_PLACES),
-               str(oracle.digits_of_ratio(p, q, params, TABLE_DIGITS_CAP))]
-        assert [decimal, digits] == own, f"(3, 2) step {t} cells {[decimal, digits]} != {own}"
-        for d in (max(int(digits), 1), min(int(digits) + 1, TABLE_DIGITS_CAP)):
-            want = p * 10**d // q if oracle.digits_of_ratio(p, q, params, d) == d else None
-            got = oracle.certified_floor(p, q, params, d)
-            assert got == want, f"(3, 2) step {t}: certified_floor at {d} digits {got} != {want}"
-    params = Params(2, 9185)
-    record = build_approx(params, 91)
-    t = int(record.meta["t_used"])
-    p, q = engine.reduced_pair(*engine.ones_pair(params, engine.ring_pow_one_plus_x(params, t)), 2)
-    assert q.bit_length() > INT_STR_CUTOVER, f"(2, 9185) at t={t} is not past the cutover"
-    assert record.rows[0][1] == format_fraction(p, q), f"(2, 9185) Decimal fraction wrong at t={t}"
-
-
-def check_cayley_hamilton(n_max: int):
-    """(M - I)**n = k*I exactly for n = 2..n_max, k in (1, 2, 3, 5, 10, 16)."""
-    for n in range(2, n_max + 1):
-        for k in (1, 2, 3, 5, 10, 16):
-            m = engine.companion_matrix(Params(n, k))
-            s = tuple(tuple(a - (i == j) for j, a in enumerate(row)) for i, row in enumerate(m))
-            k_id = tuple(tuple(k * (i == j) for j in range(n)) for i in range(n))
-            assert engine.mat_pow(s, n) == k_id, (
-                f"(M - I)**{n} != {k}*I at n={n}, k={k}"
-            )
-
-
-def check_engine_agreement(seed: int, cases: int):
-    """Naive matrix and ring powers agree exactly on random (n, k, t, r0),
-    and on one fixed case whose ladder squares past ``engine.SQR_CUTOVER``;
-    so do M**t and its power-basis expansion, and the Fibonacci chain of
-    (3, 2) is the basis coefficients of its exponents.
-
-    The random cases draw n <= 6 and t <= 50, so no square there is longer
-    than the cutover. The fixed case is n = 9, t = 2*9**2 + 1: the binomial
-    row of 81, then one Karatsuba square of 9 coefficients.
-    """
-    import random
-
-    def agree(params, t, entries):
-        m = engine.companion_matrix(params)
-        power = engine.mat_pow(m, t)  # trusted reference
-        naive = tuple(sum(a * x for a, x in zip(row, entries)) for row in power)
-        ring = engine.apply_power(params, t, entries)
-        assert naive == ring, (
-            f"engines disagree at n={params.n}, k={params.k}, t={t}, r0={entries}"
-        )
-        a = engine.power_basis_coeffs(params, t)
-        powers = [sum(engine.mat_pow(m, i), ()) for i in range(params.n)]  # M**i, row by row
-        basis = tuple(sum(ai * x for ai, x in zip(a, entry)) for entry in zip(*powers))
-        assert basis == sum(power, ()), f"power basis wrong at n={params.n}, k={params.k}, t={t}"
-
-    rng = random.Random(seed)
-    done = 0
-    while done < cases:
-        n = rng.randint(2, 6)
-        k = rng.randint(1, 20)
-        t = rng.randint(0, 50)
-        entries = tuple(rng.randint(-9, 9) for _ in range(n))
-        if all(e == 0 for e in entries):
-            continue
-        try:
-            agree(Params(n, k), t, entries)
-        except ZeroVector:
-            continue  # singular matrix annihilated this start; excluded
-        done += 1
-    agree(Params(9, 7), 2 * 9**2 + 1, (3, -1, 4, -1, 5, -9, 2, -6, 5))
-    chain = [(e, engine.power_basis_coeffs(Params(3, 2), e)) for e in (2, 3, 5, 8, 13, 21)]
-    assert engine.fib_power_chain(Params(3, 2), 6) == chain, "Fibonacci chain wrong at (3, 2)"
-
-
-def check_rate_slope(expected_dps: float):
-    """Digits per step of (2, 2) over t in [50, 150] within 5% of expected_dps.
-
-    The error of each raw entry pair is the oracle's bracket distance, the
-    one its certificates compare.
-    """
-    params = Params(2, 2)
-    states = recursion.iterate_linear(params, (1, 1), 150)
-    e50 = oracle.log10_error_bound(*states[50], params, 160)
-    e150 = oracle.log10_error_bound(*states[150], params, 160)
-    measured = (e50 - e150) / 100
-    assert abs(measured - expected_dps) <= 0.05 * expected_dps, (
-        f"measured {measured:.6f} digits/step vs predicted {expected_dps:.6f}"
-    )
-
-
-def run_selftest() -> int:
-    """Run the shared checks at smoke sizes; print one PASS/FAIL line each."""
-    groups = [
-        ("table-reproduction", check_opening_table),
-        ("cayley-hamilton", lambda: check_cayley_hamilton(6)),
-        ("engine-agreement", lambda: check_engine_agreement(20240501, 50)),
-        ("rate-check-2-2", lambda: check_rate_slope(spectral.convergence_rate(Params(2, 2))[1])),
-    ]
-    failed = False
-    for name, fn in groups:
-        try:
-            fn()
-        except AssertionError as exc:
-            failed = True
-            print(f"FAIL {name}: {exc}")
-        else:
-            print(f"PASS {name}")
-    return 3 if failed else 0
 
 
 # --- argument parsing --------------------------------------------------------
@@ -998,6 +680,8 @@ def _run(argv) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     if args.command == "selftest":
+        from .checks import run_selftest
+
         return _to_stdout(run_selftest)
     record = args.build(args, Params(args.n, args.k))
     if args.out is not None:

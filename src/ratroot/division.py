@@ -7,7 +7,7 @@ bits, :func:`divmod_big` runs Burnikel & Ziegler's recursive division
 (*Fast Recursive Division*, MPI-I-98-1-022, 1998; Brent & Zimmermann,
 *Modern Computer Arithmetic*, 1.4.3), which does the work in a few
 products that CPython forms by Karatsuba. Its users are
-``cli.format_int``'s split, the certificate of ``oracle.certified_floor``,
+``render.format_int``'s split, the certificate of ``oracle.certified_floor``,
 which re-checks every quotient found recursively by one product, and the
 n >= 3 reducer ``engine.reduced_pair``.
 """

@@ -24,6 +24,12 @@ from fractions import Fraction
 
 import pytest
 
+from ratroot.checks import (
+    check_cayley_hamilton,
+    check_engine_agreement,
+    check_opening_table,
+    check_rate_slope,
+)
 from ratroot.core import Params, PoleEncountered, ZeroVector
 from ratroot.engine import apply_power, companion_matrix, power_basis_coeffs
 from ratroot.oracle import (
@@ -34,12 +40,6 @@ from ratroot.oracle import (
 )
 from ratroot.recursion import iterate_linear, iterate_scalar_map
 from ratroot.spectral import convergence_rate, decompose, spectrum
-from ratroot.cli import (
-    check_cayley_hamilton,
-    check_engine_agreement,
-    check_opening_table,
-    check_rate_slope,
-)
 
 from _helpers import mat_apply
 

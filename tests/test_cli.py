@@ -19,21 +19,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import grid
-from ratroot import cli, core, engine, oracle, recursion, spectral
+from ratroot import checks, cli, core, engine, oracle, recursion, render, spectral
 from ratroot.cli import (
-    INT_STR_CUTOVER,
     build_approx,
     build_chpow,
     build_parser,
     build_table,
     build_trace_linear,
-    format_decimal,
-    format_fraction,
-    format_int,
     main,
 )
 from ratroot.core import NonConvergence, Params
 from ratroot.engine import apply_power
+from ratroot.render import INT_STR_CUTOVER, format_decimal, format_fraction, format_int
 
 from _helpers import loop_format_decimal
 
@@ -1233,8 +1230,8 @@ def test_split_is_exact_when_its_level_estimate_overshoots(monkeypatch):
     # with 300-digit leaves P(1) = 10**600 has 1,994 bits, twice P(0)'s 997,
     # so a 1,994-bit n below 10**600 gets level 1 from its bit length, above
     # n: the split must step down, not write a zero high part
-    monkeypatch.setattr(cli, "_LEAF_DIGITS", 300)
-    cli._five_power.cache_clear()
+    monkeypatch.setattr(render, "_LEAF_DIGITS", 300)
+    render._five_power.cache_clear()
     try:
         values = [2**1993, 2**1993 + 10**300 + 1, 10**600 - 1, 10**600, 10**600 + 1,
                   10**1200 - 1, 10**1200 + 10**299, 3**5000]
@@ -1242,9 +1239,9 @@ def test_split_is_exact_when_its_level_estimate_overshoots(monkeypatch):
             with _int_str_limit_set(0):
                 want = str(x)
             with _int_str_limit_set(640):
-                assert cli._split_str(x) == want, x.bit_length()
+                assert render._split_str(x) == want, x.bit_length()
     finally:
-        cli._five_power.cache_clear()
+        render._five_power.cache_clear()
 
 
 def _fraction_pairs_past_the_cutover():
@@ -1270,15 +1267,15 @@ FRACTION_PAIRS_PAST_THE_CUTOVER = _fraction_pairs_past_the_cutover()
 
 @pytest.fixture
 def format_int_calls(monkeypatch):
-    """The int of every cli.format_int call made in the test."""
-    true_format_int = cli.format_int
+    """The int of every render.format_int call made in the test."""
+    true_format_int = render.format_int
     calls = []
 
     def spy(n):
         calls.append(n)
         return true_format_int(n)
 
-    monkeypatch.setattr(cli, "format_int", spy)
+    monkeypatch.setattr(render, "format_int", spy)
     return calls
 
 
@@ -1377,7 +1374,7 @@ def _run_bare(code):
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():
-    heavy = {"numpy", "dataclasses", "inspect", "pathlib", *DEFERRED_MODULES}
+    heavy = {"numpy", "dataclasses", "inspect", "pathlib", "ratroot.checks", *DEFERRED_MODULES}
     code = f"import sys, ratroot.cli; print(sorted({heavy!r} & set(sys.modules)))"
     assert _run_bare(code) == "[]\n"
 
@@ -1389,7 +1386,8 @@ def test_hot_paths_leave_deferred_modules_unloaded():
     # past the default int/str limit, by the split at powers of ten; the
     # (2, 1000) answer at 89 digits has a 32,680-bit reduced q, just below
     # the trigger of approx's Decimal ladder, which its 90-digit answer
-    # passes; --digits 20000 renders integers past the cutover
+    # passes; --digits 20000 renders integers past the cutover. Only selftest
+    # loads ratroot.checks
     code = textwrap.dedent(f"""
         import io, sys
         from ratroot.cli import main
@@ -1397,7 +1395,8 @@ def test_hot_paths_leave_deferred_modules_unloaded():
         def loaded(*argvs):
             for argv in argvs:
                 assert main(argv.split()) == 0, argv
-            print(*(m for m in {DEFERRED_MODULES!r} if m in sys.modules), file=stdout)
+            print(*(m for m in {(*DEFERRED_MODULES, "ratroot.checks")!r} if m in sys.modules),
+                  file=stdout)
         loaded("approx --n 3 --k 2 --digits 30", "table --n 2 --k 2 --t1 40",
                "table --n 3 --k 7 --t1 1100", "chpow --n 5 --k 7 --fib 12",
                "approx --n 2 --k 2 --digits 6000", "approx --n 2 --k 1000 --digits 89")
@@ -1408,6 +1407,15 @@ def test_hot_paths_leave_deferred_modules_unloaded():
     assert small == set()
     assert "decimal" in trigger and "decimal" in large
     assert not {"json", "csv", "fractions", "random"} & (trigger | large)
+    assert "ratroot.checks" not in small | trigger | large
+
+
+def test_selftest_alone_loads_the_checks():
+    code = ("import sys\nfrom ratroot.cli import main\n"
+            "rc = main(['selftest'])\nprint(rc, 'ratroot.checks' in sys.modules)")
+    assert _run_bare(code).splitlines() == [
+        "PASS table-reproduction", "PASS cayley-hamilton", "PASS engine-agreement",
+        "PASS rate-check-2-2", "0 True"]
 
 
 def test_cli_import_builds_no_parser():
@@ -1499,11 +1507,11 @@ def test_approx_prints_the_same_with_the_twin_forced_on_and_off(n, k, digits, fm
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(engine, "ring_pow_one_plus_x", counting_ladder)
-        m.setattr(cli, "INT_STR_CUTOVER", 0)
+        m.setattr(render, "INT_STR_CUTOVER", 0)
         on = grid.replay(argv)
         forced = kinds.copy()
         kinds.clear()
-        m.setattr(cli, "INT_STR_CUTOVER", 2**40)
+        m.setattr(render, "INT_STR_CUTOVER", 2**40)
         off = grid.replay(argv)
     assert on == off and on[0] == 0, on
     exact = any(r**n == k for r in range(1, 101))  # k <= 10007
@@ -1530,7 +1538,7 @@ def test_approx_never_runs_the_twin_for_n_above_2(capsys, monkeypatch, n, k, dig
         return true_floor(p, q, params, d)
 
     monkeypatch.setattr(oracle, "certified_floor", int_floor)
-    monkeypatch.setattr(cli, "INT_STR_CUTOVER", cutover)
+    monkeypatch.setattr(render, "INT_STR_CUTOVER", cutover)
     monkeypatch.setattr(engine, "ring_pow_one_plus_x", counting_ladder)
     rc, _, err = run_cli(capsys, "approx", "--n", str(n), "--k", str(k), "--digits", str(digits))
     assert rc == 0, err
@@ -1643,9 +1651,9 @@ def test_cayley_hamilton_check_reaches_n_max(monkeypatch):
         return ((p00 + (len(a) == 5), *row0), *rows)
 
     monkeypatch.setattr(engine, "mat_pow", corrupt_at_n_max)
-    cli.check_cayley_hamilton(4)
+    checks.check_cayley_hamilton(4)
     with pytest.raises(AssertionError, match="at n=5, k=1"):
-        cli.check_cayley_hamilton(5)
+        checks.check_cayley_hamilton(5)
 
 
 def test_out_flag_writes_payload_verbatim(tmp_path, capsys):

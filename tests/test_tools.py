@@ -262,3 +262,50 @@ def test_approx_big_list_holds_n2_answers_past_the_cutover_in_every_class_mod_8(
         if args.n == 2 and args.k <= 50:
             assert grid.replay(argv)[0] == 0, argv
     assert classes == set(range(8))
+
+
+# The (module, attribute) pairs of perfbench/worker.py's TRACED that name a
+# live function; its other pairs name functions that are gone, and install
+# skips them without a word.
+LIVE_TRACED = [("oracle", "integer_nth_root"), ("oracle", "nth_root_bracket"),
+               ("engine", "apply_power"), ("engine", "power_basis_coeffs"),
+               ("engine", "fib_power_chain"), ("recursion", "iterate_linear"),
+               ("spectral", "convergence_rate"), ("cli", "build_parser"),
+               ("cli", "format_fraction"), ("cli", "format_decimal")]
+
+
+def test_perfbench_tracer_finds_every_live_layer(monkeypatch):
+    # Tracer.install reads each traced name off the owners it takes from
+    # ratroot.cli; wrap is replaced by one that records the name and returns
+    # the function itself, so install sets every attribute back as it was
+    from ratroot import cli
+
+    monkeypatch.setattr(sys, "path", [str(ROOT / "perfbench"), *sys.path])
+    import worker
+
+    assert set(LIVE_TRACED) <= {(mod, attr) for mod, attr, _ in worker.TRACED}
+    wrapped = []
+    monkeypatch.setattr(worker.Tracer, "wrap",
+                        lambda self, name, fn, payload: wrapped.append(name) or fn)
+    worker.Tracer().install(cli)
+    assert {f"{mod}.{attr}" for mod, attr in LIVE_TRACED} <= set(wrapped)
+
+
+def test_table_calls_the_traced_cli_names_through_cli(capsys, monkeypatch):
+    # perfbench times these three by wrapping them on ratroot.cli, so the
+    # parser and the table rows must reach them through cli's globals
+    from ratroot import cli
+
+    calls = dict.fromkeys(["build_parser", "format_fraction", "format_decimal"], 0)
+
+    def counted(name, fn):
+        def count(*args):
+            calls[name] += 1
+            return fn(*args)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    assert cli.main(["table", "--n", "3", "--k", "2", "--t1", "40"]) == 0
+    assert capsys.readouterr().err == ""
+    assert min(calls.values()) >= 1, calls
