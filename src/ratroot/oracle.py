@@ -12,11 +12,12 @@ so no floating point decides a certificate at any digit count;
 ``certified_floor`` answers the one question ``approx`` asks, whether a
 pair certifies its whole target, without taking a root: the bracket is
 never formed, and two exact n-th powers tell whether its bottom lies in
-the window the pair allows. It reads only p, q, n and k, and reads a pair
-of ints or of exact ``Decimal``s alike. Its one division, floor(p*S/q),
-divides only the top bits of an int pair whose q is much longer than the
-quotient, bracketing p/q between two ratios of those bits. Its divisions
-run through ``division.divmod_big``, and each that runs recursively is
+the window the pair allows. It reads only p, q, n and k, and takes one
+kind of pair, ints or integral ``Decimal``s, with p >= 0 and q > 0. Its
+one division, floor(p*S/q), divides only the top bits of an int pair
+whose q is more than twice as long as the quotient plus 64 bits,
+bracketing p/q between two ratios of those bits. Its divisions run
+through ``division.divmod_big``, and each that runs recursively is
 re-checked here by one product, so a wrong division raises and never
 certifies a cell.
 """
@@ -29,10 +30,6 @@ from . import division
 from .core import Params, exact_decimal
 
 GUARD_DIGITS = 5  # bracket is kept this much finer than any tested threshold
-# certified_floor divides only the top bits of p and q where that cuts more
-# than this many bits off q; below it, dividing in full is faster: the cut
-# took 1.3-2.2x its time at 300-2,000-bit q (CPython 3.11.7, BENCH_47.json)
-_CUT_MIN_BITS = 2048
 
 
 def integer_nth_root(m: int, n: int) -> int:
@@ -56,9 +53,9 @@ def integer_nth_root(m: int, n: int) -> int:
     the first step that fails to decrease x stops on the floor root.
     """
     if m < 0:
-        raise ValueError(f"radicand must be nonnegative, got {m}")
+        raise ValueError(f"radicand must be nonnegative, got a negative {m.bit_length()}-bit int")
     if n < 1:
-        raise ValueError(f"root order must be >= 1, got {n}")
+        raise ValueError(f"root order must be >= 1, got {'0' if n == 0 else 'a negative int'}")
     while not n & 1:
         m, n = math.isqrt(m), n >> 1
     if m < 2 or n == 1:
@@ -82,7 +79,7 @@ def nth_root_bracket(params: Params, d: int) -> int:
     (n, k, d) holds a bounded set.
     """
     if d < 0:
-        raise ValueError(f"digit count must be nonnegative, got {d}")
+        raise ValueError("digit count must be nonnegative, got a negative int")
     return integer_nth_root(params.k * 10 ** (params.n * d), params.n)
 
 
@@ -94,7 +91,7 @@ def _bracket_distance(p: int, q: int, params: Params, e: int) -> int:
     bounds q*S*|p/q - k**(1/n)| from above. Needs q > 0.
     """
     if q <= 0:
-        raise ValueError(f"denominator must be positive, got {q}")
+        raise ValueError(f"denominator must be positive, got {'0' if q == 0 else 'a negative int'}")
     ps = p * 10**e
     lq = nth_root_bracket(params, e) * q
     return max(abs(ps - lq), abs(ps - lq - q))
@@ -120,7 +117,7 @@ def digits_of_ratio(p: int, q: int, params: Params, cap: int) -> int:
     ``Fraction`` f is certified as ``digits_of_ratio(*f.as_integer_ratio(), ...)``.
     """
     if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+        raise ValueError(f"cap must be >= 1, got {'0' if cap == 0 else 'a negative int'}")
     e = cap + GUARD_DIGITS
     num = _bracket_distance(p, q, params, e)
     d = min(cap, max(0, e + (q.bit_length() - num.bit_length()) * 30103 // 100000))
@@ -151,31 +148,31 @@ def certified_floor(p, q, params: Params, d: int):
     cap d exactly when both ends of its bracket [lo, lo + 1]/S,
     lo = floor(k**(1/n)*S), lie closer than G/S to p/q, that is when
     f - G + 1 <= lo < c + G - 1. Since lo >= 0, lo >= a holds exactly when
-    max(a, 0)**n <= k*S**n, and lo < b exactly when k*S**n < max(b, 0)**n;
-    without the clamps an even n would turn a negative bound positive. The
-    same division gives the answer: floor(p*10**d/q) = f // G. Needs q > 0
-    and d >= 1, as ``digits_of_ratio`` does.
+    max(a, 0)**n <= k*S**n; the clamp matters where p/q is tiny and a is
+    negative, which an even n would turn positive. With f >= 0 the upper
+    bound c + G - 1 is positive, so lo < c + G - 1 exactly when
+    k*S**n < (c + G - 1)**n. The same division gives the answer:
+    floor(p*10**d/q) = f // G.
 
-    The pair is read in its own exact type, int or integral
-    ``decimal.Decimal``, and the floor comes back in that type. An int pair
-    gets f and whether c > f from :func:`_scaled_floor`, which divides only
-    the top bits of p and q where q is much longer than the quotient, and
+    The pair is one kind, ints or integral ``decimal.Decimal``s, with
+    p >= 0, q > 0 and d >= 1; anything else raises ValueError, since
+    ``Decimal`` division truncates toward zero and no caller has a negative
+    p. The floor comes back in the pair's type. An int pair gets f and
+    whether c > f from :func:`_scaled_floor`, which divides only the top
+    bits of p and q where q is much longer than the quotient, and
     re-checks by one product each quotient that ``division.divmod_big``
     finds recursively, so a wrong division raises ArithmeticError and
     certifies nothing. A Decimal pair is worked under
     ``core.exact_decimal``, whatever the caller's context, with G and S as
     1E+5 and 1E+(d + 5), so p*S is no product of digits; libmpdec divides
     p*S by q faster than CPython 3.11's schoolbook ``divmod`` once the
-    quotient and q both have thousands of digits. Decimal division
-    truncates toward zero, so a Decimal p must be nonnegative.
+    quotient and q both have thousands of digits.
     """
-    if q <= 0 or d < 1:
-        raise ValueError(f"need a positive denominator and d >= 1, got q={q}, d={d}")
+    if p < 0 or q <= 0 or d < 1:
+        raise ValueError("need a nonnegative numerator, a positive denominator and d >= 1")
     if isinstance(q, int):
         g, s = 10**GUARD_DIGITS, 10 ** (d + GUARD_DIGITS)
         return _floor_in_window(*_scaled_floor(p, q, s), params, g, s)
-    if p < 0:
-        raise ValueError("a Decimal numerator must be nonnegative")
     with exact_decimal() as decimal:
         one = decimal.Decimal(1)
         g, s = one.scaleb(GUARD_DIGITS), one.scaleb(d + GUARD_DIGITS)
@@ -184,32 +181,34 @@ def certified_floor(p, q, params: Params, d: int):
 
 
 def _floor_in_window(f, inexact: bool, params: Params, g, s):
-    """:func:`certified_floor`'s test of f = floor(p*S/q), with G = g and S = s
-    of f's type; ``inexact`` is whether p*S/q exceeds f."""
+    """:func:`certified_floor`'s test of f = floor(p*S/q) >= 0, with G = g
+    and S = s of f's type; ``inexact`` is whether p*S/q exceeds f. Only the
+    lower end is clamped at 0: the upper one is at least G - 1 > 0."""
     n = params.n
-    ok = max(f - g + 1, 0) ** n <= params.k * s**n < max(f + inexact + g - 1, 0) ** n
+    ok = max(f - g + 1, 0) ** n <= params.k * s**n < (f + inexact + g - 1) ** n
     return f // g if ok else None
 
 
 def _scaled_floor(p: int, q: int, s: int) -> tuple[int, bool]:
-    """floor(p*s/q), and whether p*s/q exceeds it, for ints with q, s > 0.
+    """floor(p*s/q), and whether p*s/q exceeds it, for ints with p >= 0 and q, s > 0.
 
     The quotient has about L = bits(p) + bits(s) - bits(q) bits. Where
-    p > 0, q is more than twice as long as L + 64 bits and the cut drops
-    more than _CUT_MIN_BITS bits, p and q are first cut to p' = p >> sh and
-    q' = q >> sh, leaving q' L + 64 bits. That is exact: p'/(q' + 1) < p/q < (p' + 1)/q', so when
-    floor(p'*s/(q' + 1)) equals floor((p' + 1)*s/q'), that value is the
-    floor, strictly below p*s/q. Otherwise, and for p <= 0, p*s is divided
-    by q in full. Each division of a p >= 0 goes through :func:`_divmod`.
+    p > 0, L >= 0 and q is more than twice as long as L + 64 bits, p and q
+    are first cut to p' = p >> sh and q' = q >> sh, leaving q' L + 64 bits.
+    That is exact: p'/(q' + 1) < p/q < (p' + 1)/q', the left inequality
+    strict only for p > 0, so when floor(p'*s/(q' + 1)) equals
+    floor((p' + 1)*s/q'), that value is the floor, strictly below p*s/q.
+    Otherwise p*s is divided by q in full. Every division goes through
+    :func:`_divmod`.
     """
     quotient_bits = p.bit_length() + s.bit_length() - q.bit_length()
     sh = q.bit_length() - quotient_bits - 64
-    if p > 0 and quotient_bits >= 0 and sh > max(quotient_bits + 64, _CUT_MIN_BITS):
+    if p > 0 and quotient_bits >= 0 and sh > quotient_bits + 64:
         p1, q1 = p >> sh, q >> sh
         f = _divmod(p1 * s, q1 + 1)[0]
         if f == _divmod((p1 + 1) * s, q1)[0]:
             return f, True
-    f, rem = _divmod(p * s, q) if p >= 0 else divmod(p * s, q)
+    f, rem = _divmod(p * s, q)
     return f, rem > 0
 
 

@@ -54,7 +54,6 @@ from .division import divmod_big
 # of q and 0.32-0.52 above; with the trigger at 2**15.5 or 2**16 bits
 # approx-wide takes 1.03 or 1.07 of its time at 2**15 (BENCH_46.json).
 INT_STR_CUTOVER = 2**15
-_DECIMAL_LEAF_BITS = 2048  # pieces this short go to Decimal(int) directly
 # Digits of a leaf of format_int's split, the largest round size below the
 # lowest int/str digit limit CPython accepts (640), so str writes every leaf
 # under any limit. On random ints of 4.5k-32k bits (CPython 3.11.7) leaves
@@ -134,7 +133,8 @@ def _decimal_str(n: int) -> str:
     """str(n) via decimal, at n's own bit length.
 
     |n| is split at half its bit length, each half is converted to a
-    Decimal the same way, and the halves are recombined as lo + hi * 2**w;
+    Decimal the same way down to pieces of at most _STR_BITS bits, which
+    ``Decimal(int)`` converts, and the halves are recombined as lo + hi * 2**w;
     the powers 2**w are formed once, in one dict. The context has unbounded
     precision and traps Inexact, so every step is exact; no int/str digit
     limit applies there. It is kept out of :func:`format_int`, every call
@@ -145,7 +145,7 @@ def _decimal_str(n: int) -> str:
 
     def pow2(w: int) -> decimal.Decimal:
         if w not in powers:
-            if w <= _DECIMAL_LEAF_BITS:
+            if w <= _STR_BITS:
                 powers[w] = decimal.Decimal(1 << w)
             else:
                 powers[w] = pow2(w >> 1) * pow2(w - (w >> 1))
@@ -153,7 +153,7 @@ def _decimal_str(n: int) -> str:
 
     def convert(m: int, w: int) -> decimal.Decimal:
         # m < 2**w
-        if w <= _DECIMAL_LEAF_BITS:
+        if w <= _STR_BITS:
             return decimal.Decimal(m)
         half = w >> 1
         hi = m >> half

@@ -78,7 +78,7 @@ def farther_end_error(candidate, n: int, k: int, digits: int) -> Fraction:
     return max(abs(candidate - Fraction(lo, scale)), abs(candidate - Fraction(lo + 1, scale)))
 
 
-def scan_digits_of_accuracy(candidate, n: int, k: int, cap: int, guard: int) -> int:
+def scan_digits_of_ratio(candidate, n: int, k: int, cap: int, guard: int) -> int:
     """Reference digit certificate: Fraction error, bisected bracket, step scan.
 
     The error bound is the Fraction distance to the farther endpoint of the

@@ -1226,6 +1226,20 @@ def test_format_int_split_matches_str(bits, rng, negative):
     _assert_format_int_is_str(-x if negative else x)
 
 
+@given(st.sampled_from([4, 5]), st.integers(-16, 16), st.randoms(use_true_random=False),
+       st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_format_int_decimal_path_matches_str_where_its_pieces_straddle_str_bits(j, delta, rng,
+                                                                                negative):
+    # 3,986 * 2**j bits and a few either side, past the cutover: _decimal_str
+    # halves n j times into pieces of 3,985 to 3,987 bits, so Decimal(int)
+    # converts some of them and the rest are halved once more
+    bits = render._STR_BITS * 2**j + delta
+    assert INT_STR_CUTOVER < bits <= 2**17
+    x = rng.getrandbits(bits) | 1 << (bits - 1)
+    _assert_format_int_is_str(-x if negative else x)
+
+
 def test_split_is_exact_when_its_level_estimate_overshoots(monkeypatch):
     # with 300-digit leaves P(1) = 10**600 has 1,994 bits, twice P(0)'s 997,
     # so a 1,994-bit n below 10**600 gets level 1 from its bit length, above
@@ -1492,7 +1506,7 @@ def test_halved_decimal_ladder_is_the_int_power_over_its_two_content(n, k, t):
 
 @given(st.integers(2, 8), k_mod8_st, st.integers(1, 60), st.sampled_from(["plain", "csv", "json"]))
 @settings(max_examples=60, deadline=None)
-def test_approx_prints_the_same_with_the_twin_forced_on_and_off(n, k, digits, fmt):
+def test_approx_prints_the_same_with_the_decimal_ladder_forced_on_and_off(n, k, digits, fmt):
     # the Decimal ladder (which replaced the decimal twin) forced on and off
     # through its trigger: a cutover of 0 puts every inexact n = 2 request
     # on one Decimal ladder from its first attempt, and a cutover past every
@@ -1585,7 +1599,8 @@ SABOTAGES = {
                   ["table-reproduction"], False),
     # a Decimal ladder that keeps the power-of-two content; its odd-k
     # answer carries one
-    "twin_halving": (engine, "halved", lambda f: lambda c: c, ["table-reproduction"], False),
+    "decimal_ladder_halving": (engine, "halved", lambda f: lambda c: c, ["table-reproduction"],
+                               False),
     # a wrong binomial start of the ladder
     "binomial_row": (engine, "_binomial_row", lambda f: _after(f, _bumped), ["engine-agreement"],
                      False),

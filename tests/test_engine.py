@@ -78,7 +78,7 @@ def test_mat_pow_rejects_bad_arguments():
         mat_pow(m, -1)
 
 
-def test_ring_mul_examples():
+def test_square_ring_examples():
     x2 = (0, 0, 1)
     assert square_ring(x2, 2) == [0, 2, 0]  # x**4 = k*x at n=3, k=2
 

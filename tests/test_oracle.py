@@ -18,7 +18,7 @@ from ratroot.oracle import (
     nth_root_bracket,
 )
 
-from _helpers import bisect_nth_root, brute_floor_root, farther_end_error, scan_digits_of_accuracy
+from _helpers import bisect_nth_root, brute_floor_root, farther_end_error, scan_digits_of_ratio
 
 
 def test_integer_nth_root_examples():
@@ -195,7 +195,7 @@ def certificate_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_digits_of_accuracy_matches_step_scan(case):
     cand, params, cap = case
-    want = scan_digits_of_accuracy(cand, params.n, params.k, cap, GUARD_DIGITS)
+    want = scan_digits_of_ratio(cand, params.n, params.k, cap, GUARD_DIGITS)
     assert digits_of_ratio(*cand.as_integer_ratio(), params, cap) == want
 
 
@@ -273,11 +273,16 @@ def floor_cases(draw):
 
 
 @given(floor_cases())
-@example((-(10**10), 1, Params(2, 2), 1))  # a negative bound at even n
+@example((-(10**10), 1, Params(2, 2), 1))  # a negative numerator, refused
 @example((5, 10**6 * 7, Params(4, 81), 1))
+@example((1, 10**7, Params(2, 2), 1))  # f - G + 1 < 0 at even n: the lower clamp
 @settings(max_examples=300, deadline=None)
 def test_certified_floor_certifies_where_digits_of_ratio_reaches_d(case):
     p, q, params, d = case
+    if p < 0:  # a negative numerator is refused, int or Decimal
+        with pytest.raises(ValueError, match="nonnegative"):
+            certified_floor(p, q, params, d)
+        return
     got = certified_floor(p, q, params, d)
     assert (got is not None) == (digits_of_ratio(p, q, params, d) == d)
     if got is not None:
@@ -397,6 +402,42 @@ def long_denominator_cases(draw):
     return p + draw(st.integers(-2, 2)), q, params, d
 
 
+@st.composite
+def short_cut_cases(draw):
+    """(p, q, params, d): q of 100 to 4,000 bits and a quotient p*S/q of
+    about 30 to 700 bits, mostly short enough against q for the top-bits
+    division; p/q within about 10**-e of k**(1/n), so pairs that certify and
+    pairs that miss, whose two top-bits floors mostly agree, or p*S/q exact,
+    where they differ by one and the full division decides."""
+    params = Params(draw(st.integers(2, 8)), draw(st.integers(2, 10**4)))
+    d = draw(st.integers(4, 200))
+    s = 10 ** (d + GUARD_DIGITS)
+    q_bits = draw(st.integers(max(100, s.bit_length() + 1), 4000))
+    if draw(st.booleans()):  # p*S/q = f exactly: the two top-bits floors differ
+        f = nth_root_bracket(params, d + GUARD_DIGITS) + draw(st.integers(-(10**6), 10**6))
+        m = draw(st.integers(2 ** (q_bits - s.bit_length() - 1), 2 ** (q_bits - s.bit_length())))
+        return f * m, s * m, params, d
+    q = draw(st.integers(2 ** (q_bits - 1), 2**q_bits - 1))
+    p = integer_nth_root(params.k * q**params.n, params.n)
+    p += draw(st.sampled_from((-1, 1))) * (q // 10 ** draw(st.integers(0, d + 8)))
+    return p + draw(st.integers(-2, 2)), q, params, d
+
+
+@given(short_cut_cases())
+@example((*_root_pair(Params(3, 2), 1000, 1), Params(3, 2), 30))  # the top-bits floors agree
+@example((nth_root_bracket(Params(2, 2), 35) * 3**500, 10**35 * 3**500, Params(2, 2), 30))
+@settings(max_examples=200, deadline=None)
+def test_certified_floor_matches_the_full_division_on_short_pairs(case):
+    # q of 100 to 4,000 bits, where the top bits are now divided too: the
+    # answer is the full division's, and digits_of_ratio's
+    p, q, params, d = case
+    got = certified_floor(p, q, params, d)
+    assert got == _full_division_floor(p, q, params, d)
+    assert (got is not None) == (digits_of_ratio(p, q, params, d) == d)
+    if got is not None:
+        assert got == p * 10**d // q
+
+
 @given(long_denominator_cases())
 @example((*_root_pair(Params(3, 2), 20000, 1), Params(3, 2), 30))  # certifies
 @example((*_root_pair(Params(3, 2), 20000, 1, 2**19900), Params(3, 2), 30))  # misses
@@ -447,15 +488,37 @@ def test_certified_floor_divides_in_full_where_the_top_bits_disagree(monkeypatch
     assert calls[2:] == [(p * s, q)]
 
 
-def test_certified_floor_divides_a_negative_numerator_in_full(monkeypatch):
-    # a negative p is not cut to its top bits; its division is builtin divmod
+def test_certified_floor_refuses_a_negative_int_numerator(monkeypatch):
+    # a negative int p is refused before any division, by the ValueError
+    # that a negative Decimal p gets
     params, d = Params(3, 2), 30
     p, q = _root_pair(params, 20000, 1)
+    with pytest.raises(ValueError, match="nonnegative") as refused:
+        certified_floor(decimal.Decimal(-10), decimal.Decimal(7), params, d)
     calls = _recording(monkeypatch)
     for sign_p in (-p, -1, -(p // 10**40)):
-        assert certified_floor(sign_p, q, params, d) is None
-        assert _full_division_floor(sign_p, q, params, d) is None
+        with pytest.raises(ValueError) as got:
+            certified_floor(sign_p, q, params, d)
+        assert str(got.value) == str(refused.value)
     assert calls == []
+
+
+@pytest.mark.parametrize("refuse, message", [
+    (lambda: digits_of_ratio(1, -(10**5000), Params(2, 2), 5), "denominator must be positive"),
+    (lambda: certified_floor(1, -(10**5000), Params(2, 2), 5), "nonnegative numerator"),
+    (lambda: integer_nth_root(-(10**5000), 3), "radicand must be nonnegative"),
+    (lambda: integer_nth_root(8, -(10**5000)), "root order must be >= 1"),
+    (lambda: nth_root_bracket(Params(2, 2), -(10**5000)), "digit count must be nonnegative"),
+    (lambda: digits_of_ratio(1, 1, Params(2, 2), -(10**5000)), "cap must be >= 1"),
+], ids=["digits_of_ratio", "certified_floor", "integer_nth_root", "integer_nth_root-order",
+        "nth_root_bracket", "digits_of_ratio-cap"])
+def test_refusing_an_int_past_the_int_str_limit_names_it_by_its_sign(refuse, message):
+    # the refused value has 5,001 digits, past the default int/str digit
+    # limit, so a message that formatted it would raise the limit's own
+    # ValueError in place of the refusal
+    with pytest.raises(ValueError, match=message) as refused:
+        refuse()
+    assert "negative" in str(refused.value) and len(str(refused.value)) < 200
 
 
 @pytest.mark.parametrize("q_bits", [5500, 60000], ids=["full-division", "top-bits"])
